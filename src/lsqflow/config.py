@@ -8,6 +8,7 @@ edit-run cycle.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -57,7 +58,14 @@ class RunConfig:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number that is finite as a float; ``json.loads`` also accepts
+    ``NaN``, ``Infinity`` and integers too large for a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _is_int(v) -> bool:
@@ -95,13 +103,13 @@ def _parse_problem(section, violations):
     else:
         H = _numeric_matrix(section["H"])
         if H is None:
-            violations.append(("H", "must be a non-empty rectangular numeric matrix"))
+            violations.append(("H", "must be a non-empty rectangular matrix of finite numbers"))
     if "z" not in section:
         violations.append(("z", "required"))
     else:
         z = _numeric_vector(section["z"])
         if z is None:
-            violations.append(("z", "must be a numeric array"))
+            violations.append(("z", "must be an array of finite numbers"))
     if H is None or z is None:
         return None
     try:
@@ -258,13 +266,13 @@ def parse_config(text: str, base_dir: Optional[str] = None,
     if "x0" in data:
         x0 = _numeric_vector(data["x0"])
         if x0 is None:
-            violations.append(("x0", "must be a numeric array"))
+            violations.append(("x0", "must be an array of finite numbers"))
     elif mode in _NEEDS_X0:
         violations.append(("x0", "required"))
     if "v0" in data:
         v0 = _numeric_vector(data["v0"])
         if v0 is None:
-            violations.append(("v0", "must be a numeric array"))
+            violations.append(("v0", "must be an array of finite numbers"))
     if problem is not None:
         nm = problem.n_nodes * problem.dim
         if x0 is not None and x0.shape != (nm,):

@@ -1,9 +1,12 @@
 """Fixed-step simulators for the continuous flow and its Euler iteration.
 
 All integrators are deterministic: fixed step, fixed recording stride,
-no adaptivity. Divergence (any state component non-finite or beyond
-1e9 in magnitude) raises :class:`DivergedError` carrying the partial
-trajectory, so callers can still inspect and serialize what happened.
+no adaptivity. Each step of ``u' = M u + b`` is an exact affine map
+``u -> P u + c`` (RK4 or Euler), and one block engine applies it for
+every run: continuous, discrete, damped and switching. Divergence (any
+state component non-finite or beyond 1e9 in magnitude) raises
+:class:`DivergedError` carrying the partial trajectory, so callers can
+still inspect and serialize what happened.
 """
 
 from __future__ import annotations
@@ -14,9 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, DivergedError
-from .spectral import AssembledFlow, flow_cost
+from .spectral import AssembledFlow
 
 DIVERGE_LIMIT = 1e9
+# Block engine: at most BLOCK_STEPS steps per block, at most BLOCK_DOUBLES
+# doubles of stacked powers per step map, no power entry beyond POWER_LIMIT.
+BLOCK_STEPS = 64
+BLOCK_DOUBLES = 1 << 17
+POWER_LIMIT = 1e150
+CSV_CHUNK_ROWS = 1024
 
 TrajectorySample = namedtuple("TrajectorySample", "t_or_k x v error cost")
 
@@ -108,65 +117,114 @@ def ct_rhs(flow: AssembledFlow, state: FlowState) -> tuple:
     return dx, dv
 
 
-def _check_state(flow, u):
-    bad = np.flatnonzero(~np.isfinite(u) | (np.abs(u) > DIVERGE_LIMIT))
-    if bad.size == 0:
-        return None
-    names = component_names(flow.problem.n_nodes, flow.problem.dim)
-    return [names[i] for i in bad]
+def _step_map(M, b, h, method="rk4"):
+    """One fixed step of u' = M u + b as the exact affine map u -> P u + c.
+
+    For RK4, ``P = sum_{k<=4} A^k/k!`` and ``c = h (I + A/2 + A^2/6 + A^3/24) b``
+    with ``A = h M``; for Euler, ``P = I + h M`` and ``c = h b``.
+    """
+    eye = np.eye(len(b))
+    if method == "euler":
+        return eye + h * M, h * b
+    A = h * M
+    T = eye + A / 4.0
+    T = eye + (A / 3.0) @ T
+    T = eye + (A / 2.0) @ T
+    return eye + A @ T, h * (T @ b)
 
 
-def _finish_trajectory(flow, times, xs, vs, metadata):
-    x = np.array(xs)
-    v = np.array(vs)
-    ones_y = np.tile(flow.y_ref, flow.problem.n_nodes)
-    diff = x - ones_y
+def _block_powers(P, c, block):
+    """Stacked ``[P; P^2; ...; P^B]`` (shape ``(B*n, n)``) and offsets
+    ``c_1..c_B`` with ``c_j = P c_{j-1} + c``, so that j steps from u
+    land on ``P^j u + c_j``.
+
+    Extension stops before any entry passes POWER_LIMIT: past that, a
+    power times a zero state component gives ``inf * 0`` instead of 0.
+    A hugely unstable step thus falls back to plain stepping (B = 1).
+    """
+    n = len(c)
+    powers = np.empty((block, n, n))
+    offsets = np.empty((block, n))
+    powers[0], offsets[0] = P, c
+    size = 1
+    while size < block:
+        np.matmul(P, powers[size - 1], out=powers[size])
+        offsets[size] = P @ offsets[size - 1] + c
+        if not (np.abs(powers[size]).max() <= POWER_LIMIT
+                and np.abs(offsets[size]).max() <= POWER_LIMIT):
+            break
+        size += 1
+    return powers[:size].reshape(size * n, n), offsets[:size]
+
+
+def _finish_trajectory(flow, states, steps_at, time_of, metadata):
+    nm = flow.state_dim
+    u = np.concatenate(states)
+    x = np.ascontiguousarray(u[:, :nm])
+    v = np.ascontiguousarray(u[:, nm:])
+    diff = x - np.tile(flow.y_ref, flow.problem.n_nodes)
     error = np.einsum("ij,ij->i", diff, diff)
-    cost = np.array([flow_cost(flow, row) for row in x])
+    nodes = x.reshape(len(x), flow.problem.n_nodes, flow.problem.dim)
+    r = np.einsum("kj,ikj->ik", flow.problem.rows, nodes) - flow.problem.obs
+    cost = 0.5 * np.einsum("ik,ik->i", r, r)
     return Trajectory(
-        t_or_k=np.array(times), x=x, v=v, error=error, cost=cost,
+        t_or_k=time_of(np.concatenate(steps_at)), x=x, v=v, error=error, cost=cost,
         y_ref=np.array(flow.y_ref), metadata=metadata,
     )
 
 
-def _integrate(flow_at, n_steps, u0, time_of, stepper, record_every, metadata, ref_flow):
-    """Shared driver: step, record every record_every-th state plus the
-    first and last, stop with a partial trajectory on divergence."""
-    nm = ref_flow.state_dim
-    u = np.array(u0, dtype=float)
-    times, xs, vs = [time_of(0)], [u[:nm].copy()], [u[nm:].copy()]
+def _propagate(ref_flow, step_maps, schedule, u0, time_of, record_every, metadata):
+    """Apply the affine steps ``step_maps[i] = (P, c)`` over the segments
+    ``schedule = [(i, n_steps), ...]``; record every record_every-th state
+    plus the first and last, and stop with a partial trajectory on
+    divergence.
 
-    def record(k, state):
-        times.append(time_of(k))
-        xs.append(state[:nm].copy())
-        vs.append(state[nm:].copy())
-
-    for k in range(n_steps):
-        u = stepper(flow_at(k), u)
-        done = k + 1 == n_steps
-        bad = _check_state(ref_flow, u)
-        if bad is not None:
-            record(k + 1, u)
-            traj = _finish_trajectory(ref_flow, times, xs, vs, metadata)
-            raise DivergedError(
-                f"state left the finite range at {time_of(k + 1)} "
-                f"(components {', '.join(bad)})",
-                time_of(k + 1), traj, bad,
-            )
-        if (k + 1) % record_every == 0 or done:
-            record(k + 1, u)
-    return _finish_trajectory(ref_flow, times, xs, vs, metadata)
-
-
-def _rk4_stepper(h):
-    def step(mats, u):
-        M, b = mats
-        k1 = M @ u + b
-        k2 = M @ (u + 0.5 * h * k1) + b
-        k3 = M @ (u + 0.5 * h * k2) + b
-        k4 = M @ (u + h * k3) + b
-        return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return step
+    Each segment advances in blocks: from an anchor state, one matvec
+    against the stacked powers gives the next B states. Anchors sit every
+    B steps from the start of a segment, whatever the recording stride,
+    so the stride never changes the dynamics. The first state of a block
+    that is non-finite or beyond DIVERGE_LIMIT ends the run at its exact
+    step, and is recorded last.
+    """
+    n = len(u0)
+    longest = max(steps for _, steps in schedule)
+    block = max(1, min(BLOCK_STEPS, longest, BLOCK_DOUBLES // (n * n)))
+    powers = [_block_powers(P, c, block) for P, c in step_maps]
+    n_total = sum(steps for _, steps in schedule)
+    u = u0
+    states, steps_at = [u0[None, :]], [np.zeros(1, dtype=int)]
+    k = 0
+    for index, seg_steps in schedule:
+        stacked, offsets = powers[index]
+        stop = k + seg_steps
+        while k < stop:
+            size = min(len(offsets), stop - k)
+            U = (stacked[:size * n] @ u).reshape(size, n) + offsets[:size]
+            # row j holds step k + 1 + j; the stride's first one in the block:
+            first = record_every - 1 - k % record_every
+            if not np.abs(U).max() <= DIVERGE_LIMIT:   # also catches nan
+                bad = ~(np.abs(U) <= DIVERGE_LIMIT)
+                j = int(bad.any(axis=1).argmax())
+                keep = np.append(np.arange(first, j, record_every), j)
+                states.append(U[keep])
+                steps_at.append(k + 1 + keep)
+                names = component_names(ref_flow.problem.n_nodes, ref_flow.problem.dim)
+                bad_names = [names[i] for i in np.flatnonzero(bad[j])]
+                when = time_of(k + 1 + j)
+                traj = _finish_trajectory(ref_flow, states, steps_at, time_of, metadata)
+                raise DivergedError(
+                    f"state left the finite range at {when} "
+                    f"(components {', '.join(bad_names)})",
+                    when, traj, bad_names,
+                )
+            keep = np.arange(first, size, record_every)
+            if k + size == n_total and (keep.size == 0 or keep[-1] != size - 1):
+                keep = np.append(keep, size - 1)
+            states.append(U[keep])
+            steps_at.append(k + 1 + keep)
+            u = U[-1]
+            k += size
+    return _finish_trajectory(ref_flow, states, steps_at, time_of, metadata)
 
 
 def _stack_initial(flow, x0, v0):
@@ -192,19 +250,26 @@ def _base_metadata(flow, **extra):
     return meta
 
 
-def simulate_ct(flow: AssembledFlow, x0, v0, step_h: float, t_end: float,
-                record_every: int = 10) -> Trajectory:
-    """Classical fixed-step RK4 integration of the saddle-point flow."""
+def _forcing(flow):
+    """Constant term b of u' = M u + b for the stacked state u = (x, v)."""
+    return np.concatenate([flow.z_H, np.zeros(flow.state_dim)])
+
+
+def _simulate_rk4(flow, M, x0, v0, step_h, t_end, record_every, **extra):
     if step_h <= 0 or t_end <= 0:
         raise ValueError("step_h and t_end must be positive")
     n_steps = int(round(t_end / step_h))
     u0 = _stack_initial(flow, x0, v0)
-    b = np.concatenate([flow.z_H, np.zeros(flow.state_dim)])
-    mats = (flow.M, b)
-    meta = _base_metadata(flow, integrator="rk4", step=step_h,
-                          t_end=t_end, record_every=record_every)
-    return _integrate(lambda k: mats, n_steps, u0, lambda k: k * step_h,
-                      _rk4_stepper(step_h), record_every, meta, flow)
+    meta = _base_metadata(flow, integrator="rk4", step=step_h, t_end=t_end,
+                          record_every=record_every, **extra)
+    return _propagate(flow, [_step_map(M, _forcing(flow), step_h)], [(0, n_steps)],
+                      u0, lambda k: k * step_h, record_every, meta)
+
+
+def simulate_ct(flow: AssembledFlow, x0, v0, step_h: float, t_end: float,
+                record_every: int = 10) -> Trajectory:
+    """Classical fixed-step RK4 integration of the saddle-point flow."""
+    return _simulate_rk4(flow, flow.M, x0, v0, step_h, t_end, record_every)
 
 
 def simulate_dt(flow: AssembledFlow, x0, v0, config: DiscreteConfig) -> Trajectory:
@@ -215,19 +280,12 @@ def simulate_dt(flow: AssembledFlow, x0, v0, config: DiscreteConfig) -> Trajecto
     :class:`DivergedError` with the partial trajectory attached.
     """
     u0 = _stack_initial(flow, x0, v0)
-    b = np.concatenate([flow.z_H, np.zeros(flow.state_dim)])
-    eps = config.epsilon
-
-    def step(mats, u):
-        M, bb = mats
-        return u + eps * (M @ u + bb)
-
-    mats = (flow.M, b)
-    meta = _base_metadata(flow, integrator="euler", step=eps,
+    step = _step_map(flow.M, _forcing(flow), config.epsilon, "euler")
+    meta = _base_metadata(flow, integrator="euler", step=config.epsilon,
                           max_steps=config.max_steps,
                           record_every=config.record_every)
-    return _integrate(lambda k: mats, config.max_steps, u0, lambda k: k,
-                      step, config.record_every, meta, flow)
+    return _propagate(flow, [step], [(0, config.max_steps)], u0, lambda k: k,
+                      config.record_every, meta)
 
 
 def simulate_damped(flow: AssembledFlow, alpha: float, x0, v0,
@@ -242,19 +300,10 @@ def simulate_damped(flow: AssembledFlow, alpha: float, x0, v0,
         raise ValueError("alpha must be nonnegative")
     if alpha == 0.0:
         return simulate_ct(flow, x0, v0, step_h, t_end, record_every)
-    if step_h <= 0 or t_end <= 0:
-        raise ValueError("step_h and t_end must be positive")
     nm = flow.state_dim
     M = flow.M.copy()
     M[:nm, :nm] -= alpha * flow.L_kron
-    b = np.concatenate([flow.z_H, np.zeros(nm)])
-    n_steps = int(round(t_end / step_h))
-    u0 = _stack_initial(flow, x0, v0)
-    mats = (M, b)
-    meta = _base_metadata(flow, integrator="rk4", step=step_h, t_end=t_end,
-                          record_every=record_every, alpha=alpha)
-    return _integrate(lambda k: mats, n_steps, u0, lambda k: k * step_h,
-                      _rk4_stepper(step_h), record_every, meta, flow)
+    return _simulate_rk4(flow, M, x0, v0, step_h, t_end, record_every, alpha=alpha)
 
 
 def error_trajectory(traj: Trajectory, y_star) -> list:
@@ -293,8 +342,12 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV with 17-significant-digit floats; byte-stable across runs."""
     names = component_names(traj.n_nodes, traj.dim)
     header = "t," + ",".join(names) + ",error,cost"
+    columns = (traj.t_or_k, traj.x, traj.v, traj.error, traj.cost)
+    row_format = ",".join(["%.17g"] * (len(names) + 3)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for k in range(len(traj.t_or_k)):
-            row = [traj.t_or_k[k], *traj.x[k], *traj.v[k], traj.error[k], traj.cost[k]]
-            fh.write(",".join("%.17g" % val for val in row) + "\n")
+        # python floats format fastest; converting in chunks bounds memory
+        for start in range(0, len(traj.t_or_k), CSV_CHUNK_ROWS):
+            rows = slice(start, start + CSV_CHUNK_ROWS)
+            chunk = np.column_stack([col[rows] for col in columns]).tolist()
+            fh.writelines(row_format % tuple(row) for row in chunk)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -24,7 +25,14 @@ from .errors import (
 )
 from .graphs import Graph, graph_from_dict, laplacian, spectrum, _support_of
 from .problem import NetworkLinearEquation
-from .simulate import Trajectory, _base_metadata, _integrate, _rk4_stepper, _stack_initial
+from .simulate import (
+    Trajectory,
+    _base_metadata,
+    _forcing,
+    _propagate,
+    _stack_initial,
+    _step_map,
+)
 from .spectral import assemble, equilibrium_dual, zero_space_projector
 
 IntersectionResult = namedtuple("IntersectionResult", "intersects distance")
@@ -81,31 +89,31 @@ def simulate_switching(problem: NetworkLinearEquation, signal: SwitchingSignal,
     """Piecewise RK4 with switch instants aligned to the step grid.
 
     The state is continuous across switches; only the active Laplacian
-    changes. Alignment is a precondition, not a sub-stepping feature:
-    step_h must divide period_T and t_end must be a whole number of
-    periods.
+    changes. Each dwell interval is one segment of the block engine, with
+    consecutive intervals on the same graph merged, so a one-graph signal
+    runs exactly like :func:`simulate_ct`. Alignment is a precondition,
+    not a sub-stepping feature: step_h must divide period_T and t_end
+    must be a whole number of periods.
     """
     if step_h <= 0:
         raise ValueError("step_h must be positive")
     steps_per_period = _aligned_count(signal.period_T, step_h, "period_T / step_h")
     n_periods = _aligned_count(t_end, signal.period_T, "t_end / period_T")
-    flows = [assemble(problem, g) for g in signal.graphs]
-    b = np.concatenate([flows[0].z_H, np.zeros(flows[0].state_dim)])
-    mats = [(f.M, b) for f in flows]
-    n_graphs = len(mats)
-
-    def flow_at(k):
-        return mats[(k // steps_per_period) % n_graphs]
+    distinct = list(dict.fromkeys(signal.graphs))
+    flows = [assemble(problem, g) for g in distinct]
+    b = _forcing(flows[0])
+    step_maps = [_step_map(f.M, b, step_h) for f in flows]
+    slots = [distinct.index(g) for g in signal.graphs]
+    order = (slots[p % len(slots)] for p in range(n_periods))
+    schedule = [(index, steps_per_period * len(list(run))) for index, run in groupby(order)]
 
     meta = _base_metadata(
         flows[0], integrator="rk4", step=step_h, t_end=t_end,
         record_every=record_every, period_T=signal.period_T,
         graphs=[g.label or f"custom-{g.n_nodes}" for g in signal.graphs],
     )
-    n_steps = steps_per_period * n_periods
-    return _integrate(flow_at, n_steps, _stack_initial(flows[0], x0, v0),
-                      lambda k: k * step_h, _rk4_stepper(step_h),
-                      record_every, meta, flows[0])
+    return _propagate(flows[0], step_maps, schedule, _stack_initial(flows[0], x0, v0),
+                      lambda k: k * step_h, record_every, meta)
 
 
 def limit_set(problem: NetworkLinearEquation, graph: Graph) -> LimitSet:

@@ -35,3 +35,40 @@ def random_simple_spectrum_graph(rng, n):
         spect = lf.spectrum(lf.laplacian(g))
         if all(len(group) == 1 for group in spect.eigenspace_groups):
             return g
+
+
+def step_by_step(segments, b, u0, h, method="rk4", record_every=1, limit=1e9):
+    """Reference integrator: one classical four-stage RK4 or forward-Euler
+    step at a time, with the state checked after every step.
+
+    ``segments`` is a list of ``(M, n_steps)`` applied in order to
+    ``u' = M u + b``. Records step 0, every ``record_every``-th step and the
+    last one. Returns ``(steps, states, bad_step, bad_indices)``; on the
+    first state that is non-finite or beyond ``limit`` that state is
+    recorded last and ``bad_step``/``bad_indices`` name it, otherwise both
+    are None.
+    """
+    u = np.array(u0, dtype=float)
+    total = sum(n for _, n in segments)
+    steps, states = [0], [u.copy()]
+    k = 0
+    for M, n in segments:
+        for _ in range(n):
+            if method == "euler":
+                u = u + h * (M @ u + b)
+            else:
+                k1 = M @ u + b
+                k2 = M @ (u + 0.5 * h * k1) + b
+                k3 = M @ (u + 0.5 * h * k2) + b
+                k4 = M @ (u + h * k3) + b
+                u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k += 1
+            if not np.abs(u).max() <= limit:
+                steps.append(k)
+                states.append(u.copy())
+                bad = np.flatnonzero(~(np.abs(u) <= limit))
+                return np.array(steps), np.array(states), k, bad
+            if k % record_every == 0 or k == total:
+                steps.append(k)
+                states.append(u.copy())
+    return np.array(steps), np.array(states), None, None

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -138,6 +140,42 @@ class TestNumericFields:
         assert "alpha" in paths_of({**base, "alpha": -0.5})
         assert parse({**base, "alpha": 0}).alpha == 0.0
         assert parse({**base, "alpha": 1.5}).alpha == 1.5
+
+    def test_non_finite_numbers_rejected(self):
+        # json.loads accepts NaN, Infinity and -Infinity (and integers too
+        # large for a float); each must come back as a SchemaError path,
+        # never as divergence or as a failed SVD
+        base = {"mode": "simulate-ct", "problem": CHAIN_PROBLEM, "graph": CHAIN_GRAPH,
+                "x0": [0] * 8}
+        H_bad = [row[:] for row in CHAIN_PROBLEM["H"]]
+        H_bad[1][0] = float("nan")
+        z_bad = CHAIN_PROBLEM["z"][:-1] + [float("inf")]
+        x0_bad = [0] * 7 + [-float("inf")]
+        cases = (
+            ("H", {"problem": {"H": H_bad, "z": CHAIN_PROBLEM["z"]}}),
+            ("z", {"problem": {"H": CHAIN_PROBLEM["H"], "z": z_bad}}),
+            ("x0", {"x0": x0_bad}),
+            ("step_h", {"step_h": float("inf")}),
+            ("step_h", {"step_h": float("nan")}),
+            ("t_end", {"t_end": 10 ** 400}),
+        )
+        for key, override in cases:
+            assert key in paths_of({**base, **override}), (key, override)
+
+    def test_non_finite_z_is_not_reported_as_divergence(self, tmp_path):
+        data = {"mode": "simulate-ct", "problem": {"H": CHAIN_PROBLEM["H"],
+                                                   "z": [-1, 0, -2, "INF"]},
+                "graph": CHAIN_GRAPH, "x0": [0] * 8, "t_end": 0.1}
+        text = json.dumps(data).replace('"INF"', "Infinity")
+        path = tmp_path / "inf.json"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = lf.main(["simulate-ct", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        env = json.loads(err.getvalue())
+        assert env["error"] == "SchemaError"
+        assert "z" in [p for p, _ in env["details"]["violations"]]
 
     def test_defaults(self):
         cfg = parse({"mode": "solve-lsq", "problem": CHAIN_PROBLEM})

@@ -5,12 +5,13 @@ import lsqflow as lf
 from lsqflow.simulate import (
     DIVERGE_LIMIT,
     TrajectorySample,
-    _rk4_stepper,
+    _step_map,
     component_names,
     component_series,
 )
 
-from _helpers import random_problem, random_connected_graph
+from _helpers import random_problem, random_connected_graph, step_by_step
+from conftest import CHAIN_X0, PENT2_X0, STAR_X0
 
 
 def synthetic_trajectory(series):
@@ -65,11 +66,11 @@ class TestRk4Core:
         # for u' = M u + b the classical four-stage step equals the
         # degree-4 Taylor polynomial sum_{k=1..4} h^k/k! M^(k-1) (M u + b)
         h = 0.01
-        step = _rk4_stepper(h)
         b = np.concatenate([chain_flow.z_H, np.zeros(8)])
         M = chain_flow.M
+        P, c = _step_map(M, b, h)
         u = rng.standard_normal(16)
-        got = step((M, b), u)
+        got = P @ u + c
         f = M @ u + b
         expected = u.copy()
         term = f
@@ -91,6 +92,86 @@ class TestRk4Core:
             errs.append(np.abs(traj.x[-1] - ref.x[-1]).max())
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 20.0
+
+
+def _forcing(flow):
+    return np.concatenate([flow.z_H, np.zeros(flow.state_dim)])
+
+
+def _assert_matches_reference(traj, steps, states, time_scale=1.0):
+    assert np.array_equal(traj.t_or_k, steps * time_scale)
+    got = np.hstack([traj.x, traj.v])
+    assert got.shape == states.shape
+    assert np.abs(got - states).max() <= 1e-10 * np.abs(states).max()
+
+
+class TestBlockEngine:
+    """The block engine against a plain step-by-step loop."""
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_rk4_matches_step_by_step(self, chain_flow, record_every):
+        # 1001 steps: many full blocks and a partial last one
+        traj = lf.simulate_ct(chain_flow, CHAIN_X0, np.ones(8), 0.005, 5.005,
+                              record_every=record_every)
+        steps, states, bad, _ = step_by_step(
+            [(chain_flow.M, 1001)], _forcing(chain_flow),
+            np.concatenate([CHAIN_X0, np.ones(8)]), 0.005, record_every=record_every)
+        assert bad is None
+        _assert_matches_reference(traj, steps, states, 0.005)
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_euler_matches_step_by_step(self, chain_flow, record_every):
+        config = lf.DiscreteConfig(epsilon=0.03, max_steps=1003, record_every=record_every)
+        traj = lf.simulate_dt(chain_flow, CHAIN_X0, np.zeros(8), config)
+        steps, states, bad, _ = step_by_step(
+            [(chain_flow.M, 1003)], _forcing(chain_flow),
+            np.concatenate([CHAIN_X0, np.zeros(8)]), 0.03, "euler", record_every)
+        assert bad is None
+        _assert_matches_reference(traj, steps, states)
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_switching_matches_step_by_step(self, pent2_problem, switch_pair,
+                                            record_every):
+        # six dwell intervals of 50 steps, alternating between the pair
+        sig = lf.SwitchingSignal(period_T=0.5, graphs=switch_pair)
+        traj = lf.simulate_switching(pent2_problem, sig, PENT2_X0, np.ones(10), 0.01, 3.0,
+                                     record_every=record_every)
+        flows = [lf.assemble(pent2_problem, g) for g in switch_pair]
+        steps, states, bad, _ = step_by_step(
+            [(flows[p % 2].M, 50) for p in range(6)], _forcing(flows[0]),
+            np.concatenate([PENT2_X0, np.ones(10)]), 0.01, record_every=record_every)
+        assert bad is None
+        _assert_matches_reference(traj, steps, states, 0.01)
+
+    @pytest.mark.parametrize("which, x0, epsilon, max_steps, every", [
+        ("chain", CHAIN_X0, 0.04, 40000, 10),
+        ("star", STAR_X0, 0.01, 500000, 100),
+    ], ids=["chain4-eps0.04", "star4-eps0.01"])
+    def test_divergence_step_and_components_match_step_by_step(
+            self, chain_flow, star_flow, which, x0, epsilon, max_steps, every):
+        flow = {"chain": chain_flow, "star": star_flow}[which]
+        config = lf.DiscreteConfig(epsilon=epsilon, max_steps=max_steps, record_every=every)
+        with pytest.raises(lf.DivergedError) as excinfo:
+            lf.simulate_dt(flow, x0, np.zeros(8), config)
+        exc = excinfo.value
+        steps, _, bad_step, bad = step_by_step(
+            [(flow.M, max_steps)], _forcing(flow), np.concatenate([x0, np.zeros(8)]),
+            epsilon, "euler", every)
+        assert bad_step is not None
+        assert exc.t_or_k == bad_step
+        assert exc.bad_components == [component_names(4, 2)[i] for i in bad]
+        assert np.array_equal(exc.trajectory.t_or_k, steps)
+
+    def test_power_guard_keeps_zero_state_at_zero(self, chain_problem, star_graph):
+        # epsilon = 1e6 makes P^j overflow within a few dozen steps; the
+        # zero state must still map to zero (not to inf * 0 = nan) and the
+        # run must end without a false divergence
+        prob = lf.NetworkLinearEquation(chain_problem.rows, np.zeros(4))
+        flow = lf.assemble(prob, star_graph)
+        config = lf.DiscreteConfig(epsilon=1e6, max_steps=300, record_every=1)
+        traj = lf.simulate_dt(flow, np.zeros(8), np.zeros(8), config)
+        assert len(traj.t_or_k) == 301
+        assert not traj.x.any() and not traj.v.any()
 
 
 class TestSimulateCt:
@@ -300,6 +381,34 @@ class TestCsv:
         assert np.array_equal(row[9:17], traj.v[k])
         assert row[17] == traj.error[k]
         assert row[18] == traj.cost[k]
+
+    def test_row_format_matches_per_value_format(self, chain_flow, tmp_path):
+        # one '%' operation per row must give the bytes of formatting each
+        # value on its own: float and integer times, diverged states, and
+        # the special values nan, inf and -0.0
+        def per_value(traj):
+            lines = ["t," + ",".join(component_names(traj.n_nodes, traj.dim)) + ",error,cost"]
+            for k in range(len(traj.t_or_k)):
+                row = [traj.t_or_k[k], *traj.x[k], *traj.v[k], traj.error[k], traj.cost[k]]
+                lines.append(",".join("%.17g" % val for val in row))
+            return ("\n".join(lines) + "\n").encode()
+
+        with pytest.raises(lf.DivergedError) as excinfo:
+            lf.simulate_dt(chain_flow, CHAIN_X0, np.zeros(8),
+                           lf.DiscreteConfig(epsilon=0.04, max_steps=40000))
+        special = synthetic_trajectory([np.nan, np.inf, -np.inf, -0.0, 1e-300, 1e300,
+                                        123456789012345678, 1.0 / 3.0, 0.1, -2.5])
+        trajs = [
+            lf.simulate_ct(chain_flow, CHAIN_X0, np.ones(8), 0.005, 1.0),
+            lf.simulate_dt(chain_flow, CHAIN_X0, np.zeros(8),
+                           lf.DiscreteConfig(epsilon=0.03, max_steps=500)),
+            excinfo.value.trajectory,
+            special,
+        ]
+        for k, traj in enumerate(trajs):
+            path = tmp_path / f"{k}.csv"
+            lf.write_trajectory_csv(traj, path)
+            assert path.read_bytes() == per_value(traj)
 
     def test_header_matches_documentation_fixture(self, chain_flow, tmp_path):
         from conftest import fixture_path

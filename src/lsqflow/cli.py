@@ -23,7 +23,7 @@ from .plotting import PlotSpec, emit_plot
 from .problem import solve_least_squares
 from .seeding import default_seed
 from .simulate import DiscreteConfig, simulate_ct, simulate_dt, simulate_damped, write_trajectory_csv
-from .spectral import assemble, build_spectral_report, check_condition
+from .spectral import assemble, build_spectral_report, epsilon_star
 from .switching import simulate_switching
 
 PROG = "lsqflow"
@@ -67,11 +67,9 @@ def _verdict_payload(verdict) -> dict:
 
 
 def _run_analyze(config: RunConfig, out_dir, stdout) -> int:
-    flow = assemble(config.problem, config.graph)
-    verdict = check_condition(config.problem, config.graph, method="both")
-    report = build_spectral_report(flow)
+    report = build_spectral_report(assemble(config.problem, config.graph))
     payload = {
-        "condition": _verdict_payload(verdict),
+        "condition": _verdict_payload(report.condition),
         "spectral": {
             "m_eigenvalues": _complex_pairs(report.m_eigenvalues),
             "epsilon_star": report.epsilon_star,
@@ -96,11 +94,11 @@ def _run_solve_lsq(config: RunConfig, out_dir, stdout) -> int:
 
 
 def _run_epsilon_star(config: RunConfig, out_dir, stdout) -> int:
-    flow = assemble(config.problem, config.graph)
-    value = build_spectral_report(flow).epsilon_star
-    if value is None:
+    try:
+        value = epsilon_star(assemble(config.problem, config.graph))
+    except NoStableModesError as exc:
         raise NoStableModesError("every system eigenvalue sits on the imaginary axis; "
-                                 "no finite step threshold exists")
+                                 "no finite step threshold exists") from exc
     print(f"{value:.17g}", file=stdout)
     if config.out_json is not None:
         _json_out({"epsilon_star": value}, config, out_dir, _Null())

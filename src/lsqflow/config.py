@@ -36,6 +36,11 @@ DEFAULT_T_END = 200.0
 DEFAULT_MAX_STEPS = 40000
 DEFAULT_RECORD_EVERY = 10
 
+# Work bounds, checked before a simulation starts: integrator steps per
+# run and recorded samples per trajectory (the initial state included).
+MAX_STEPS = 10**8
+MAX_SAMPLES = 10**6
+
 
 @dataclass(eq=False)
 class RunConfig:
@@ -191,6 +196,21 @@ def _positive(data, key, default, violations, integer=False):
     return float(v)
 
 
+def _check_work(mode, step_h, t_end, max_steps, record_every, violations) -> None:
+    if mode == "simulate-dt":
+        key, steps = "max_steps", max_steps
+    elif mode in ("simulate-ct", "simulate-switching"):
+        key, steps = "t_end", t_end / step_h   # may overflow to inf
+    else:
+        return
+    if steps > MAX_STEPS:
+        violations.append((key, f"asks for {steps:.4g} integrator steps; "
+                                f"the limit is {MAX_STEPS:.0e}"))
+    elif 1 + steps // record_every > MAX_SAMPLES:
+        violations.append((key, f"asks for {1 + steps // record_every:.4g} recorded "
+                                f"samples; the limit is {MAX_SAMPLES:.0e}"))
+
+
 def parse_config(text: str, base_dir: Optional[str] = None,
                  default_mode: Optional[str] = None) -> RunConfig:
     """Parse and validate a JSON run configuration.
@@ -249,6 +269,7 @@ def parse_config(text: str, base_dir: Optional[str] = None,
     record_every = _positive(data, "record_every", DEFAULT_RECORD_EVERY,
                              violations, integer=True)
     max_steps = _positive(data, "max_steps", DEFAULT_MAX_STEPS, violations, integer=True)
+    _check_work(mode, step_h, t_end, max_steps, record_every, violations)
     epsilon = None
     if "epsilon" in data:
         epsilon = _positive(data, "epsilon", None, violations)

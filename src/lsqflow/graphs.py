@@ -181,6 +181,44 @@ def _support_of(vec: np.ndarray) -> frozenset:
     return frozenset(int(i) + 1 for i in np.flatnonzero(np.abs(vec) > TAU_SUPP * norm))
 
 
+def _eigenspace_members(basis: np.ndarray):
+    """Members of the eigenspace spanned by the orthonormal columns of
+    ``basis``, sparsest candidates first.
+
+    One dimension: the basis vector. Two dimensions: for each node with a
+    nonzero basis row, the member vanishing there, one per support,
+    ordered by (support size, sorted support); any other member's support
+    contains all of theirs, so the list is exact for the smallest support
+    and for the first rank-deficient one. Three or more: the members
+    supported on two nodes, lazily in (i, j) order, then the basis
+    vectors.
+    """
+    n, d = basis.shape
+    if d == 1:
+        yield basis[:, 0]
+        return
+    if d == 2:
+        members = {}
+        for row in basis:
+            if np.linalg.norm(row) > TAU_SUPP:
+                member = basis @ np.array([row[1], -row[0]])
+                members.setdefault(_support_of(member), member)
+        for support in sorted(members, key=lambda s: (len(s), sorted(s))):
+            yield members[support]
+        return
+    # a member supported on {i, j} is a null vector of the projector onto
+    # the orthogonal complement, restricted to columns i and j
+    complement = np.eye(n) - basis @ basis.T
+    for i in range(n):
+        for j in range(i + 1, n):
+            _, sv, vt = np.linalg.svd(complement[:, [i, j]], full_matrices=False)
+            if sv[1] <= 1e-9:
+                member = np.zeros(n)
+                member[[i, j]] = vt[1]
+                yield member
+    yield from basis.T
+
+
 def _min_support_in_group(basis: np.ndarray, samples: int, rng) -> int:
     """Smallest support over members of one eigenspace.
 
@@ -190,46 +228,17 @@ def _min_support_in_group(basis: np.ndarray, samples: int, rng) -> int:
     no eigenvector supported on a single node, so support two is a global
     floor for the search.
     """
-    n, d = basis.shape
-    best = min(len(_support_of(basis[:, k])) for k in range(d))
-    if d == 1:
-        return best
-
-    # dimension two: a member vanishing at node i is unique up to scale
-    if d == 2:
-        for i in range(n):
-            row = basis[i]
-            if np.linalg.norm(row) <= TAU_SUPP:
-                continue
-            member = basis @ np.array([row[1], -row[0]])
-            best = min(best, len(_support_of(member)))
-
-    # any dimension: look for members supported on exactly two nodes
-    if best > 2:
-        sigma_max = np.linalg.norm(basis, 2)
-        for i in range(n):
-            for j in range(i + 1, n):
-                keep = [k for k in range(n) if k != i and k != j]
-                reduced = basis[keep, :]
-                # a combination vanishing off {i, j} exists iff the kept
-                # rows do not span all d coefficient directions; with
-                # fewer than d rows that is automatic
-                if reduced.shape[0] >= d:
-                    sv = np.linalg.svd(reduced, compute_uv=False)
-                    if sv[d - 1] > 1e-9 * max(sigma_max, 1e-300):
-                        continue
-                null = np.linalg.svd(reduced)[2][-1]
-                member = basis @ null
-                sup = len(_support_of(member))
-                if 0 < sup < best:
-                    best = sup
-                if best <= 2:
-                    return best
-
-    for _ in range(samples):
-        coeff = rng.standard_normal(d)
-        coeff /= np.linalg.norm(coeff)
-        best = min(best, len(_support_of(basis @ coeff)))
+    d = basis.shape[1]
+    best = basis.shape[0]
+    for member in _eigenspace_members(basis):
+        best = min(best, len(_support_of(member)))
+        if best <= 2:
+            return best
+    if d >= 3:
+        for _ in range(samples):
+            coeff = rng.standard_normal(d)
+            coeff /= np.linalg.norm(coeff)
+            best = min(best, len(_support_of(basis @ coeff)))
     return best
 
 

@@ -31,7 +31,8 @@ from .errors import (
     NumericalFailureError,
     RankDeficientError,
 )
-from .graphs import Graph, LaplacianSpectrum, laplacian, spectrum, _support_of
+from .graphs import (Graph, LaplacianSpectrum, is_connected, laplacian, spectrum,
+                     _eigenspace_members, _support_of)
 from .problem import (
     RANK_RTOL,
     NetworkLinearEquation,
@@ -84,6 +85,7 @@ class SpectralReport:
     epsilon_star: Optional[float]  # None when no eigenvalue has Re != 0
     zero_space_dim: int
     projector_W: Optional[np.ndarray]  # v-block projector; None if condition fails
+    condition: ConditionVerdict    # method "both", from the same spectrum
 
 
 def assemble(problem: NetworkLinearEquation, graph: Graph) -> AssembledFlow:
@@ -139,13 +141,24 @@ def m_spectrum(flow: AssembledFlow) -> np.ndarray:
     return eigs[order]
 
 
-def _imaginary_nonzero(eigs: np.ndarray) -> np.ndarray:
-    """Eigenvalues classified as nonzero and purely imaginary."""
+def _nonzero_split(eigs) -> tuple:
+    """(purely imaginary, stable) eigenvalues among those classified nonzero."""
     eigs = np.asarray(eigs, dtype=complex)
     radius = np.abs(eigs).max(initial=0.0)
-    nonzero = np.abs(eigs) > TAU_ZERO_REL * max(radius, 1e-300)
-    imaginary = np.abs(eigs.real) <= TAU_IM * np.abs(eigs)
-    return eigs[nonzero & imaginary]
+    nonzero = eigs[np.abs(eigs) > TAU_ZERO_REL * max(radius, 1e-300)]
+    imaginary = np.abs(nonzero.real) <= TAU_IM * np.abs(nonzero)
+    return nonzero[imaginary], nonzero[~imaginary]
+
+
+def _imaginary_nonzero(eigs: np.ndarray) -> np.ndarray:
+    """Eigenvalues classified as nonzero and purely imaginary."""
+    return _nonzero_split(eigs)[0]
+
+
+def _holds(eigs: np.ndarray, graph: Graph) -> bool:
+    """The spanning condition: a connected graph, and no nonzero purely
+    imaginary eigenvalue of M (the equivalence assumes connectivity)."""
+    return is_connected(graph) and _imaginary_nonzero(eigs).size == 0
 
 
 def _rank_of_rows(rows: np.ndarray) -> tuple:
@@ -156,63 +169,46 @@ def _rank_of_rows(rows: np.ndarray) -> tuple:
     return rank, vt[-1]
 
 
-def _simple_spectrum_check(problem, graph, spect: LaplacianSpectrum):
-    if any(len(g) > 1 for g in spect.eigenspace_groups):
-        raise NotApplicableError("Laplacian spectrum has repeated eigenvalues")
-    m = problem.dim
-    for k in range(len(spect.eigenvalues)):
-        support = _support_of(spect.eigenvectors[:, k])
-        rows = problem.rows[np.array(sorted(support)) - 1]
-        rank, eta = _rank_of_rows(rows)
-        if rank < m:
-            return False, (float(spect.eigenvalues[k]), eta), support
-    return True, None, None
-
-
-def _witness_candidates(basis: np.ndarray):
-    """Deterministic eigenspace members ordered from small to generic support."""
-    n, d = basis.shape
-    members = []
-    if d >= 2:
-        # members supported on exactly two nodes, if any
-        sigma_max = np.linalg.norm(basis, 2)
-        for i in range(n):
-            for j in range(i + 1, n):
-                keep = [k for k in range(n) if k != i and k != j]
-                sv = np.linalg.svd(basis[keep, :], compute_uv=False)
-                if sv[-1] <= 1e-9 * max(sigma_max, 1e-300):
-                    members.append(basis @ np.linalg.svd(basis[keep, :])[2][-1])
-    if d == 2:
-        for i in range(n):
-            row = basis[i]
-            if np.linalg.norm(row) > 1e-12:
-                members.append(basis @ np.array([row[1], -row[0]]))
-    members.extend(basis[:, k] for k in range(d))
-    # the union of basis supports equals the support of a generic member
-    union = frozenset().union(*(_support_of(basis[:, k]) for k in range(d)))
-    return members, union
-
-
-def _m_spectrum_check(problem, graph, flow: AssembledFlow, spect: LaplacianSpectrum):
-    holds = _imaginary_nonzero(m_spectrum(flow)).size == 0
-    if holds:
-        return True, None, None
-    # Reconstruct a certificate from the Laplacian side: an eigenspace
-    # member whose support rows do not span the full space.
-    m = problem.dim
-    for group in spect.eigenspace_groups:
-        if spect.eigenvalues[group[0]] <= TAU_IM:
-            continue
+def _witness(problem, spect: LaplacianSpectrum, groups) -> tuple:
+    """(witness, support) of the first eigenspace member, over ``groups``,
+    whose support rows do not span the unknown space; (None, None) if none."""
+    for group in groups:
         basis = spect.eigenvectors[:, list(group)]
-        members, union = _witness_candidates(basis)
-        for member, support in [(mem, _support_of(mem)) for mem in members] + [(None, union)]:
-            if not support:
-                continue
-            rows = problem.rows[np.array(sorted(support)) - 1]
-            rank, eta = _rank_of_rows(rows)
-            if rank < m:
-                return False, (float(spect.eigenvalues[group[0]]), eta), support
-    return False, None, None
+        for member in _eigenspace_members(basis):
+            support = _support_of(member)
+            rank, eta = _rank_of_rows(problem.rows[np.array(sorted(support)) - 1])
+            if rank < problem.dim:
+                return (float(spect.eigenvalues[group[0]]), eta), support
+    return None, None
+
+
+def _verdict(problem, graph, spect: LaplacianSpectrum, eigs, method: str) -> ConditionVerdict:
+    """Verdict of the ``m_spectrum`` or ``both`` method from the spectrum of M.
+
+    The Laplacian-side witness search runs only where it is needed: when
+    the condition fails, or under ``both`` as the cross-check on a simple
+    spectrum. On a disconnected graph no direction mixes across
+    components, so the witness is the first unit vector at eigenvalue 0,
+    backed by node 1's component: the support of the zero-eigenspace
+    projection of the first node's indicator.
+    """
+    holds = _holds(eigs, graph)
+    if not holds and not is_connected(graph):
+        zero = spect.eigenvectors[:, list(spect.eigenspace_groups[0])]
+        return ConditionVerdict(False, (0.0, np.eye(problem.dim)[0]), method,
+                                _support_of(zero @ zero[0]))
+    if method == "both" and all(len(g) == 1 for g in spect.eigenspace_groups):
+        witness, support = _witness(problem, spect, spect.eigenspace_groups)
+        if (witness is None) != holds:
+            raise InternalInconsistencyError(
+                f"checkers disagree: simple_spectrum={witness is None}, m_spectrum={holds}"
+            )
+        return ConditionVerdict(holds, witness, method, support)
+    if holds:
+        return ConditionVerdict(True, None, method)
+    # the zero eigenspace of a connected graph holds only the constants
+    witness, support = _witness(problem, spect, spect.eigenspace_groups[1:])
+    return ConditionVerdict(False, witness, method, support)
 
 
 def check_condition(problem: NetworkLinearEquation, graph: Graph,
@@ -221,10 +217,11 @@ def check_condition(problem: NetworkLinearEquation, graph: Graph,
 
     ``simple_spectrum`` checks row spans per eigenvector and requires all
     Laplacian eigenvalues distinct. ``m_spectrum`` detects nonzero purely
-    imaginary eigenvalues of M and works unconditionally; it is the
-    authoritative test. ``both`` runs the authoritative test and, when
-    the spectrum is simple, also the direct one, raising
-    :class:`InternalInconsistencyError` on disagreement.
+    imaginary eigenvalues of M on a connected graph and works
+    unconditionally; it is the authoritative test. ``both`` runs the
+    authoritative test and, when the spectrum is simple, also the direct
+    one, raising :class:`InternalInconsistencyError` on disagreement. A
+    disconnected graph fails under every method that applies to it.
     """
     if method not in CHECK_METHODS:
         raise ValueError(f"method must be one of {CHECK_METHODS}, got {method!r}")
@@ -233,34 +230,17 @@ def check_condition(problem: NetworkLinearEquation, graph: Graph,
             f"problem has {problem.n_nodes} nodes, graph has {graph.n_nodes}"
         )
     spect = spectrum(laplacian(graph))
-
     if method == "simple_spectrum":
-        holds, witness, support = _simple_spectrum_check(problem, graph, spect)
-        return ConditionVerdict(holds, witness, method, support)
-
-    flow = assemble(problem, graph)
-    holds_m, witness_m, support_m = _m_spectrum_check(problem, graph, flow, spect)
-    if method == "m_spectrum":
-        return ConditionVerdict(holds_m, witness_m, method, support_m)
-
-    simple_applies = all(len(g) == 1 for g in spect.eigenspace_groups)
-    if simple_applies:
-        holds_s, witness_s, support_s = _simple_spectrum_check(problem, graph, spect)
-        if holds_s != holds_m:
-            raise InternalInconsistencyError(
-                f"checkers disagree: simple_spectrum={holds_s}, m_spectrum={holds_m}"
-            )
-        if witness_s is not None:
-            witness_m, support_m = witness_s, support_s
-    return ConditionVerdict(holds_m, witness_m, "both", support_m)
+        if any(len(g) > 1 for g in spect.eigenspace_groups):
+            raise NotApplicableError("Laplacian spectrum has repeated eigenvalues")
+        witness, support = _witness(problem, spect, spect.eigenspace_groups)
+        return ConditionVerdict(witness is None, witness, method, support)
+    return _verdict(problem, graph, spect, m_spectrum(assemble(problem, graph)), method)
 
 
 def epsilon_star_from_eigenvalues(eigenvalues) -> float:
     """min over eigenvalues with Re != 0 of -2 Re / |lambda|^2."""
-    eigs = np.asarray(eigenvalues, dtype=complex)
-    radius = np.abs(eigs).max(initial=0.0)
-    nonzero = np.abs(eigs) > TAU_ZERO_REL * max(radius, 1e-300)
-    stable = eigs[nonzero & (np.abs(eigs.real) > TAU_IM * np.abs(eigs))]
+    stable = _nonzero_split(eigenvalues)[1]
     if stable.size == 0:
         raise NoStableModesError("no eigenvalue with nonzero real part")
     return float(np.min(-2.0 * stable.real / np.abs(stable) ** 2))
@@ -280,18 +260,8 @@ def _kernel_bases(flow: AssembledFlow):
     return right, left
 
 
-def zero_space_projector(flow: AssembledFlow) -> tuple:
-    """Spectral projector onto the zero eigenspace, restricted to the v-block.
-
-    Requires the spanning condition; with it the zero eigenspace has
-    dimension m, zero x-block, and consensus-shaped v-block, so the full
-    projector acts only on v and the returned matrix is N m x N m.
-    """
-    if _imaginary_nonzero(m_spectrum(flow)).size > 0:
-        raise ConditionViolatedError(
-            "spanning condition fails; flow has undamped oscillatory modes"
-        )
-    right, left = _kernel_bases(flow)
+def _projector(flow: AssembledFlow, right: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """v-block of the spectral projector onto the zero eigenspace."""
     d = right.shape[1]
     m = flow.problem.dim
     if d != m:
@@ -305,7 +275,22 @@ def zero_space_projector(flow: AssembledFlow) -> tuple:
     if np.abs(W @ W - W).max(initial=0.0) > 1e-8:
         raise InternalInconsistencyError("projector is not idempotent")
     W.setflags(write=False)
-    return d, W
+    return W
+
+
+def zero_space_projector(flow: AssembledFlow) -> tuple:
+    """Spectral projector onto the zero eigenspace, restricted to the v-block.
+
+    Requires the spanning condition; with it the zero eigenspace has
+    dimension m, zero x-block, and consensus-shaped v-block, so the full
+    projector acts only on v and the returned matrix is N m x N m.
+    """
+    if not _holds(m_spectrum(flow), flow.graph):
+        raise ConditionViolatedError(
+            "spanning condition fails; flow has undamped oscillatory modes or the graph "
+            "is disconnected"
+        )
+    return flow.problem.dim, _projector(flow, *_kernel_bases(flow))
 
 
 def equilibrium_dual(flow: AssembledFlow) -> np.ndarray:
@@ -341,17 +326,18 @@ def predict_v_limit(flow: AssembledFlow, v_star, v0) -> np.ndarray:
 
 
 def build_spectral_report(flow: AssembledFlow) -> SpectralReport:
-    """Eigen-data bundle serialized by the CLI's analyze mode."""
+    """Eigen-data bundle serialized by the CLI's analyze mode.
+
+    One eigen-solve of M yields the verdict (method ``both``), the step
+    threshold and, when the condition holds, the projector.
+    """
     eigs = m_spectrum(flow)
+    verdict = _verdict(flow.problem, flow.graph, spectrum(laplacian(flow.graph)), eigs, "both")
     try:
         eps = epsilon_star_from_eigenvalues(eigs)
     except NoStableModesError:
         eps = None
-    if _imaginary_nonzero(eigs).size == 0:
-        zero_dim, W = zero_space_projector(flow)
-    else:
-        right, _ = _kernel_bases(flow)
-        zero_dim, W = right.shape[1], None
-    return SpectralReport(
-        m_eigenvalues=eigs, epsilon_star=eps, zero_space_dim=zero_dim, projector_W=W
-    )
+    right, left = _kernel_bases(flow)
+    W = _projector(flow, right, left) if verdict.holds else None
+    return SpectralReport(m_eigenvalues=eigs, epsilon_star=eps, zero_space_dim=right.shape[1],
+                          projector_W=W, condition=verdict)

@@ -60,6 +60,37 @@ class TestAnalyzeMode:
         assert payload["spectral"]["projector_W"] is None
 
 
+class TestOneEigenSolve:
+    """Each analysis runs one dense eigen-solve of M on one assembled flow."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"eigvals": 0, "assemble": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+        original = lf.spectral.assemble
+        wrapped = counted("assemble", original)
+        for name, module in list(sys.modules.items()):
+            if name == "lsqflow" or name.startswith("lsqflow."):
+                for attr, obj in list(vars(module).items()):
+                    if obj is original:
+                        monkeypatch.setattr(module, attr, wrapped)
+        return calls
+
+    @pytest.mark.parametrize("name", ["chain4_analyze.json", "star4_analyze.json",
+                                      "chain4_epsilon.json"])
+    def test_one_solve_per_run(self, name, counts, tmp_path):
+        code, _, _ = invoke(name, tmp_path)
+        assert code == 0
+        assert counts == {"eigvals": 1, "assemble": 1}
+
+
 class TestSolveMode:
     def test_solution_payload(self, tmp_path):
         code, out, _ = invoke("chain4_lsq.json", tmp_path)

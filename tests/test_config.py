@@ -177,6 +177,26 @@ class TestNumericFields:
         assert env["error"] == "SchemaError"
         assert "z" in [p for p, _ in env["details"]["violations"]]
 
+    def test_work_is_bounded_before_it_starts(self):
+        ct = {"mode": "simulate-ct", "problem": CHAIN_PROBLEM, "graph": CHAIN_GRAPH,
+              "x0": [0] * 8}
+        dt = {**ct, "mode": "simulate-dt", "epsilon": 0.01}
+        # beyond the step limit (t_end = 1e12 at step 1e-3 asks for 1e15)
+        assert paths_of({**ct, "t_end": 1e12, "step_h": 1e-3}) == ["t_end"]
+        assert paths_of({**ct, "t_end": 1e300, "step_h": 1e-300}) == ["t_end"]
+        assert paths_of({**dt, "max_steps": lf.config.MAX_STEPS + 1,
+                         "record_every": 1000}) == ["max_steps"]
+        # within the step limit, beyond the sample limit
+        assert paths_of({**dt, "max_steps": lf.config.MAX_SAMPLES,
+                         "record_every": 1}) == ["max_steps"]
+        assert paths_of({**ct, "t_end": 5000.0, "record_every": 1}) == ["t_end"]
+        # at either limit
+        parse({**dt, "max_steps": lf.config.MAX_STEPS, "record_every": 1000})
+        parse({**dt, "max_steps": lf.config.MAX_SAMPLES - 1, "record_every": 1})
+        parse({**ct, "t_end": 5000.0, "record_every": 1000})
+        # modes that run no integrator ignore t_end
+        parse({"mode": "solve-lsq", "problem": CHAIN_PROBLEM, "t_end": 1e12})
+
     def test_defaults(self):
         cfg = parse({"mode": "solve-lsq", "problem": CHAIN_PROBLEM})
         assert cfg.step_h == 0.005

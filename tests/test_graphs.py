@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lsqflow as lf
-from lsqflow.graphs import TAU_EIG_REL, _min_support_in_group, _support_of
+from lsqflow.graphs import (
+    TAU_EIG_REL,
+    _eigenspace_members,
+    _min_support_in_group,
+    _support_of,
+)
 
 
 def incidence_laplacian(graph):
@@ -206,6 +211,48 @@ class TestSupportReport:
         basis = spect.eigenvectors[:, list(group)]
         rng = np.random.default_rng(0)
         assert _min_support_in_group(basis, 0, rng) == 2
+
+
+class TestEigenspaceMembers:
+    @staticmethod
+    def largest_group(family, n):
+        spect = lf.spectrum(lf.laplacian(lf.make_family(family, n)))
+        group = max(spect.eigenspace_groups, key=len)
+        return spect.eigenvalues[group[0]], spect.eigenvectors[:, list(group)]
+
+    def test_members_are_eigenvectors(self):
+        for family, n in (("ring", 12), ("star", 6), ("complete", 5)):
+            r, basis = self.largest_group(family, n)
+            L = lf.laplacian(lf.make_family(family, n))
+            for member in _eigenspace_members(basis):
+                assert np.abs(L @ member - r * member).max() < 1e-9
+
+    def test_plane_members_sorted_by_support(self):
+        # ring-12, eigenvalue 2: one member per support, sparsest first;
+        # cos(pi j / 2) vanishes on the six odd nodes
+        spect = lf.spectrum(lf.laplacian(lf.make_family("ring", 12)))
+        group = next(g for g in spect.eigenspace_groups
+                     if abs(spect.eigenvalues[g[0]] - 2.0) < 1e-9)
+        supports = [_support_of(m) for m in _eigenspace_members(spect.eigenvectors[:, list(group)])]
+        keys = [(len(s), sorted(s)) for s in supports]
+        assert keys == sorted(keys)
+        assert len(set(supports)) == len(supports)
+        assert len(supports[0]) == 6
+
+    def test_two_node_members_first_then_basis(self):
+        # star-5 leaves: every e_i - e_j over leaves, in (i, j) order
+        _, basis = self.largest_group("star", 5)
+        members = list(_eigenspace_members(basis))
+        pairs = [sorted(_support_of(m)) for m in members[:-3]]
+        assert pairs == [[i, j] for i in range(2, 6) for j in range(i + 1, 6)]
+        assert np.array_equal(np.array(members[-3:]), basis.T)
+
+    def test_complete_graph_pairs_found(self):
+        # fewer kept rows than the eigenspace dimension: every pair qualifies
+        _, basis = self.largest_group("complete", 6)
+        members = list(_eigenspace_members(basis))
+        assert len(members) == 15 + 5
+        assert all(len(_support_of(m)) == 2 for m in members[:15])
 
 
 class TestFamilyMinSupport:

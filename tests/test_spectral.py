@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -270,3 +273,73 @@ class TestSpectralReport:
         assert report.zero_space_dim == 2
         assert report.epsilon_star is not None
         assert _imaginary_nonzero(report.m_eigenvalues).size > 0
+
+    def test_report_carries_the_both_verdict(self, chain_problem, star_graph, star_flow):
+        verdict = lf.build_spectral_report(star_flow).condition
+        direct = lf.check_condition(chain_problem, star_graph, method="both")
+        assert verdict.method == "both"
+        assert verdict.holds is direct.holds is False
+        assert verdict.witness_support == direct.witness_support
+        assert np.array_equal(verdict.witness[1], direct.witness[1])
+
+
+class TestDisconnectedGraph:
+    # Two components, each of whose rows span the plane: M has no nonzero
+    # purely imaginary eigenvalue, yet the components never reach a
+    # common estimate, so the condition must fail.
+    H = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+    Z = [1.0, 2.0, 3.0, 4.0]
+
+    @pytest.fixture
+    def case(self):
+        return lf.NetworkLinearEquation(self.H, self.Z), lf.make_graph(4, [(1, 2), (3, 4)])
+
+    def test_verdict_fails_with_component_witness(self, case):
+        problem, graph = case
+        for method in ("m_spectrum", "both"):
+            verdict = lf.check_condition(problem, graph, method=method)
+            assert verdict.holds is False
+            assert verdict.witness_support == frozenset({1, 2})
+            eigenvalue, eta = verdict.witness
+            assert eigenvalue == 0.0
+            assert np.array_equal(eta, [1.0, 0.0])
+        with pytest.raises(lf.NotApplicableError):
+            lf.check_condition(problem, graph, method="simple_spectrum")
+
+    def test_verdict_matches_dynamics(self, case):
+        problem, graph = case
+        traj = lf.simulate_ct(lf.assemble(problem, graph), np.zeros(8), np.zeros(8),
+                              step_h=0.005, t_end=200.0, record_every=1000)
+        assert traj.error[-1] > 1.0
+
+    def test_projector_and_limit_set_refuse(self, case):
+        problem, graph = case
+        with pytest.raises(lf.ConditionViolatedError):
+            lf.zero_space_projector(lf.assemble(problem, graph))
+        with pytest.raises(lf.ConditionViolatedError):
+            lf.limit_set(problem, graph)
+
+    def test_analyze_reports_failure(self, case):
+        problem, graph = case
+        out, err = io.StringIO(), io.StringIO()
+        config = lf.RunConfig(mode="analyze", problem=problem, graph=graph)
+        assert lf.run(config, stdout=out, stderr=err) == 0
+        payload = json.loads(out.getvalue())
+        assert payload["condition"]["holds"] is False
+        assert payload["condition"]["witness_support"] == [1, 2]
+        assert payload["spectral"]["zero_space_dim"] == 4
+        assert payload["spectral"]["projector_W"] is None
+
+
+class TestCompleteGraphWitness:
+    def test_parallel_rows_give_two_node_witness(self):
+        # rows 1 and 3 are parallel, so e_1 - e_3 (eigenvalue 6) is a
+        # member whose support rows miss a direction
+        H = [[1, .2], [.3, 1], [2, .4], [-.5, .9], [.7, -1.1], [1.3, .6]]
+        problem = lf.NetworkLinearEquation(H, np.ones(6))
+        verdict = lf.check_condition(problem, lf.make_family("complete", 6), method="both")
+        assert verdict.holds is False
+        assert verdict.witness_support == frozenset({1, 3})
+        eigenvalue, eta = verdict.witness
+        assert abs(eigenvalue - 6.0) < 1e-9
+        assert np.abs(problem.rows[[0, 2]] @ eta).max() < 1e-12

@@ -174,49 +174,71 @@ def spectrum(L: np.ndarray) -> LaplacianSpectrum:
     return LaplacianSpectrum(eigenvalues=w, eigenvectors=V, eigenspace_groups=tuple(groups))
 
 
+def _support_mask(vectors: np.ndarray) -> np.ndarray:
+    """Row r, column k: node k + 1 is in the support of ``vectors[r]``."""
+    return np.abs(vectors) > TAU_SUPP * np.linalg.norm(vectors, axis=1, keepdims=True)
+
+
 def _support_of(vec: np.ndarray) -> frozenset:
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        return frozenset()
-    return frozenset(int(i) + 1 for i in np.flatnonzero(np.abs(vec) > TAU_SUPP * norm))
+    return frozenset((np.flatnonzero(_support_mask(vec[None])) + 1).tolist())
+
+
+def _pair_members(basis: np.ndarray):
+    """Members of the eigenspace spanned by the orthonormal columns of
+    ``basis`` supported on two nodes: yields ``(i, j, members)`` per chunk
+    of at most n node pairs ``i < j`` (0-based, in (i, j) order), with the
+    members as rows.
+
+    Such a member is a null vector of the orthogonal projector
+    ``C = I - B B^T`` restricted to columns i and j. The smallest
+    eigenvalue of their Gram matrix ``[[C_ii, C_ij], [C_ij, C_jj]]``, in
+    closed form, picks candidates loosely (<= 1e-10); one stacked SVD per
+    chunk confirms them (sigma_2 <= 1e-9) and gives the members.
+    """
+    n = basis.shape[0]
+    complement = np.eye(n) - basis @ basis.T
+    diag = np.diag(complement)
+    smallest = 0.5 * (diag[:, None] + diag) - np.hypot(0.5 * (diag[:, None] - diag), complement)
+    rows, cols = np.nonzero(np.triu(smallest <= 1e-10, k=1))
+    for start in range(0, rows.size, n):
+        i, j = rows[start:start + n], cols[start:start + n]
+        pairs = np.stack([complement[:, i].T, complement[:, j].T], axis=-1)
+        _, sv, vt = np.linalg.svd(pairs, full_matrices=False)
+        keep = sv[:, 1] <= 1e-9
+        members = np.zeros((np.count_nonzero(keep), n))
+        np.put_along_axis(members, np.stack([i[keep], j[keep]], axis=1), vt[keep, 1], axis=1)
+        yield i[keep], j[keep], members
 
 
 def _eigenspace_members(basis: np.ndarray):
     """Members of the eigenspace spanned by the orthonormal columns of
-    ``basis``, sparsest candidates first.
+    ``basis``, sparsest candidates first, as blocks of rows.
 
     One dimension: the basis vector. Two dimensions: for each node with a
     nonzero basis row, the member vanishing there, one per support,
     ordered by (support size, sorted support); any other member's support
     contains all of theirs, so the list is exact for the smallest support
     and for the first rank-deficient one. Three or more: the members
-    supported on two nodes, lazily in (i, j) order, then the basis
-    vectors.
+    supported on two nodes in (i, j) order, one block per chunk, then the
+    basis vectors. Consumers stop at the first block that settles them.
     """
-    n, d = basis.shape
+    d = basis.shape[1]
     if d == 1:
-        yield basis[:, 0]
+        yield basis.T
         return
     if d == 2:
-        members = {}
-        for row in basis:
-            if np.linalg.norm(row) > TAU_SUPP:
-                member = basis @ np.array([row[1], -row[0]])
-                members.setdefault(_support_of(member), member)
-        for support in sorted(members, key=lambda s: (len(s), sorted(s))):
-            yield members[support]
+        nodes = basis[np.linalg.norm(basis, axis=1) > TAU_SUPP]
+        members = (basis @ np.array([nodes[:, 1], -nodes[:, 0]])).T
+        masks = _support_mask(members)
+        first = {}  # support -> index of the first member with it
+        for k, mask in enumerate(masks):
+            first.setdefault(mask.tobytes(), k)
+        supports = {k: np.flatnonzero(masks[k]).tolist() for k in first.values()}
+        yield members[sorted(supports, key=lambda k: (len(supports[k]), supports[k]))]
         return
-    # a member supported on {i, j} is a null vector of the projector onto
-    # the orthogonal complement, restricted to columns i and j
-    complement = np.eye(n) - basis @ basis.T
-    for i in range(n):
-        for j in range(i + 1, n):
-            _, sv, vt = np.linalg.svd(complement[:, [i, j]], full_matrices=False)
-            if sv[1] <= 1e-9:
-                member = np.zeros(n)
-                member[[i, j]] = vt[1]
-                yield member
-    yield from basis.T
+    for _, _, members in _pair_members(basis):
+        yield members
+    yield basis.T
 
 
 def _min_support_in_group(basis: np.ndarray, samples: int, rng) -> int:
@@ -226,19 +248,20 @@ def _min_support_in_group(basis: np.ndarray, samples: int, rng) -> int:
     eigenspace contains a member supported on two nodes; otherwise the
     sampled candidates give a tight upper bound. A connected graph admits
     no eigenvector supported on a single node, so support two is a global
-    floor for the search.
+    floor for the search: the first candidate that reaches it ends it.
     """
-    d = basis.shape[1]
-    best = basis.shape[0]
-    for member in _eigenspace_members(basis):
-        best = min(best, len(_support_of(member)))
-        if best <= 2:
-            return best
-    if d >= 3:
-        for _ in range(samples):
-            coeff = rng.standard_normal(d)
-            coeff /= np.linalg.norm(coeff)
-            best = min(best, len(_support_of(basis @ coeff)))
+    n, d = basis.shape
+    best = n
+    for block in _eigenspace_members(basis):
+        sizes = _support_mask(block).sum(axis=1)
+        floor = np.flatnonzero(sizes <= 2)
+        if floor.size:
+            return int(sizes[floor[0]])
+        best = min(best, int(sizes.min(initial=n)))
+    if d >= 3 and samples > 0:
+        coeff = rng.standard_normal((samples, d))
+        coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
+        best = min(best, int(_support_mask(coeff @ basis.T).sum(axis=1).min()))
     return best
 
 

@@ -32,7 +32,7 @@ from .errors import (
     RankDeficientError,
 )
 from .graphs import (Graph, LaplacianSpectrum, is_connected, laplacian, spectrum,
-                     _eigenspace_members, _support_of)
+                     _eigenspace_members, _support_mask, _support_of)
 from .problem import (
     RANK_RTOL,
     NetworkLinearEquation,
@@ -44,7 +44,6 @@ from .problem import (
 # zero. Both guards keep the numerical kernel of M out of the stable set.
 TAU_IM = 1e-7
 TAU_ZERO_REL = 1e-8
-TAU_KER_REL = 1e-9
 
 CHECK_METHODS = ("simple_spectrum", "m_spectrum", "both")
 
@@ -77,6 +76,7 @@ class ConditionVerdict:
     witness: Optional[tuple]       # (eigenvalue r of L, unit vector eta)
     method: str
     witness_support: Optional[frozenset] = None  # nodes backing the witness
+    null_block: Optional[tuple] = None  # (r, n x m X) where no member witnesses
 
 
 @dataclass(frozen=True)
@@ -155,60 +155,90 @@ def _imaginary_nonzero(eigs: np.ndarray) -> np.ndarray:
     return _nonzero_split(eigs)[0]
 
 
-def _holds(eigs: np.ndarray, graph: Graph) -> bool:
-    """The spanning condition: a connected graph, and no nonzero purely
-    imaginary eigenvalue of M (the equivalence assumes connectivity)."""
-    return is_connected(graph) and _imaginary_nonzero(eigs).size == 0
-
-
-def _rank_of_rows(rows: np.ndarray) -> tuple:
-    """(rank, unit null vector for the smallest singular value)."""
-    _, sv, vt = np.linalg.svd(rows)
-    tol = sv[0] * max(rows.shape) * RANK_RTOL if sv.size else 0.0
-    rank = int(np.count_nonzero(sv > tol))
-    return rank, vt[-1]
+def _stacked_rank(stack: np.ndarray) -> tuple:
+    """(ranks, unit null vectors for the smallest singular values) of a
+    stack of matrices, in one SVD call, each rank at the relative
+    tolerance ``RANK_RTOL``."""
+    rows, cols = stack.shape[1:]
+    _, sv, vt = np.linalg.svd(stack, full_matrices=rows < cols)
+    tol = sv[:, :1] * max(rows, cols) * RANK_RTOL
+    return np.count_nonzero(sv > tol, axis=1), vt[:, -1]
 
 
 def _witness(problem, spect: LaplacianSpectrum, groups) -> tuple:
     """(witness, support) of the first eigenspace member, over ``groups``,
-    whose support rows do not span the unknown space; (None, None) if none."""
+    whose support rows do not span the unknown space; (None, None) if none.
+
+    The support rows of a block of members are tested together, one
+    stacked SVD per support size."""
     for group in groups:
-        basis = spect.eigenvectors[:, list(group)]
-        for member in _eigenspace_members(basis):
-            support = _support_of(member)
-            rank, eta = _rank_of_rows(problem.rows[np.array(sorted(support)) - 1])
-            if rank < problem.dim:
-                return (float(spect.eigenvalues[group[0]]), eta), support
+        for block in _eigenspace_members(spect.eigenvectors[:, list(group)]):
+            masks = _support_mask(block)
+            sizes = masks.sum(axis=1)
+            failing = {}  # member index -> eta
+            for size in np.unique(sizes):
+                picked = np.flatnonzero(sizes == size)
+                nodes = np.nonzero(masks[picked])[1].reshape(picked.size, size)
+                ranks, etas = _stacked_rank(problem.rows[nodes])
+                deficient = ranks < problem.dim
+                failing.update(zip(picked[deficient], etas[deficient]))
+            if failing:
+                k = min(failing)
+                return (float(spect.eigenvalues[group[0]]), failing[k]), _support_of(block[k])
     return None, None
+
+
+def _null_block(problem, spect: LaplacianSpectrum) -> Optional[tuple]:
+    """The Laplacian-side test on a connected graph, one stacked SVD per
+    eigenspace dimension d.
+
+    For every eigenvalue r > 0 with eigenbasis B (n x d), the n x (d m)
+    matrix K with rows ``B_i (x) h_i`` must have full column rank. Returns
+    None if all do, else (r, X) for the smallest r that fails: X = B C
+    (n x m) from K's null vector vec(C), so ``h_i^T x_i = 0`` and
+    ``(X, -i X)`` is an eigenvector of M at ``i r``.
+    """
+    m = problem.dim
+    groups = spect.eigenspace_groups[1:]  # r = 0: only the constants
+    failing = {}  # group -> null vector of its K
+    for d in {len(g) for g in groups}:
+        same = [g for g in groups if len(g) == d]
+        bases = np.stack([spect.eigenvectors[:, list(g)] for g in same])
+        K = bases[..., None] * problem.rows[:, None, :]  # rows B_i (x) h_i
+        ranks, nulls = _stacked_rank(K.reshape(len(same), -1, d * m))
+        failing.update((g, c) for g, rank, c in zip(same, ranks, nulls) if rank < d * m)
+    if not failing:
+        return None
+    group = min(failing)  # groups hold ascending eigenvalue indices
+    X = spect.eigenvectors[:, list(group)] @ failing[group].reshape(len(group), m)
+    return float(spect.eigenvalues[group[0]]), X
 
 
 def _verdict(problem, graph, spect: LaplacianSpectrum, eigs, method: str) -> ConditionVerdict:
     """Verdict of the ``m_spectrum`` or ``both`` method from the spectrum of M.
 
-    The Laplacian-side witness search runs only where it is needed: when
-    the condition fails, or under ``both`` as the cross-check on a simple
-    spectrum. On a disconnected graph no direction mixes across
-    components, so the witness is the first unit vector at eigenvalue 0,
-    backed by node 1's component: the support of the zero-eigenspace
-    projection of the first node's indicator.
+    Under ``both`` the Laplacian-side rank test cross-checks it on every
+    spectrum. The member witness search runs only when the condition
+    fails; where no member witnesses the failure, the verdict carries the
+    Laplacian side's null block instead. On a disconnected graph no
+    direction mixes across components, so the witness is the first unit
+    vector at eigenvalue 0, backed by node 1's component: the support of
+    the zero-eigenspace projection of the first node's indicator.
     """
-    holds = _holds(eigs, graph)
-    if not holds and not is_connected(graph):
+    if not is_connected(graph):
         zero = spect.eigenvectors[:, list(spect.eigenspace_groups[0])]
         return ConditionVerdict(False, (0.0, np.eye(problem.dim)[0]), method,
                                 _support_of(zero @ zero[0]))
-    if method == "both" and all(len(g) == 1 for g in spect.eigenspace_groups):
-        witness, support = _witness(problem, spect, spect.eigenspace_groups)
-        if (witness is None) != holds:
-            raise InternalInconsistencyError(
-                f"checkers disagree: simple_spectrum={witness is None}, m_spectrum={holds}"
-            )
-        return ConditionVerdict(holds, witness, method, support)
+    holds = _imaginary_nonzero(eigs).size == 0
+    null_block = _null_block(problem, spect) if method == "both" or not holds else None
+    if method == "both" and (null_block is None) != holds:
+        raise InternalInconsistencyError(f"checkers disagree: laplacian={null_block is None}, "
+                                         f"m_spectrum={holds}")
     if holds:
         return ConditionVerdict(True, None, method)
-    # the zero eigenspace of a connected graph holds only the constants
     witness, support = _witness(problem, spect, spect.eigenspace_groups[1:])
-    return ConditionVerdict(False, witness, method, support)
+    return ConditionVerdict(False, witness, method, support,
+                            null_block if witness is None else None)
 
 
 def check_condition(problem: NetworkLinearEquation, graph: Graph,
@@ -219,8 +249,8 @@ def check_condition(problem: NetworkLinearEquation, graph: Graph,
     Laplacian eigenvalues distinct. ``m_spectrum`` detects nonzero purely
     imaginary eigenvalues of M on a connected graph and works
     unconditionally; it is the authoritative test. ``both`` runs the
-    authoritative test and, when the spectrum is simple, also the direct
-    one, raising :class:`InternalInconsistencyError` on disagreement. A
+    authoritative test and the Laplacian-side rank test on every spectrum,
+    raising :class:`InternalInconsistencyError` on disagreement. A
     disconnected graph fails under every method that applies to it.
     """
     if method not in CHECK_METHODS:
@@ -250,30 +280,34 @@ def epsilon_star(flow: AssembledFlow) -> float:
     return epsilon_star_from_eigenvalues(m_spectrum(flow))
 
 
-def _kernel_bases(flow: AssembledFlow):
-    """Biorthogonalized right/left kernel bases of M from singular vectors."""
-    U, sv, Vt = np.linalg.svd(flow.M)
-    tol = TAU_KER_REL * sv[0] if sv.size else 0.0
-    small = sv <= tol
-    right = Vt[small, :].T
-    left = U[:, small]
-    return right, left
+def _zero_space_dim(problem: NetworkLinearEquation, spect: LaplacianSpectrum) -> int:
+    """Dimension of the kernel of M, the sum over components c of
+    m + nullity(H_c): in a kernel vector v is constant per component and
+    x = Z C, for the zero eigenbasis Z (n x c) of L, has ``h_i^T x_i = 0``,
+    a null vector of the matrix with rows ``Z_i (x) h_i`` (rank at
+    ``RANK_RTOL``).
+    """
+    zero = spect.eigenvectors[:, list(spect.eigenspace_groups[0])]
+    cols = zero.shape[1] * problem.dim
+    K = (zero[:, :, None] * problem.rows[:, None, :]).reshape(1, -1, cols)
+    return 2 * cols - int(_stacked_rank(K)[0][0])
 
 
-def _projector(flow: AssembledFlow, right: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """v-block of the spectral projector onto the zero eigenspace."""
-    d = right.shape[1]
-    m = flow.problem.dim
-    if d != m:
-        raise InternalInconsistencyError(f"zero eigenspace has dimension {d}, expected {m}")
-    nm = flow.state_dim
-    if np.abs(right[:nm, :]).max(initial=0.0) > 1e-8:
-        raise InternalInconsistencyError("zero eigenvectors have nonzero x-block")
-    gram = left.T @ right
-    projector = right @ np.linalg.solve(gram, left.T)
-    W = projector[nm:, nm:]
-    if np.abs(W @ W - W).max(initial=0.0) > 1e-8:
-        raise InternalInconsistencyError("projector is not idempotent")
+def _consensus_projector(flow: AssembledFlow, eigs, zero_space_dim: int) -> np.ndarray:
+    """v-block of the spectral projector onto the zero eigenspace where the
+    condition holds: the kernels of M and M^T are ``{(0, 1 (x) eta)}``, so
+    it is ``(1 1^T / n) (x) I_m``.
+
+    The spectrum needs at least as many eigenvalues classified as zero as
+    the kernel has dimensions. It may hold more: slow stable modes of long
+    paths fall below ``TAU_ZERO_REL`` (two near -6e-8 on path-200, m = 2).
+    """
+    zeros = len(eigs) - sum(map(len, _nonzero_split(eigs)))
+    if zeros < zero_space_dim:
+        raise InternalInconsistencyError(f"{zeros} eigenvalues of M classified as zero, "
+                                         f"kernel dimension {zero_space_dim}")
+    n = flow.problem.n_nodes
+    W = np.kron(np.full((n, n), 1.0 / n), np.eye(flow.problem.dim))
     W.setflags(write=False)
     return W
 
@@ -285,12 +319,14 @@ def zero_space_projector(flow: AssembledFlow) -> tuple:
     dimension m, zero x-block, and consensus-shaped v-block, so the full
     projector acts only on v and the returned matrix is N m x N m.
     """
-    if not _holds(m_spectrum(flow), flow.graph):
+    eigs = m_spectrum(flow)
+    if not (is_connected(flow.graph) and _imaginary_nonzero(eigs).size == 0):
         raise ConditionViolatedError(
             "spanning condition fails; flow has undamped oscillatory modes or the graph "
             "is disconnected"
         )
-    return flow.problem.dim, _projector(flow, *_kernel_bases(flow))
+    # the condition makes H full rank on the one component: the kernel has dimension m
+    return flow.problem.dim, _consensus_projector(flow, eigs, flow.problem.dim)
 
 
 def equilibrium_dual(flow: AssembledFlow) -> np.ndarray:
@@ -329,15 +365,17 @@ def build_spectral_report(flow: AssembledFlow) -> SpectralReport:
     """Eigen-data bundle serialized by the CLI's analyze mode.
 
     One eigen-solve of M yields the verdict (method ``both``), the step
-    threshold and, when the condition holds, the projector.
+    threshold and the check of the closed-form projector, which is
+    returned when the condition holds.
     """
     eigs = m_spectrum(flow)
-    verdict = _verdict(flow.problem, flow.graph, spectrum(laplacian(flow.graph)), eigs, "both")
+    spect = spectrum(laplacian(flow.graph))
+    verdict = _verdict(flow.problem, flow.graph, spect, eigs, "both")
     try:
         eps = epsilon_star_from_eigenvalues(eigs)
     except NoStableModesError:
         eps = None
-    right, left = _kernel_bases(flow)
-    W = _projector(flow, right, left) if verdict.holds else None
-    return SpectralReport(m_eigenvalues=eigs, epsilon_star=eps, zero_space_dim=right.shape[1],
+    zero_space_dim = _zero_space_dim(flow.problem, spect)
+    W = _consensus_projector(flow, eigs, zero_space_dim) if verdict.holds else None
+    return SpectralReport(m_eigenvalues=eigs, epsilon_star=eps, zero_space_dim=zero_space_dim,
                           projector_W=W, condition=verdict)

@@ -117,13 +117,17 @@ def simulate_switching(problem: NetworkLinearEquation, signal: SwitchingSignal,
 
 
 def limit_set(problem: NetworkLinearEquation, graph: Graph) -> LimitSet:
-    """Affine set of possible dual limits for a fixed graph."""
+    """Affine set of possible dual limits for a fixed graph.
+
+    The span is the range of the consensus projector W: the m orthonormal
+    columns ``(1 / sqrt(n)) 1 (x) e_k``.
+    """
     flow = assemble(problem, graph)
     _, W = zero_space_projector(flow)  # raises ConditionViolatedError if unmet
     v_star = equilibrium_dual(flow)
     base = v_star - W @ v_star
-    U, sv, _ = np.linalg.svd(W)
-    span = U[:, sv > 0.5]  # idempotent W: singular values cluster at 0 and 1
+    span = np.kron(np.full((problem.n_nodes, 1), 1.0 / np.sqrt(problem.n_nodes)),
+                   np.eye(problem.dim))
     return LimitSet(base_point=base, span_basis=span)
 
 

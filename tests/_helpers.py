@@ -3,6 +3,10 @@
 import numpy as np
 
 import lsqflow as lf
+from lsqflow.graphs import _eigenspace_members, _support_of
+from lsqflow.problem import RANK_RTOL
+
+ROW_PATTERNS = ("generic", "pair", "blind3", "blind2")
 
 
 def random_problem(seed, n=None, m=None):
@@ -17,6 +21,56 @@ def random_problem(seed, n=None, m=None):
             break
     z = rng.standard_normal(n)
     return lf.NetworkLinearEquation(H, z)
+
+
+def pattern_rows(pattern, n, seed=0):
+    """Seeded rows with a structural defect: ``generic`` (m = 2, none),
+    ``pair`` (m = 2, rows 1 and 3 parallel), ``blind3`` (m = 3, even nodes
+    blind to the third axis), ``blind2`` (m = 2, every third node blind to
+    the second axis)."""
+    rng = np.random.default_rng([seed, n, ROW_PATTERNS.index(pattern)])
+    H = rng.standard_normal((n, 3 if pattern == "blind3" else 2))
+    if pattern == "pair":
+        H[2] = 1.7 * H[0]
+    elif pattern == "blind3":
+        H[1::2, 2] = 0.0
+    elif pattern == "blind2":
+        H[2::3, 1] = 0.0
+    return H
+
+
+def members_of(basis):
+    """Every member ``_eigenspace_members`` enumerates, one per row, in order."""
+    return np.vstack(list(_eigenspace_members(basis)))
+
+
+def pair_members_by_loop(basis):
+    """Reference two-node member search: one SVD of the complement
+    projector's columns i and j per node pair, in (i, j) order."""
+    n = basis.shape[0]
+    complement = np.eye(n) - basis @ basis.T
+    found = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            _, sv, vt = np.linalg.svd(complement[:, [i, j]], full_matrices=False)
+            if sv[1] <= 1e-9:
+                member = np.zeros(n)
+                member[[i, j]] = vt[1]
+                found.append((i, j, member))
+    return found
+
+
+def witness_by_loop(problem, spect, groups):
+    """Reference witness search: one SVD of the support rows per member,
+    in enumeration order; ``((r, eta), support)`` or ``(None, None)``."""
+    for group in groups:
+        for member in members_of(spect.eigenvectors[:, list(group)]):
+            support = _support_of(member)
+            rows = problem.rows[np.array(sorted(support)) - 1]
+            _, sv, vt = np.linalg.svd(rows)
+            if np.count_nonzero(sv > sv[0] * max(rows.shape) * RANK_RTOL) < problem.dim:
+                return (float(spect.eigenvalues[group[0]]), vt[-1]), support
+    return None, None
 
 
 def random_connected_graph(rng, n):

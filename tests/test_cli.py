@@ -91,6 +91,32 @@ class TestOneEigenSolve:
         assert counts == {"eigvals": 1, "assemble": 1}
 
 
+class TestSvdWorkGuard:
+    """The verdict on a repeated spectrum takes O(n) SVD calls, none on M."""
+
+    @pytest.mark.parametrize("family", ["complete", "star"])
+    def test_svd_calls_linear_in_n(self, family, monkeypatch):
+        n = 24
+        rng = np.random.default_rng(0)
+        problem = lf.NetworkLinearEquation(rng.standard_normal((n, 2)), rng.standard_normal(n))
+        shapes = []
+        original = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        config = lf.RunConfig(mode="analyze", problem=problem, graph=lf.make_family(family, n))
+        out = io.StringIO()
+        assert run(config, stdout=out, stderr=io.StringIO()) == 0
+        assert json.loads(out.getvalue())["condition"]["holds"] is False
+        # two per chunk of n node pairs (confirm the pairs, test their
+        # support rows), a few more for the other stages
+        assert 0 < len(shapes) <= 2 * n
+        assert all(shape[-2:] != (2 * n * 2, 2 * n * 2) for shape in shapes)
+
+
 class TestSolveMode:
     def test_solution_payload(self, tmp_path):
         code, out, _ = invoke("chain4_lsq.json", tmp_path)

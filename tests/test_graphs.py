@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 import lsqflow as lf
 from lsqflow.graphs import (
     TAU_EIG_REL,
-    _eigenspace_members,
     _min_support_in_group,
+    _pair_members,
     _support_of,
 )
+
+from _helpers import members_of, pair_members_by_loop, random_connected_graph
 
 
 def incidence_laplacian(graph):
@@ -224,7 +226,7 @@ class TestEigenspaceMembers:
         for family, n in (("ring", 12), ("star", 6), ("complete", 5)):
             r, basis = self.largest_group(family, n)
             L = lf.laplacian(lf.make_family(family, n))
-            for member in _eigenspace_members(basis):
+            for member in members_of(basis):
                 assert np.abs(L @ member - r * member).max() < 1e-9
 
     def test_plane_members_sorted_by_support(self):
@@ -233,7 +235,7 @@ class TestEigenspaceMembers:
         spect = lf.spectrum(lf.laplacian(lf.make_family("ring", 12)))
         group = next(g for g in spect.eigenspace_groups
                      if abs(spect.eigenvalues[g[0]] - 2.0) < 1e-9)
-        supports = [_support_of(m) for m in _eigenspace_members(spect.eigenvectors[:, list(group)])]
+        supports = [_support_of(m) for m in members_of(spect.eigenvectors[:, list(group)])]
         keys = [(len(s), sorted(s)) for s in supports]
         assert keys == sorted(keys)
         assert len(set(supports)) == len(supports)
@@ -242,7 +244,7 @@ class TestEigenspaceMembers:
     def test_two_node_members_first_then_basis(self):
         # star-5 leaves: every e_i - e_j over leaves, in (i, j) order
         _, basis = self.largest_group("star", 5)
-        members = list(_eigenspace_members(basis))
+        members = members_of(basis)
         pairs = [sorted(_support_of(m)) for m in members[:-3]]
         assert pairs == [[i, j] for i in range(2, 6) for j in range(i + 1, 6)]
         assert np.array_equal(np.array(members[-3:]), basis.T)
@@ -250,9 +252,45 @@ class TestEigenspaceMembers:
     def test_complete_graph_pairs_found(self):
         # fewer kept rows than the eigenspace dimension: every pair qualifies
         _, basis = self.largest_group("complete", 6)
-        members = list(_eigenspace_members(basis))
+        members = members_of(basis)
         assert len(members) == 15 + 5
         assert all(len(_support_of(m)) == 2 for m in members[:15])
+
+
+class TestPairMembers:
+    @staticmethod
+    def assert_matches_loop(basis):
+        chunks = list(_pair_members(basis))
+        assert all(len(i) <= basis.shape[0] for i, _, _ in chunks)
+        pairs = [(a, b) for i, j, _ in chunks for a, b in zip(i.tolist(), j.tolist())]
+        members = np.vstack([np.zeros((0, basis.shape[0]))] + [m for _, _, m in chunks])
+        reference = pair_members_by_loop(basis)
+        assert pairs == [(a, b) for a, b, _ in reference]
+        assert members.shape == (len(reference), basis.shape[0])
+        if reference:
+            expected = np.array([member for _, _, member in reference])
+            assert np.abs(members - expected).max() <= 1e-12
+        return len(reference)
+
+    def test_star_and_complete_match_per_pair_loop(self):
+        for family in ("star", "complete"):
+            for n in range(4, 25):
+                spect = lf.spectrum(lf.laplacian(lf.make_family(family, n)))
+                found = [self.assert_matches_loop(spect.eigenvectors[:, list(g)])
+                         for g in spect.eigenspace_groups]
+                # every node pair of the complete graph, every leaf pair of the star
+                nodes = n if family == "complete" else n - 1
+                assert max(found) == nodes * (nodes - 1) // 2
+
+    def test_random_graph_with_repeated_eigenspace(self, rng):
+        # four leaves on node 1 give an eigenvalue-1 eigenspace of dimension >= 3
+        core = random_connected_graph(rng, 6)
+        graph = lf.make_graph(10, sorted(core.edges) + [(1, k) for k in range(7, 11)])
+        spect = lf.spectrum(lf.laplacian(graph))
+        assert max(len(g) for g in spect.eigenspace_groups) >= 3
+        found = [self.assert_matches_loop(spect.eigenvectors[:, list(g)])
+                 for g in spect.eigenspace_groups]
+        assert sum(found) >= 6
 
 
 class TestFamilyMinSupport:

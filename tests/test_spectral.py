@@ -8,11 +8,15 @@ import lsqflow as lf
 from lsqflow.spectral import (
     TAU_IM,
     TAU_ZERO_REL,
+    _consensus_projector,
     _imaginary_nonzero,
+    _null_block,
+    _witness,
     epsilon_star_from_eigenvalues,
 )
 
-from _helpers import random_problem, random_simple_spectrum_graph
+from _helpers import (ROW_PATTERNS, pattern_rows, random_problem,
+                      random_simple_spectrum_graph, witness_by_loop)
 
 
 class TestAssemble:
@@ -343,3 +347,94 @@ class TestCompleteGraphWitness:
         eigenvalue, eta = verdict.witness
         assert abs(eigenvalue - 6.0) < 1e-9
         assert np.abs(problem.rows[[0, 2]] @ eta).max() < 1e-12
+
+
+class TestBatchedWitness:
+    def test_matches_per_member_loop(self):
+        found = 0
+        for family in ("star", "complete"):
+            for n in range(4, 13):
+                spect = lf.spectrum(lf.laplacian(lf.make_family(family, n)))
+                for pattern in ("pair", "blind3", "blind2"):
+                    problem = lf.NetworkLinearEquation(pattern_rows(pattern, n), np.ones(n))
+                    got = _witness(problem, spect, spect.eigenspace_groups)
+                    want = witness_by_loop(problem, spect, spect.eigenspace_groups)
+                    if want[0] is None:
+                        assert got == (None, None)
+                        continue
+                    found += 1
+                    assert got[0][0] == want[0][0]
+                    assert np.array_equal(got[0][1], want[0][1])
+                    assert got[1] == want[1]
+        assert found >= 20
+
+
+class TestLaplacianChecker:
+    def test_agrees_with_m_spectrum(self):
+        outcomes = {True: 0, False: 0}
+        for family in ("path", "ring", "star", "complete"):
+            for n in range(4, 17):
+                graph = lf.make_family(family, n)
+                spect = lf.spectrum(lf.laplacian(graph))
+                for pattern in ROW_PATTERNS:
+                    problem = lf.NetworkLinearEquation(pattern_rows(pattern, n), np.ones(n))
+                    holds = lf.check_condition(problem, graph, method="m_spectrum").holds
+                    assert (_null_block(problem, spect) is None) == holds, (family, n, pattern)
+                    outcomes[holds] += 1
+        assert min(outcomes.values()) >= 50
+
+    def test_star_null_block_is_an_imaginary_mode(self):
+        # star-6 with m = 2: every leaf pair's rows span the plane, so no
+        # single member witnesses the failure; the null block X does
+        problem = lf.NetworkLinearEquation(pattern_rows("generic", 6), np.ones(6))
+        graph = lf.make_family("star", 6)
+        for method in ("m_spectrum", "both"):
+            verdict = lf.check_condition(problem, graph, method=method)
+            assert verdict.holds is False
+            assert verdict.witness is None and verdict.witness_support is None
+            r, X = verdict.null_block
+            assert X.shape == (6, 2)
+            assert abs(np.linalg.norm(X) - 1.0) < 1e-12
+            assert np.abs(np.einsum("im,im->i", problem.rows, X)).max() < 1e-12
+            M = lf.assemble(problem, graph).M
+            u = np.concatenate([X.ravel(), -1j * X.ravel()])
+            assert np.abs(M @ u - 1j * r * u).max() < 1e-9
+
+    def test_member_witness_leaves_no_null_block(self, chain_problem, star_graph):
+        verdict = lf.check_condition(chain_problem, star_graph, method="both")
+        assert verdict.witness is not None
+        assert verdict.null_block is None
+
+
+class TestClosedFormKernel:
+    def test_zero_space_dim_sums_component_nullities(self):
+        # component {1, 2, 3}: rows along the first axis (nullity 1);
+        # component {4, 5}: zero rows (nullity 2); m + nullity each
+        H = [[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        problem = lf.NetworkLinearEquation(H, np.ones(5), check_rank=False)
+        flow = lf.assemble(problem, lf.make_graph(5, [(1, 2), (2, 3), (4, 5)]))
+        report = lf.build_spectral_report(flow)
+        assert report.zero_space_dim == (2 + 1) + (2 + 2)
+        assert report.zero_space_dim == flow.M.shape[0] - np.linalg.matrix_rank(flow.M)
+        assert report.projector_W is None
+
+    def test_projector_checked_against_spectrum(self, chain_flow):
+        eigs = lf.m_spectrum(chain_flow)
+        W = _consensus_projector(chain_flow, eigs, 2)
+        assert np.array_equal(W, np.kron(np.full((4, 4), 0.25), np.eye(2)))
+        with pytest.raises(lf.InternalInconsistencyError):
+            _consensus_projector(chain_flow, eigs, 3)
+
+    def test_slow_modes_below_zero_threshold_keep_the_projector(self):
+        # path-200: two stable eigenvalues near -6e-8 are classified as
+        # zero next to the two kernel eigenvalues; the condition holds
+        rng = np.random.default_rng(200)
+        problem = lf.NetworkLinearEquation(rng.standard_normal((200, 2)),
+                                           rng.standard_normal(200))
+        report = lf.build_spectral_report(lf.assemble(problem, lf.make_family("path", 200)))
+        radius = np.abs(report.m_eigenvalues).max()
+        assert np.count_nonzero(np.abs(report.m_eigenvalues) <= TAU_ZERO_REL * radius) == 4
+        assert report.condition.holds
+        assert report.zero_space_dim == 2
+        assert np.array_equal(report.projector_W,
+                              np.kron(np.full((200, 200), 1.0 / 200), np.eye(2)))

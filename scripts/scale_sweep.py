@@ -1,4 +1,5 @@
-"""Time the analysis stages against graph size, with BLAS on one thread.
+"""Time the analysis stages and the simulators against graph size, with
+BLAS on one thread.
 
 For ring, star, complete and path graphs at N = 48, 100 and 200 (by
 default), with seeded generic rows (m = 2), it times:
@@ -9,16 +10,26 @@ default), with seeded generic rows (m = 2), it times:
   spectrum, Laplacian eigen-solve included;
 - ``analyze``: the whole ``build_spectral_report`` (eigen-solve, verdict,
   threshold and projector);
-- ``support_report``: the minimum-support search of ``graph-feasibility``.
+- ``support_report``: the minimum-support search of ``graph-feasibility``;
+- ``dt_step_us`` and ``ct_step_us``: the cost per step, in microseconds,
+  of a 3000-step ``simulate_dt`` run at 0.9 epsilon* and a 3000-step
+  ``simulate_ct`` run at step epsilon* / 2 (the length of euler-sweep's
+  bounded runs), step maps and block powers included.
 
-Each figure is the best of ``--repeats`` runs, in milliseconds. The table
+``--widths W ...`` times the two simulators again with every run forced
+onto chunks of W blocks (W = 1: one matvec per block), whatever its
+state dimension; that is how ``simulate.CHUNK_BLOCKS`` and
+``simulate.CHUNK_MIN_DIM`` were chosen. The stage figures are the best
+of ``--repeats`` runs, in milliseconds unless named otherwise. The table
 comes first; the last line of stdout is one JSON object.
 
     python3 scripts/scale_sweep.py
     python3 scripts/scale_sweep.py --families ring --sizes 200 --repeats 5
+    python3 scripts/scale_sweep.py --families path --sizes 4 8 16 --widths 1 16 32
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -31,9 +42,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 
 import lsqflow as lf
+from lsqflow import simulate
 from lsqflow.spectral import _verdict
 
 STAGES = ("assemble", "eigvals", "verdict", "analyze", "support_report")
+SIM_STAGES = ("dt_step_us", "ct_step_us")
+SIM_STEPS = 3000
 
 
 def best_ms(fn, repeats: int) -> float:
@@ -45,7 +59,34 @@ def best_ms(fn, repeats: int) -> float:
     return 1e3 * min(times)
 
 
-def sweep(family: str, n: int, repeats: int) -> dict:
+@contextlib.contextmanager
+def chunk_width(width):
+    """Force every run onto chunks of ``width`` blocks; None keeps the
+    library's own choice."""
+    saved = simulate.CHUNK_BLOCKS, simulate.CHUNK_MIN_DIM
+    if width is not None:
+        simulate.CHUNK_BLOCKS, simulate.CHUNK_MIN_DIM = width, 0
+    try:
+        yield
+    finally:
+        simulate.CHUNK_BLOCKS, simulate.CHUNK_MIN_DIM = saved
+
+
+def simulation_us(flow, eps: float, repeats: int) -> dict:
+    x0 = np.linspace(-1.0, 1.0, flow.state_dim)
+    v0 = np.zeros(flow.state_dim)
+    config = lf.DiscreteConfig(epsilon=0.9 * eps, max_steps=SIM_STEPS, record_every=100)
+    h = 0.5 * eps
+    return {
+        "dt_step_us": 1e3 * best_ms(lambda: lf.simulate_dt(flow, x0, v0, config),
+                                    repeats) / SIM_STEPS,
+        "ct_step_us": 1e3 * best_ms(lambda: lf.simulate_ct(flow, x0, v0, h, SIM_STEPS * h,
+                                                           record_every=100),
+                                    repeats) / SIM_STEPS,
+    }
+
+
+def sweep(family: str, n: int, repeats: int, widths) -> dict:
     rng = np.random.default_rng(n)
     problem = lf.NetworkLinearEquation(rng.standard_normal((n, 2)), rng.standard_normal(n))
     graph = lf.make_family(family, n)
@@ -58,13 +99,20 @@ def sweep(family: str, n: int, repeats: int) -> dict:
     def support():
         lf.support_report(lf.spectrum(lf.laplacian(graph)), seed=0)
 
-    return {
+    row = {
         "assemble": best_ms(lambda: lf.assemble(problem, graph), repeats),
         "eigvals": best_ms(lambda: lf.m_spectrum(flow), repeats),
         "verdict": best_ms(verdict, repeats),
         "analyze": best_ms(lambda: lf.build_spectral_report(flow), repeats),
         "support_report": best_ms(support, repeats),
     }
+    eps = lf.epsilon_star_from_eigenvalues(eigs)
+    for width in [None, *widths]:
+        with chunk_width(width):
+            suffix = "" if width is None else f"@W{width}"
+            for stage, value in simulation_us(flow, eps, repeats).items():
+                row[stage + suffix] = value
+    return row
 
 
 def main() -> int:
@@ -73,15 +121,19 @@ def main() -> int:
     parser.add_argument("--families", nargs="+", default=["ring", "star", "complete", "path"])
     parser.add_argument("--sizes", nargs="+", type=int, default=[48, 100, 200])
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--widths", nargs="+", type=int, default=[])
     args = parser.parse_args()
 
+    columns = [*STAGES, *SIM_STAGES,
+               *(f"{stage}@W{width}" for width in args.widths for stage in SIM_STAGES)]
     results = {}
-    print(f"{'graph':14s}" + "".join(f"{s:>16s}" for s in STAGES) + "   (ms)")
+    print(f"{'graph':14s}" + "".join(f"{c:>16s}" for c in columns))
     for family in args.families:
         for n in args.sizes:
-            row = sweep(family, n, args.repeats)
+            row = sweep(family, n, args.repeats, args.widths)
             results[f"{family}-{n}"] = row
-            print(f"{family + '-' + str(n):14s}" + "".join(f"{row[s]:16.1f}" for s in STAGES))
+            print(f"{family + '-' + str(n):14s}" + "".join(f"{row[c]:16.2f}" for c in columns),
+                  flush=True)
     print(json.dumps(results, sort_keys=True))
     return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -39,8 +40,29 @@ def _complex_pairs(values) -> list:
     return [[float(v.real), float(v.imag)] for v in np.asarray(values)]
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for payloads of
+    string-keyed dicts, lists and scalars. ``indent`` selects the
+    pure-Python encoder, which is slow on the (n m)^2 floats of
+    ``projector_W``, so a list of finite floats is rendered here with
+    ``float.__repr__``, as that encoder does.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{json.dumps(key)}: {_json_text(value[key], inner)}" for key in sorted(value))
+    elif isinstance(value, (list, tuple)) and value:
+        if all(type(v) is float for v in value) and all(map(math.isfinite, value)):
+            items = map(float.__repr__, value)
+        else:
+            items = (_json_text(v, inner) for v in value)
+    else:
+        return json.dumps(value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def _json_out(payload: dict, config: RunConfig, out_dir, stdout) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _json_text(payload)
     print(text, file=stdout)
     if config.out_json is not None:
         target = _resolve(config.out_json, out_dir)

@@ -112,13 +112,10 @@ def is_connected(graph: Graph) -> bool:
 def laplacian(graph: Graph) -> np.ndarray:
     """L = D - A: symmetric, zero row sums, diagonal = degrees."""
     n = graph.n_nodes
+    ends = np.array(list(graph.edges), dtype=int).reshape(-1, 2).T - 1
     L = np.zeros((n, n))
-    for i, j in graph.edges:
-        a, b = i - 1, j - 1
-        L[a, a] += 1.0
-        L[b, b] += 1.0
-        L[a, b] -= 1.0
-        L[b, a] -= 1.0
+    np.add.at(L, (ends, ends[::-1]), -1.0)
+    L[np.diag_indices(n)] += np.bincount(ends.ravel(), minlength=n)
     return L
 
 

@@ -25,6 +25,11 @@ DIVERGE_LIMIT = 1e9
 BLOCK_STEPS = 64
 BLOCK_DOUBLES = 1 << 17
 POWER_LIMIT = 1e150
+# From CHUNK_MIN_DIM state components on, a segment advances CHUNK_BLOCKS
+# blocks at a time with one GEMM; below it, padding a short segment out to
+# a whole chunk costs more than the GEMM saves.
+CHUNK_MIN_DIM = 32
+CHUNK_BLOCKS = 32
 CSV_CHUNK_ROWS = 1024
 
 TrajectorySample = namedtuple("TrajectorySample", "t_or_k x v error cost")
@@ -173,22 +178,54 @@ def _finish_trajectory(flow, states, steps_at, time_of, metadata):
     )
 
 
+def _advance(u, stacked, offsets, width, size):
+    """The ``size`` states after ``u`` (steps 1..size, ``size <= width * B``).
+
+    With width 1 this is one block: one matvec against the stacked powers.
+    A wider chunk takes its anchors, every B-th state, from the recurrence
+    ``a -> P^B a + c_B`` and the states between them from one GEMM of all
+    ``width`` anchors against ``P..P^(B-1)``, so a recorded anchor is the
+    state the run continues from. The GEMM always has ``width`` rows,
+    surplus ones past a segment's end included, because BLAS may round a
+    row differently at another width: the states must not depend on where
+    a run's segments end.
+    """
+    block, n = offsets.shape
+    if width == 1:
+        return (stacked[:size * n] @ u).reshape(size, n) + offsets[:size]
+    anchors = np.empty((width + 1, n))
+    anchors[0] = u
+    jump, shift = stacked[-n:], offsets[-1]
+    chunk = np.empty((width, block * n))
+    # past a divergence the surplus anchors may overflow; those states
+    # come after the first bad one and are dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(width):
+            anchors[j + 1] = jump @ anchors[j] + shift
+        np.matmul(anchors[:-1], stacked[:-n].T, out=chunk[:, :-n])
+        chunk[:, :-n] += offsets[:-1].reshape(-1)
+    chunk[:, -n:] = anchors[1:]
+    return chunk.reshape(width * block, n)[:size]
+
+
 def _propagate(ref_flow, step_maps, schedule, u0, time_of, record_every, metadata):
     """Apply the affine steps ``step_maps[i] = (P, c)`` over the segments
     ``schedule = [(i, n_steps), ...]``; record every record_every-th state
     plus the first and last, and stop with a partial trajectory on
     divergence.
 
-    Each segment advances in blocks: from an anchor state, one matvec
-    against the stacked powers gives the next B states. Anchors sit every
-    B steps from the start of a segment, whatever the recording stride,
-    so the stride never changes the dynamics. The first state of a block
+    Each segment advances in blocks of B steps, anchored every B steps
+    from the start of the segment whatever the recording stride, so the
+    stride never changes the dynamics. Small states take one matvec
+    against the stacked powers per block; from CHUNK_MIN_DIM components
+    on, CHUNK_BLOCKS blocks go at once (:func:`_advance`). The first state
     that is non-finite or beyond DIVERGE_LIMIT ends the run at its exact
     step, and is recorded last.
     """
     n = len(u0)
     longest = max(steps for _, steps in schedule)
     block = max(1, min(BLOCK_STEPS, longest, BLOCK_DOUBLES // (n * n)))
+    width = CHUNK_BLOCKS if n >= CHUNK_MIN_DIM else 1
     powers = [_block_powers(P, c, block) for P, c in step_maps]
     n_total = sum(steps for _, steps in schedule)
     u = u0
@@ -198,9 +235,9 @@ def _propagate(ref_flow, step_maps, schedule, u0, time_of, record_every, metadat
         stacked, offsets = powers[index]
         stop = k + seg_steps
         while k < stop:
-            size = min(len(offsets), stop - k)
-            U = (stacked[:size * n] @ u).reshape(size, n) + offsets[:size]
-            # row j holds step k + 1 + j; the stride's first one in the block:
+            size = min(width * len(offsets), stop - k)
+            U = _advance(u, stacked, offsets, width, size)
+            # row j holds step k + 1 + j; the stride's first one in the chunk:
             first = record_every - 1 - k % record_every
             if not np.abs(U).max() <= DIVERGE_LIMIT:   # also catches nan
                 bad = ~(np.abs(U) <= DIVERGE_LIMIT)

@@ -61,6 +61,7 @@ class AssembledFlow:
     graph: Graph
     H_tilde: np.ndarray
     z_H: np.ndarray
+    L: np.ndarray                  # graph Laplacian
     L_kron: np.ndarray
     M: np.ndarray
     y_ref: np.ndarray
@@ -99,7 +100,8 @@ def assemble(problem: NetworkLinearEquation, graph: Graph) -> AssembledFlow:
         h = problem.rows[i]
         H_tilde[i * m:(i + 1) * m, i * m:(i + 1) * m] = np.outer(h, h)
     z_H = (problem.obs[:, None] * problem.rows).reshape(-1)
-    L_kron = np.kron(laplacian(graph), np.eye(m))
+    L = laplacian(graph)
+    L_kron = np.kron(L, np.eye(m))
     M = np.block([
         [-H_tilde, -L_kron],
         [L_kron, np.zeros((n * m, n * m))],
@@ -108,11 +110,11 @@ def assemble(problem: NetworkLinearEquation, graph: Graph) -> AssembledFlow:
         y_ref = solve_least_squares(problem).y_star
     except RankDeficientError:
         y_ref = np.zeros(m)
-    for a in (H_tilde, z_H, L_kron, M, y_ref):
+    for a in (H_tilde, z_H, L, L_kron, M, y_ref):
         a.setflags(write=False)
     return AssembledFlow(
         problem=problem, graph=graph,
-        H_tilde=H_tilde, z_H=z_H, L_kron=L_kron, M=M, y_ref=y_ref,
+        H_tilde=H_tilde, z_H=z_H, L=L, L_kron=L_kron, M=M, y_ref=y_ref,
     )
 
 
@@ -259,13 +261,14 @@ def check_condition(problem: NetworkLinearEquation, graph: Graph,
         raise DimensionMismatchError(
             f"problem has {problem.n_nodes} nodes, graph has {graph.n_nodes}"
         )
-    spect = spectrum(laplacian(graph))
     if method == "simple_spectrum":
+        spect = spectrum(laplacian(graph))
         if any(len(g) > 1 for g in spect.eigenspace_groups):
             raise NotApplicableError("Laplacian spectrum has repeated eigenvalues")
         witness, support = _witness(problem, spect, spect.eigenspace_groups)
         return ConditionVerdict(witness is None, witness, method, support)
-    return _verdict(problem, graph, spect, m_spectrum(assemble(problem, graph)), method)
+    flow = assemble(problem, graph)
+    return _verdict(problem, graph, spectrum(flow.L), m_spectrum(flow), method)
 
 
 def epsilon_star_from_eigenvalues(eigenvalues) -> float:
@@ -369,7 +372,7 @@ def build_spectral_report(flow: AssembledFlow) -> SpectralReport:
     returned when the condition holds.
     """
     eigs = m_spectrum(flow)
-    spect = spectrum(laplacian(flow.graph))
+    spect = spectrum(flow.L)
     verdict = _verdict(flow.problem, flow.graph, spect, eigs, "both")
     try:
         eps = epsilon_star_from_eigenvalues(eigs)

@@ -39,6 +39,19 @@ def pattern_rows(pattern, n, seed=0):
     return H
 
 
+def laplacian_by_loop(graph):
+    """Reference Laplacian: the per-edge loop ``L = D - A``."""
+    n = graph.n_nodes
+    L = np.zeros((n, n))
+    for i, j in graph.edges:
+        a, b = i - 1, j - 1
+        L[a, a] += 1.0
+        L[b, b] += 1.0
+        L[a, b] -= 1.0
+        L[b, a] -= 1.0
+    return L
+
+
 def members_of(basis):
     """Every member ``_eigenspace_members`` enumerates, one per row, in order."""
     return np.vstack(list(_eigenspace_members(basis)))

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import lsqflow as lf
-from lsqflow.cli import build_parser, error_envelope, run
+from lsqflow.cli import _json_text, build_parser, error_envelope, run
 
+from _helpers import pattern_rows
 from conftest import fixture_path, load_fixture
 
 
@@ -58,6 +59,28 @@ class TestAnalyzeMode:
         assert cond["witness"] is not None
         assert cond["witness_support"] == [2, 3]
         assert payload["spectral"]["projector_W"] is None
+
+
+class TestJsonText:
+    """Payloads render byte-identically to ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @pytest.mark.parametrize("pattern", ["generic", "blind3"])   # m = 2, m = 3
+    @pytest.mark.parametrize("family, holds", [("path", True), ("star", False)])
+    def test_analyze_payload_matches_json_dumps(self, family, holds, pattern):
+        n = 6
+        problem = lf.NetworkLinearEquation(pattern_rows(pattern, n), np.arange(n, dtype=float))
+        config = lf.RunConfig(mode="analyze", problem=problem, graph=lf.make_family(family, n))
+        out = io.StringIO()
+        assert run(config, stdout=out, stderr=io.StringIO()) == 0
+        payload = json.loads(out.getvalue())
+        assert payload["condition"]["holds"] is holds
+        assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_edge_values_match_json_dumps(self):
+        payload = {"b": [1.0, 2.5e-17, -0.0, 1e300], "a": [[0.25], [], {}], "c": None,
+                   "d": True, "e": "x\u00e9\"", "f": [1, 2.0], "g": [float("nan"), 1.0],
+                   "h": (1.0, -float("inf")), "i": {}, "j": np.float64(0.1)}
+        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 class TestOneEigenSolve:

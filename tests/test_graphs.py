@@ -13,7 +13,8 @@ from lsqflow.graphs import (
     _support_of,
 )
 
-from _helpers import members_of, pair_members_by_loop, random_connected_graph
+from _helpers import (laplacian_by_loop, members_of, pair_members_by_loop,
+                      random_connected_graph)
 
 
 def incidence_laplacian(graph):
@@ -110,6 +111,13 @@ class TestLaplacian:
     def test_matches_incidence_construction(self, graph):
         L = lf.laplacian(graph)
         assert np.array_equal(L, incidence_laplacian(graph))
+
+    def test_bit_identical_to_edge_loop(self):
+        graphs = [lf.make_family(family, n) for family in lf.FAMILIES for n in (3, 4, 7, 48)]
+        graphs += [lf.make_graph(6, [(2, 1), (3, 5), (6, 1), (4, 6), (5, 1)]),
+                   lf.make_graph(3, [])]
+        for graph in graphs:
+            assert lf.laplacian(graph).tobytes() == laplacian_by_loop(graph).tobytes()
 
     @given(arbitrary_graphs())
     @settings(max_examples=100)

@@ -3,8 +3,12 @@ import pytest
 
 import lsqflow as lf
 from lsqflow.simulate import (
+    BLOCK_STEPS,
+    CHUNK_BLOCKS,
+    CHUNK_MIN_DIM,
     DIVERGE_LIMIT,
     TrajectorySample,
+    _block_powers,
     _step_map,
     component_names,
     component_series,
@@ -98,6 +102,20 @@ def _forcing(flow):
     return np.concatenate([flow.z_H, np.zeros(flow.state_dim)])
 
 
+PATH15_X0 = np.linspace(-2.0, 2.0, 30)
+
+
+@pytest.fixture(scope="module")
+def path15_flow():
+    # 2 N m = 60 state components: runs take the chunked GEMM path, at a
+    # size where BLAS may round a GEMM row differently at another width
+    rng = np.random.default_rng(15)
+    problem = lf.NetworkLinearEquation(rng.standard_normal((15, 2)), rng.standard_normal(15))
+    flow = lf.assemble(problem, lf.make_family("path", 15))
+    assert 2 * flow.state_dim >= CHUNK_MIN_DIM and CHUNK_BLOCKS > 1
+    return flow
+
+
 def _assert_matches_reference(traj, steps, states, time_scale=1.0):
     assert np.array_equal(traj.t_or_k, steps * time_scale)
     got = np.hstack([traj.x, traj.v])
@@ -170,6 +188,84 @@ class TestBlockEngine:
         flow = lf.assemble(prob, star_graph)
         config = lf.DiscreteConfig(epsilon=1e6, max_steps=300, record_every=1)
         traj = lf.simulate_dt(flow, np.zeros(8), np.zeros(8), config)
+        assert len(traj.t_or_k) == 301
+        assert not traj.x.any() and not traj.v.any()
+
+    # The same checks on the chunked path: anchors every B = 36 steps and
+    # one GEMM per chunk of CHUNK_BLOCKS blocks.
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_chunked_rk4_matches_step_by_step(self, path15_flow, record_every):
+        # 2501 steps: two full chunks and a partial one
+        flow = path15_flow
+        traj = lf.simulate_ct(flow, PATH15_X0, np.ones(30), 0.01, 25.01,
+                              record_every=record_every)
+        steps, states, bad, _ = step_by_step(
+            [(flow.M, 2501)], _forcing(flow), np.concatenate([PATH15_X0, np.ones(30)]),
+            0.01, record_every=record_every)
+        assert bad is None
+        _assert_matches_reference(traj, steps, states, 0.01)
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_chunked_euler_matches_step_by_step(self, path15_flow, record_every):
+        flow = path15_flow
+        epsilon = 0.9 * lf.epsilon_star(flow)
+        config = lf.DiscreteConfig(epsilon=epsilon, max_steps=2503, record_every=record_every)
+        traj = lf.simulate_dt(flow, PATH15_X0, np.zeros(30), config)
+        steps, states, bad, _ = step_by_step(
+            [(flow.M, 2503)], _forcing(flow), np.concatenate([PATH15_X0, np.zeros(30)]),
+            epsilon, "euler", record_every)
+        assert bad is None
+        _assert_matches_reference(traj, steps, states)
+
+    @pytest.mark.parametrize("factor", [3.0, 20.0])
+    def test_chunked_divergence_matches_step_by_step(self, path15_flow, factor):
+        # diverges at step 3834 (fourth chunk) and at step 82 (first chunk)
+        flow = path15_flow
+        epsilon = factor * lf.epsilon_star(flow)
+        config = lf.DiscreteConfig(epsilon=epsilon, max_steps=6000, record_every=10)
+        with pytest.raises(lf.DivergedError) as excinfo:
+            lf.simulate_dt(flow, PATH15_X0, np.zeros(30), config)
+        exc = excinfo.value
+        steps, _, bad_step, bad = step_by_step(
+            [(flow.M, 6000)], _forcing(flow), np.concatenate([PATH15_X0, np.zeros(30)]),
+            epsilon, "euler", 10)
+        assert bad_step is not None
+        assert exc.t_or_k == bad_step
+        assert exc.bad_components == [component_names(15, 2)[i] for i in bad]
+        assert np.array_equal(exc.trajectory.t_or_k, steps)
+
+    def test_chunked_stride_does_not_change_dynamics(self, path15_flow):
+        dense = lf.simulate_ct(path15_flow, PATH15_X0, np.zeros(30), 0.01, 14.0,
+                               record_every=1)
+        sparse = lf.simulate_ct(path15_flow, PATH15_X0, np.zeros(30), 0.01, 14.0,
+                                record_every=7)
+        assert np.array_equal(dense.x[::7], sparse.x)
+        assert np.array_equal(dense.v[::7], sparse.v)
+
+    @pytest.mark.parametrize("dwell", [36, 300])
+    def test_chunked_switch_prefix_matches_one_graph_run(self, path15_flow, dwell):
+        # the first segment ends with the first block, or inside the ninth
+        problem, path = path15_flow.problem, path15_flow.graph
+        ring = lf.make_family("ring", 15)
+        signals = [lf.SwitchingSignal(period_T=0.01 * dwell, graphs=graphs)
+                   for graphs in ((path, ring), (path,))]
+        mixed, fixed = [lf.simulate_switching(problem, sig, PATH15_X0, np.zeros(30), 0.01,
+                                              0.02 * dwell, record_every=1)
+                        for sig in signals]
+        assert np.array_equal(mixed.x[:dwell + 1], fixed.x[:dwell + 1])
+        assert np.array_equal(mixed.v[:dwell + 1], fixed.v[:dwell + 1])
+        assert not np.array_equal(mixed.x[dwell + 1:], fixed.x[dwell + 1:])
+
+    def test_chunked_power_guard_keeps_zero_state_at_zero(self, path15_flow):
+        # epsilon = 1e80 puts P^2 past POWER_LIMIT: blocks of one step, so
+        # each chunk is CHUNK_BLOCKS anchors
+        prob = lf.NetworkLinearEquation(path15_flow.problem.rows, np.zeros(15))
+        flow = lf.assemble(prob, path15_flow.graph)
+        P, c = _step_map(flow.M, _forcing(flow), 1e80, "euler")
+        assert len(_block_powers(P, c, BLOCK_STEPS)[1]) == 1
+        config = lf.DiscreteConfig(epsilon=1e80, max_steps=300, record_every=1)
+        traj = lf.simulate_dt(flow, np.zeros(30), np.zeros(30), config)
         assert len(traj.t_or_k) == 301
         assert not traj.x.any() and not traj.v.any()
 

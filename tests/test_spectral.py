@@ -32,6 +32,7 @@ class TestAssemble:
             [chain_problem.obs[i] * chain_problem.rows[i] for i in range(n)])
         assert np.array_equal(chain_flow.z_H, expected_zH)
         L = lf.laplacian(chain_graph)
+        assert np.array_equal(chain_flow.L, L)
         assert np.array_equal(chain_flow.L_kron, np.kron(L, np.eye(m)))
         nm = n * m
         assert np.array_equal(chain_flow.M[:nm, :nm], -chain_flow.H_tilde)

@@ -14,14 +14,21 @@ default), with seeded generic rows (m = 2), it times:
 - ``dt_step_us`` and ``ct_step_us``: the cost per step, in microseconds,
   of a 3000-step ``simulate_dt`` run at 0.9 epsilon* and a 3000-step
   ``simulate_ct`` run at step epsilon* / 2 (the length of euler-sweep's
-  bounded runs), step maps and block powers included.
+  bounded runs), step maps and block powers included;
+- ``sw_step_us``: the same for a 3000-step ``simulate_switching`` run
+  that alternates the graph with a ring (a path, for the ring family)
+  every 50 steps, at step epsilon* / 2 of the faster pair member. For
+  N = 8 to 64 (32 to 256 state components) such a segment is shorter
+  than a chunk, so these runs go block by block; from N = 65 on, B = 1
+  and a chunk is 32 steps.
 
-``--widths W ...`` times the two simulators again with every run forced
-onto chunks of W blocks (W = 1: one matvec per block), whatever its
-state dimension; that is how ``simulate.CHUNK_BLOCKS`` and
-``simulate.CHUNK_MIN_DIM`` were chosen. The stage figures are the best
-of ``--repeats`` runs, in milliseconds unless named otherwise. The table
-comes first; the last line of stdout is one JSON object.
+``--widths W ...`` times the three simulators again with every run
+whose segments span W blocks forced onto chunks of W blocks (W = 1: one
+matvec per block), whatever its state dimension; that is how
+``simulate.CHUNK_BLOCKS`` and ``simulate.CHUNK_MIN_DIM`` were chosen.
+The stage figures are the best of ``--repeats`` runs, in milliseconds
+unless named otherwise. The table comes first; the last line of stdout
+is one JSON object.
 
     python3 scripts/scale_sweep.py
     python3 scripts/scale_sweep.py --families ring --sizes 200 --repeats 5
@@ -46,8 +53,9 @@ from lsqflow import simulate
 from lsqflow.spectral import _verdict
 
 STAGES = ("assemble", "eigvals", "verdict", "analyze", "support_report")
-SIM_STAGES = ("dt_step_us", "ct_step_us")
+SIM_STAGES = ("dt_step_us", "ct_step_us", "sw_step_us")
 SIM_STEPS = 3000
+SW_DWELL = 50
 
 
 def best_ms(fn, repeats: int) -> float:
@@ -72,18 +80,20 @@ def chunk_width(width):
         simulate.CHUNK_BLOCKS, simulate.CHUNK_MIN_DIM = saved
 
 
-def simulation_us(flow, eps: float, repeats: int) -> dict:
+def simulation_us(flow, eps: float, partner, repeats: int) -> dict:
     x0 = np.linspace(-1.0, 1.0, flow.state_dim)
     v0 = np.zeros(flow.state_dim)
     config = lf.DiscreteConfig(epsilon=0.9 * eps, max_steps=SIM_STEPS, record_every=100)
     h = 0.5 * eps
-    return {
-        "dt_step_us": 1e3 * best_ms(lambda: lf.simulate_dt(flow, x0, v0, config),
-                                    repeats) / SIM_STEPS,
-        "ct_step_us": 1e3 * best_ms(lambda: lf.simulate_ct(flow, x0, v0, h, SIM_STEPS * h,
-                                                           record_every=100),
-                                    repeats) / SIM_STEPS,
+    h_sw = 0.5 * min(eps, lf.epsilon_star(lf.assemble(flow.problem, partner)))
+    signal = lf.SwitchingSignal(period_T=SW_DWELL * h_sw, graphs=(flow.graph, partner))
+    runs = {
+        "dt_step_us": lambda: lf.simulate_dt(flow, x0, v0, config),
+        "ct_step_us": lambda: lf.simulate_ct(flow, x0, v0, h, SIM_STEPS * h, record_every=100),
+        "sw_step_us": lambda: lf.simulate_switching(flow.problem, signal, x0, v0, h_sw,
+                                                    SIM_STEPS * h_sw, record_every=100),
     }
+    return {stage: 1e3 * best_ms(run, repeats) / SIM_STEPS for stage, run in runs.items()}
 
 
 def sweep(family: str, n: int, repeats: int, widths) -> dict:
@@ -107,10 +117,11 @@ def sweep(family: str, n: int, repeats: int, widths) -> dict:
         "support_report": best_ms(support, repeats),
     }
     eps = lf.epsilon_star_from_eigenvalues(eigs)
+    partner = lf.make_family("path" if family == "ring" else "ring", n)
     for width in [None, *widths]:
         with chunk_width(width):
             suffix = "" if width is None else f"@W{width}"
-            for stage, value in simulation_us(flow, eps, repeats).items():
+            for stage, value in simulation_us(flow, eps, partner, repeats).items():
                 row[stage + suffix] = value
     return row
 

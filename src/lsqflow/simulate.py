@@ -25,9 +25,9 @@ DIVERGE_LIMIT = 1e9
 BLOCK_STEPS = 64
 BLOCK_DOUBLES = 1 << 17
 POWER_LIMIT = 1e150
-# From CHUNK_MIN_DIM state components on, a segment advances CHUNK_BLOCKS
-# blocks at a time with one GEMM; below it, padding a short segment out to
-# a whole chunk costs more than the GEMM saves.
+# From CHUNK_MIN_DIM state components on, a run whose segments each span
+# a chunk of CHUNK_BLOCKS blocks advances a chunk at a time with one GEMM;
+# below either, the GEMM rows a segment drops cost more than the GEMM saves.
 CHUNK_MIN_DIM = 32
 CHUNK_BLOCKS = 32
 CSV_CHUNK_ROWS = 1024
@@ -183,24 +183,25 @@ def _advance(u, stacked, offsets, width, size):
 
     With width 1 this is one block: one matvec against the stacked powers.
     A wider chunk takes its anchors, every B-th state, from the recurrence
-    ``a -> P^B a + c_B`` and the states between them from one GEMM of all
-    ``width`` anchors against ``P..P^(B-1)``, so a recorded anchor is the
-    state the run continues from. The GEMM always has ``width`` rows,
-    surplus ones past a segment's end included, because BLAS may round a
-    row differently at another width: the states must not depend on where
-    a run's segments end.
+    ``a -> P^B a + c_B`` and the states between them from one GEMM of the
+    anchors against ``P..P^(B-1)``, so a recorded anchor is the state the
+    run continues from. Only the anchors the ``size`` steps need are
+    computed, but the GEMM always has ``width`` rows, zero ones past a
+    segment's end included, because BLAS may round a row differently at
+    another width: the states must not depend on where a run's segments
+    end.
     """
     block, n = offsets.shape
     if width == 1:
         return (stacked[:size * n] @ u).reshape(size, n) + offsets[:size]
-    anchors = np.empty((width + 1, n))
+    anchors = np.zeros((width + 1, n))
     anchors[0] = u
     jump, shift = stacked[-n:], offsets[-1]
     chunk = np.empty((width, block * n))
-    # past a divergence the surplus anchors may overflow; those states
+    # past a divergence the later anchors may overflow; those states
     # come after the first bad one and are dropped
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(width):
+        for j in range(-(-size // block)):
             anchors[j + 1] = jump @ anchors[j] + shift
         np.matmul(anchors[:-1], stacked[:-n].T, out=chunk[:, :-n])
         chunk[:, :-n] += offsets[:-1].reshape(-1)
@@ -216,18 +217,19 @@ def _propagate(ref_flow, step_maps, schedule, u0, time_of, record_every, metadat
 
     Each segment advances in blocks of B steps, anchored every B steps
     from the start of the segment whatever the recording stride, so the
-    stride never changes the dynamics. Small states take one matvec
-    against the stacked powers per block; from CHUNK_MIN_DIM components
-    on, CHUNK_BLOCKS blocks go at once (:func:`_advance`). The first state
-    that is non-finite or beyond DIVERGE_LIMIT ends the run at its exact
-    step, and is recorded last.
+    stride never changes the dynamics. From CHUNK_MIN_DIM components on,
+    if every segment spans CHUNK_BLOCKS blocks, CHUNK_BLOCKS blocks go at
+    once (:func:`_advance`); otherwise each block is one matvec against
+    the stacked powers. The first state that is non-finite or beyond
+    DIVERGE_LIMIT ends the run at its exact step, and is recorded last.
     """
     n = len(u0)
-    longest = max(steps for _, steps in schedule)
-    block = max(1, min(BLOCK_STEPS, longest, BLOCK_DOUBLES // (n * n)))
-    width = CHUNK_BLOCKS if n >= CHUNK_MIN_DIM else 1
+    seg_lengths = [steps for _, steps in schedule]
+    block = max(1, min(BLOCK_STEPS, max(seg_lengths), BLOCK_DOUBLES // (n * n)))
+    chunked = n >= CHUNK_MIN_DIM and min(seg_lengths) >= CHUNK_BLOCKS * block
+    width = CHUNK_BLOCKS if chunked else 1
     powers = [_block_powers(P, c, block) for P, c in step_maps]
-    n_total = sum(steps for _, steps in schedule)
+    n_total = sum(seg_lengths)
     u = u0
     states, steps_at = [u0[None, :]], [np.zeros(1, dtype=int)]
     k = 0

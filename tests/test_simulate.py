@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lsqflow as lf
+from lsqflow import simulate
 from lsqflow.simulate import (
     BLOCK_STEPS,
     CHUNK_BLOCKS,
@@ -243,9 +244,11 @@ class TestBlockEngine:
         assert np.array_equal(dense.x[::7], sparse.x)
         assert np.array_equal(dense.v[::7], sparse.v)
 
-    @pytest.mark.parametrize("dwell", [36, 300])
+    @pytest.mark.parametrize("dwell", [36, 300, 1188, 1500])
     def test_chunked_switch_prefix_matches_one_graph_run(self, path15_flow, dwell):
-        # the first segment ends with the first block, or inside the ninth
+        # dwells of 36 and 300 steps run block by block (a chunk is 1152
+        # steps); at 1188 and 1500 the first segment ends with the first
+        # block of the second chunk, or inside its tenth
         problem, path = path15_flow.problem, path15_flow.graph
         ring = lf.make_family("ring", 15)
         signals = [lf.SwitchingSignal(period_T=0.01 * dwell, graphs=graphs)
@@ -257,16 +260,35 @@ class TestBlockEngine:
         assert np.array_equal(mixed.v[:dwell + 1], fixed.v[:dwell + 1])
         assert not np.array_equal(mixed.x[dwell + 1:], fixed.x[dwell + 1:])
 
+    @pytest.mark.parametrize("surplus, width", [(-1, 1), (0, CHUNK_BLOCKS)])
+    def test_chunks_need_segments_of_a_whole_chunk(self, path15_flow, monkeypatch,
+                                                   surplus, width):
+        widths = set()
+        advance = simulate._advance
+
+        def spy(u, stacked, offsets, w, size):
+            widths.add(w)
+            return advance(u, stacked, offsets, w, size)
+
+        monkeypatch.setattr(simulate, "_advance", spy)
+        dwell = CHUNK_BLOCKS * 36 + surplus
+        signal = lf.SwitchingSignal(period_T=0.01 * dwell,
+                                    graphs=(path15_flow.graph, lf.make_family("ring", 15)))
+        lf.simulate_switching(path15_flow.problem, signal, PATH15_X0, np.zeros(30), 0.01,
+                              0.02 * dwell, record_every=50)
+        assert widths == {width}
+
     def test_chunked_power_guard_keeps_zero_state_at_zero(self, path15_flow):
         # epsilon = 1e80 puts P^2 past POWER_LIMIT: blocks of one step, so
-        # each chunk is CHUNK_BLOCKS anchors
+        # each chunk is CHUNK_BLOCKS anchors; 1200 steps span a chunk of the
+        # nominal B = 36, so the run is chunked
         prob = lf.NetworkLinearEquation(path15_flow.problem.rows, np.zeros(15))
         flow = lf.assemble(prob, path15_flow.graph)
         P, c = _step_map(flow.M, _forcing(flow), 1e80, "euler")
         assert len(_block_powers(P, c, BLOCK_STEPS)[1]) == 1
-        config = lf.DiscreteConfig(epsilon=1e80, max_steps=300, record_every=1)
+        config = lf.DiscreteConfig(epsilon=1e80, max_steps=1200, record_every=1)
         traj = lf.simulate_dt(flow, np.zeros(30), np.zeros(30), config)
-        assert len(traj.t_or_k) == 301
+        assert len(traj.t_or_k) == 1201
         assert not traj.x.any() and not traj.v.any()
 
 

@@ -6,8 +6,8 @@ default), with seeded generic rows (m = 2), it times:
 
 - ``assemble``: building the flow matrices;
 - ``eigvals``: the dense eigen-solve of M (``m_spectrum``);
-- ``verdict``: the condition verdict of method ``both`` from that
-  spectrum, Laplacian eigen-solve included;
+- ``verdict``: the condition verdict from that spectrum, Laplacian
+  eigen-solve included;
 - ``analyze``: the whole ``build_spectral_report`` (eigen-solve, verdict,
   threshold and projector);
 - ``support_report``: the minimum-support search of ``graph-feasibility``;
@@ -104,7 +104,7 @@ def sweep(family: str, n: int, repeats: int, widths) -> dict:
     eigs = lf.m_spectrum(flow)
 
     def verdict():
-        _verdict(problem, graph, lf.spectrum(lf.laplacian(graph)), eigs, "both")
+        _verdict(problem, graph, lf.spectrum(lf.laplacian(graph)), eigs)
 
     def support():
         lf.support_report(lf.spectrum(lf.laplacian(graph)), seed=0)

@@ -9,9 +9,11 @@ n = 4..24, 32 and 48 and four row patterns:
 - ``blind2``: m = 2, every third node blind to the second axis.
 
 For each graph and pattern it records the ``analyze`` payload and the
-verdict of all three ``check_condition`` methods (or the error class
-each raised); for each graph it records ``support_report``. Rows come
-from a seeded generator, so two checkouts see the same inputs.
+``check_condition`` verdict (or the error class each raised), keyed
+``<graph>/<pattern>/both`` after the checker's name in the analyze
+payload, so that older snapshots line up; for each graph it records
+``support_report``. Rows come from a seeded generator, so two checkouts
+see the same inputs.
 
     python3 scripts/verdict_snapshot.py --out snap.json
     python3 scripts/verdict_snapshot.py --compare before.json after.json
@@ -40,7 +42,6 @@ import lsqflow as lf
 FAMILIES = ("path", "ring", "star", "complete")
 SIZES = tuple(range(4, 25)) + (32, 48)
 PATTERNS = ("generic", "pair", "blind3", "blind2")
-METHODS = ("simple_spectrum", "m_spectrum", "both")
 
 
 def rows_for(pattern: str, n: int) -> np.ndarray:
@@ -55,9 +56,9 @@ def rows_for(pattern: str, n: int) -> np.ndarray:
     return H
 
 
-def verdict_record(problem, graph, method: str) -> dict:
+def verdict_record(problem, graph) -> dict:
     try:
-        v = lf.check_condition(problem, graph, method=method)
+        v = lf.check_condition(problem, graph)
     except lf.LsqflowError as exc:
         return {"error": type(exc).__name__}
     return {
@@ -93,8 +94,7 @@ def snapshot() -> dict:
                 problem = lf.NetworkLinearEquation(H, np.ones(n))
                 key = f"{family}-{n}/{pattern}"
                 entries[f"{key}/analyze"] = analyze_record(problem, graph)
-                for method in METHODS:
-                    entries[f"{key}/{method}"] = verdict_record(problem, graph, method)
+                entries[f"{key}/both"] = verdict_record(problem, graph)
     return entries
 
 

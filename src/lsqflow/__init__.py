@@ -12,7 +12,6 @@ from .errors import (
     InvalidNodeError,
     LsqflowError,
     NoStableModesError,
-    NotApplicableError,
     NotCharacterizedError,
     NothingToPlotError,
     NumericalFailureError,
@@ -26,7 +25,6 @@ from .problem import (
     LeastSquaresSolution,
     NetworkLinearEquation,
     build_state_expansion,
-    normal_equations_solution,
     residual_component,
     solve_least_squares,
 )
@@ -63,12 +61,9 @@ from .spectral import (
 )
 from .simulate import (
     DiscreteConfig,
-    FlowState,
     Trajectory,
     component_names,
     component_series,
-    ct_rhs,
-    error_trajectory,
     oscillates,
     simulate_ct,
     simulate_dt,

@@ -39,10 +39,6 @@ class DimensionMismatchError(LsqflowError):
     """Problem and graph (or state vectors) disagree on sizes."""
 
 
-class NotApplicableError(LsqflowError):
-    """Requested method's precondition does not hold for this input."""
-
-
 class InternalInconsistencyError(LsqflowError):
     """Two independent computations that must agree did not.
 

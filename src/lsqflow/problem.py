@@ -121,16 +121,6 @@ def solve_least_squares(problem: NetworkLinearEquation) -> LeastSquaresSolution:
     return LeastSquaresSolution(y_star=y_star, residual=residual, objective=objective)
 
 
-def normal_equations_solution(problem: NetworkLinearEquation) -> np.ndarray:
-    """Independent oracle: solve H^T H y = H^T z directly.
-
-    Numerically inferior to :func:`solve_least_squares` (squares the
-    condition number); kept as a cross-check, not for production use.
-    """
-    gram = problem.rows.T @ problem.rows
-    return np.linalg.solve(gram, problem.rows.T @ problem.obs)
-
-
 def residual_component(problem: NetworkLinearEquation, y_star, i: int) -> float:
     """h_i . y* - z_i for a 1-based node index i."""
     h_i = problem.row(i)

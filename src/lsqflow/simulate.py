@@ -11,7 +11,7 @@ still inspect and serialize what happened.
 
 from __future__ import annotations
 
-from collections import namedtuple
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,16 +32,6 @@ CHUNK_MIN_DIM = 32
 CHUNK_BLOCKS = 32
 CSV_CHUNK_ROWS = 1024
 
-TrajectorySample = namedtuple("TrajectorySample", "t_or_k x v error cost")
-
-
-@dataclass(frozen=True)
-class FlowState:
-    t_or_k: float
-    x: np.ndarray
-    v: np.ndarray
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded run: times, stacked states, squared consensus error, cost.
@@ -59,14 +49,6 @@ class Trajectory:
     metadata: dict = field(compare=False)
 
     @property
-    def samples(self):
-        return [
-            TrajectorySample(self.t_or_k[k], self.x[k], self.v[k],
-                             self.error[k], self.cost[k])
-            for k in range(len(self.t_or_k))
-        ]
-
-    @property
     def n_nodes(self) -> int:
         return int(self.metadata["n_nodes"])
 
@@ -82,8 +64,8 @@ class DiscreteConfig:
     record_every: int = 10
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.max_steps < 1 or self.record_every < 1:
             raise ValueError("max_steps and record_every must be >= 1")
 
@@ -113,13 +95,6 @@ def component_series(traj: Trajectory, name: str) -> np.ndarray:
     except (ValueError, KeyError):
         raise DimensionMismatchError(f"unknown component name {name!r}") from None
     return source[:, idx]
-
-
-def ct_rhs(flow: AssembledFlow, state: FlowState) -> tuple:
-    """Right-hand side of the saddle-point flow at one state."""
-    dx = -flow.L_kron @ state.v - (flow.H_tilde @ state.x - flow.z_H)
-    dv = flow.L_kron @ state.x
-    return dx, dv
 
 
 def _step_map(M, b, h, method="rk4"):
@@ -274,6 +249,8 @@ def _stack_initial(flow, x0, v0):
         raise DimensionMismatchError(
             f"initial states must have shape ({nm},), got {x0.shape} and {v0.shape}"
         )
+    if not (np.isfinite(x0).all() and np.isfinite(v0).all()):
+        raise ValueError("initial states must be finite")
     return np.concatenate([x0, v0])
 
 
@@ -295,8 +272,8 @@ def _forcing(flow):
 
 
 def _simulate_rk4(flow, M, x0, v0, step_h, t_end, record_every, **extra):
-    if step_h <= 0 or t_end <= 0:
-        raise ValueError("step_h and t_end must be positive")
+    if not (0 < step_h < math.inf and 0 < t_end < math.inf):
+        raise ValueError("step_h and t_end must be positive and finite")
     n_steps = int(round(t_end / step_h))
     u0 = _stack_initial(flow, x0, v0)
     meta = _base_metadata(flow, integrator="rk4", step=step_h, t_end=t_end,
@@ -335,24 +312,14 @@ def simulate_damped(flow: AssembledFlow, alpha: float, x0, v0,
     With alpha = 0 the extra term vanishes and the run delegates to
     :func:`simulate_ct`, so the trajectories agree bit for bit.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0 <= alpha < math.inf:
+        raise ValueError("alpha must be nonnegative and finite")
     if alpha == 0.0:
         return simulate_ct(flow, x0, v0, step_h, t_end, record_every)
     nm = flow.state_dim
     M = flow.M.copy()
     M[:nm, :nm] -= alpha * flow.L_kron
     return _simulate_rk4(flow, M, x0, v0, step_h, t_end, record_every, alpha=alpha)
-
-
-def error_trajectory(traj: Trajectory, y_star) -> list:
-    """Pointwise squared distance of x to consensus on y_star."""
-    if len(traj.t_or_k) == 0:
-        raise ValueError("empty trajectory")
-    target = np.tile(np.asarray(y_star, dtype=float), traj.n_nodes)
-    diff = traj.x - target
-    e = np.einsum("ij,ij->i", diff, diff)
-    return [(float(t), float(val)) for t, val in zip(traj.t_or_k, e)]
 
 
 def oscillates(traj: Trajectory, component: str, *, ratio: float = 0.5) -> bool:

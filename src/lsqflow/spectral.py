@@ -27,7 +27,6 @@ from .errors import (
     EquilibriumInfeasibleError,
     InternalInconsistencyError,
     NoStableModesError,
-    NotApplicableError,
     NumericalFailureError,
     RankDeficientError,
 )
@@ -44,8 +43,6 @@ from .problem import (
 # zero. Both guards keep the numerical kernel of M out of the stable set.
 TAU_IM = 1e-7
 TAU_ZERO_REL = 1e-8
-
-CHECK_METHODS = ("simple_spectrum", "m_spectrum", "both")
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,6 @@ class AssembledFlow:
 class ConditionVerdict:
     holds: bool
     witness: Optional[tuple]       # (eigenvalue r of L, unit vector eta)
-    method: str
     witness_support: Optional[frozenset] = None  # nodes backing the witness
     null_block: Optional[tuple] = None  # (r, n x m X) where no member witnesses
 
@@ -86,7 +82,7 @@ class SpectralReport:
     epsilon_star: Optional[float]  # None when no eigenvalue has Re != 0
     zero_space_dim: int
     projector_W: Optional[np.ndarray]  # v-block projector; None if condition fails
-    condition: ConditionVerdict    # method "both", from the same spectrum
+    condition: ConditionVerdict    # from the same spectrum
 
 
 def assemble(problem: NetworkLinearEquation, graph: Graph) -> AssembledFlow:
@@ -152,11 +148,6 @@ def _nonzero_split(eigs) -> tuple:
     return nonzero[imaginary], nonzero[~imaginary]
 
 
-def _imaginary_nonzero(eigs: np.ndarray) -> np.ndarray:
-    """Eigenvalues classified as nonzero and purely imaginary."""
-    return _nonzero_split(eigs)[0]
-
-
 def _stacked_rank(stack: np.ndarray) -> tuple:
     """(ranks, unit null vectors for the smallest singular values) of a
     stack of matrices, in one SVD call, each rank at the relative
@@ -167,13 +158,13 @@ def _stacked_rank(stack: np.ndarray) -> tuple:
     return np.count_nonzero(sv > tol, axis=1), vt[:, -1]
 
 
-def _witness(problem, spect: LaplacianSpectrum, groups) -> tuple:
-    """(witness, support) of the first eigenspace member, over ``groups``,
+def _witness(problem, spect: LaplacianSpectrum) -> tuple:
+    """(witness, support) of the first member of an eigenspace with r > 0
     whose support rows do not span the unknown space; (None, None) if none.
 
     The support rows of a block of members are tested together, one
     stacked SVD per support size."""
-    for group in groups:
+    for group in spect.eigenspace_groups[1:]:
         for block in _eigenspace_members(spect.eigenvectors[:, list(group)]):
             masks = _support_mask(block)
             sizes = masks.sum(axis=1)
@@ -216,59 +207,41 @@ def _null_block(problem, spect: LaplacianSpectrum) -> Optional[tuple]:
     return float(spect.eigenvalues[group[0]]), X
 
 
-def _verdict(problem, graph, spect: LaplacianSpectrum, eigs, method: str) -> ConditionVerdict:
-    """Verdict of the ``m_spectrum`` or ``both`` method from the spectrum of M.
+def _verdict(problem, graph, spect: LaplacianSpectrum, eigs) -> ConditionVerdict:
+    """The condition verdict from the spectra of L and M.
 
-    Under ``both`` the Laplacian-side rank test cross-checks it on every
-    spectrum. The member witness search runs only when the condition
-    fails; where no member witnesses the failure, the verdict carries the
-    Laplacian side's null block instead. On a disconnected graph no
-    direction mixes across components, so the witness is the first unit
-    vector at eigenvalue 0, backed by node 1's component: the support of
-    the zero-eigenspace projection of the first node's indicator.
+    The condition holds iff M has no nonzero purely imaginary eigenvalue,
+    and the Laplacian-side rank test cross-checks that on every spectrum,
+    raising :class:`InternalInconsistencyError` on disagreement. The
+    member witness search runs only when the condition fails; where no
+    member witnesses the failure, the verdict carries the Laplacian
+    side's null block instead. On a disconnected graph no direction mixes
+    across components, so the witness is the first unit vector at
+    eigenvalue 0, backed by node 1's component: the support of the
+    zero-eigenspace projection of the first node's indicator.
     """
     if not is_connected(graph):
         zero = spect.eigenvectors[:, list(spect.eigenspace_groups[0])]
-        return ConditionVerdict(False, (0.0, np.eye(problem.dim)[0]), method,
+        return ConditionVerdict(False, (0.0, np.eye(problem.dim)[0]),
                                 _support_of(zero @ zero[0]))
-    holds = _imaginary_nonzero(eigs).size == 0
-    null_block = _null_block(problem, spect) if method == "both" or not holds else None
-    if method == "both" and (null_block is None) != holds:
+    holds = _nonzero_split(eigs)[0].size == 0
+    null_block = _null_block(problem, spect)
+    if (null_block is None) != holds:
         raise InternalInconsistencyError(f"checkers disagree: laplacian={null_block is None}, "
                                          f"m_spectrum={holds}")
     if holds:
-        return ConditionVerdict(True, None, method)
-    witness, support = _witness(problem, spect, spect.eigenspace_groups[1:])
-    return ConditionVerdict(False, witness, method, support,
-                            null_block if witness is None else None)
+        return ConditionVerdict(True, None)
+    witness, support = _witness(problem, spect)
+    return ConditionVerdict(False, witness, support, null_block if witness is None else None)
 
 
-def check_condition(problem: NetworkLinearEquation, graph: Graph,
-                    method: str = "both") -> ConditionVerdict:
-    """Decide whether every eigenvector support spans the unknown space.
-
-    ``simple_spectrum`` checks row spans per eigenvector and requires all
-    Laplacian eigenvalues distinct. ``m_spectrum`` detects nonzero purely
-    imaginary eigenvalues of M on a connected graph and works
-    unconditionally; it is the authoritative test. ``both`` runs the
-    authoritative test and the Laplacian-side rank test on every spectrum,
-    raising :class:`InternalInconsistencyError` on disagreement. A
-    disconnected graph fails under every method that applies to it.
+def check_condition(problem: NetworkLinearEquation, graph: Graph) -> ConditionVerdict:
+    """Decide whether every eigenvector support spans the unknown space:
+    the verdict of :func:`build_spectral_report`, with its built-in
+    cross-check against the Laplacian-side rank test. A disconnected
+    graph fails.
     """
-    if method not in CHECK_METHODS:
-        raise ValueError(f"method must be one of {CHECK_METHODS}, got {method!r}")
-    if problem.n_nodes != graph.n_nodes:
-        raise DimensionMismatchError(
-            f"problem has {problem.n_nodes} nodes, graph has {graph.n_nodes}"
-        )
-    if method == "simple_spectrum":
-        spect = spectrum(laplacian(graph))
-        if any(len(g) > 1 for g in spect.eigenspace_groups):
-            raise NotApplicableError("Laplacian spectrum has repeated eigenvalues")
-        witness, support = _witness(problem, spect, spect.eigenspace_groups)
-        return ConditionVerdict(witness is None, witness, method, support)
-    flow = assemble(problem, graph)
-    return _verdict(problem, graph, spectrum(flow.L), m_spectrum(flow), method)
+    return build_spectral_report(assemble(problem, graph)).condition
 
 
 def epsilon_star_from_eigenvalues(eigenvalues) -> float:
@@ -316,20 +289,22 @@ def _consensus_projector(flow: AssembledFlow, eigs, zero_space_dim: int) -> np.n
 
 
 def zero_space_projector(flow: AssembledFlow) -> tuple:
-    """Spectral projector onto the zero eigenspace, restricted to the v-block.
+    """(zero_space_dim, W) of :func:`build_spectral_report`: the spectral
+    projector onto the zero eigenspace, restricted to the v-block.
 
-    Requires the spanning condition; with it the zero eigenspace has
-    dimension m, zero x-block, and consensus-shaped v-block, so the full
-    projector acts only on v and the returned matrix is N m x N m.
+    Requires the spanning condition, and raises
+    :class:`ConditionViolatedError` where the report's verdict fails. With
+    it the zero eigenspace has dimension m, zero x-block, and
+    consensus-shaped v-block, so the full projector acts only on v and W
+    is N m x N m.
     """
-    eigs = m_spectrum(flow)
-    if not (is_connected(flow.graph) and _imaginary_nonzero(eigs).size == 0):
+    report = build_spectral_report(flow)
+    if not report.condition.holds:
         raise ConditionViolatedError(
             "spanning condition fails; flow has undamped oscillatory modes or the graph "
             "is disconnected"
         )
-    # the condition makes H full rank on the one component: the kernel has dimension m
-    return flow.problem.dim, _consensus_projector(flow, eigs, flow.problem.dim)
+    return report.zero_space_dim, report.projector_W
 
 
 def equilibrium_dual(flow: AssembledFlow) -> np.ndarray:
@@ -367,13 +342,13 @@ def predict_v_limit(flow: AssembledFlow, v_star, v0) -> np.ndarray:
 def build_spectral_report(flow: AssembledFlow) -> SpectralReport:
     """Eigen-data bundle serialized by the CLI's analyze mode.
 
-    One eigen-solve of M yields the verdict (method ``both``), the step
-    threshold and the check of the closed-form projector, which is
-    returned when the condition holds.
+    One eigen-solve of M yields the verdict, the step threshold and the
+    check of the closed-form projector, which is returned when the
+    condition holds.
     """
     eigs = m_spectrum(flow)
     spect = spectrum(flow.L)
-    verdict = _verdict(flow.problem, flow.graph, spect, eigs, "both")
+    verdict = _verdict(flow.problem, flow.graph, spect, eigs)
     try:
         eps = epsilon_star_from_eigenvalues(eigs)
     except NoStableModesError:

@@ -12,6 +12,7 @@ zero.
 from __future__ import annotations
 
 import json
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import groupby
@@ -46,8 +47,8 @@ class SwitchingSignal:
     graphs: tuple
 
     def __post_init__(self):
-        if self.period_T <= 0:
-            raise ValueError("period_T must be positive")
+        if not 0 < self.period_T < math.inf:
+            raise ValueError("period_T must be positive and finite")
         if len(self.graphs) == 0:
             raise ValueError("signal needs at least one graph")
         sizes = {g.n_nodes for g in self.graphs}
@@ -95,8 +96,8 @@ def simulate_switching(problem: NetworkLinearEquation, signal: SwitchingSignal,
     not a sub-stepping feature: step_h must divide period_T and t_end
     must be a whole number of periods.
     """
-    if step_h <= 0:
-        raise ValueError("step_h must be positive")
+    if not (0 < step_h < math.inf and math.isfinite(t_end)):
+        raise ValueError("step_h must be positive and finite, and t_end finite")
     steps_per_period = _aligned_count(signal.period_T, step_h, "period_T / step_h")
     n_periods = _aligned_count(t_end, signal.period_T, "t_end / period_T")
     distinct = list(dict.fromkeys(signal.graphs))

@@ -1,4 +1,7 @@
-"""Random instance generators shared across test modules."""
+"""Random instance generators and reference oracles shared across test
+modules."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,6 +87,55 @@ def witness_by_loop(problem, spect, groups):
             if np.count_nonzero(sv > sv[0] * max(rows.shape) * RANK_RTOL) < problem.dim:
                 return (float(spect.eigenvalues[group[0]]), vt[-1]), support
     return None, None
+
+
+def simple_spectrum_verdict(problem, graph):
+    """Reference verdict for a graph with distinct Laplacian eigenvalues:
+    the row-span test per eigenvector, in ascending eigenvalue order. The
+    first eigenvector whose support rows miss a direction eta gives the
+    failing verdict's witness ``(r, eta)`` and support."""
+    spect = lf.spectrum(lf.laplacian(graph))
+    if len(spect.eigenspace_groups) != graph.n_nodes:
+        raise ValueError("Laplacian spectrum has repeated eigenvalues")
+    for r, vec in zip(spect.eigenvalues, spect.eigenvectors.T):
+        support = _support_of(vec)
+        rows = problem.rows[np.array(sorted(support)) - 1]
+        _, sv, vt = np.linalg.svd(rows)
+        if np.count_nonzero(sv > sv[0] * max(rows.shape) * RANK_RTOL) < problem.dim:
+            return lf.ConditionVerdict(False, (float(r), vt[-1]), support)
+    return lf.ConditionVerdict(True, None)
+
+
+def normal_equations_solution(problem):
+    """Reference least-squares solution: solve H^T H y = H^T z directly.
+    It squares the condition number, so it serves as a cross-check only."""
+    gram = problem.rows.T @ problem.rows
+    return np.linalg.solve(gram, problem.rows.T @ problem.obs)
+
+
+@dataclass(frozen=True)
+class FlowState:
+    t_or_k: float
+    x: np.ndarray
+    v: np.ndarray
+
+
+def ct_rhs(flow, state):
+    """Reference right-hand side ``(dx, dv)`` of the saddle-point flow at
+    one state, from the blocks of the flow rather than from M."""
+    dx = -flow.L_kron @ state.v - (flow.H_tilde @ state.x - flow.z_H)
+    dv = flow.L_kron @ state.x
+    return dx, dv
+
+
+def error_trajectory(traj, y_star):
+    """Pointwise ``(t, ||x - 1 (x) y_star||^2)`` of a trajectory."""
+    if len(traj.t_or_k) == 0:
+        raise ValueError("empty trajectory")
+    target = np.tile(np.asarray(y_star, dtype=float), traj.n_nodes)
+    diff = traj.x - target
+    e = np.einsum("ij,ij->i", diff, diff)
+    return [(float(t), float(val)) for t, val in zip(traj.t_or_k, e)]
 
 
 def random_connected_graph(rng, n):

@@ -21,7 +21,7 @@ from conftest import (
     SWITCH3_T_END,
     load_fixture,
 )
-from _helpers import random_problem, random_simple_spectrum_graph
+from _helpers import random_problem, random_simple_spectrum_graph, simple_spectrum_verdict
 
 
 def report(num, ok, detail):
@@ -44,20 +44,20 @@ def test_acceptance_01_least_squares_oracle(chain_problem):
 
 def test_acceptance_02_condition_verdicts(chain_problem, chain_graph, star_graph):
     t0 = time.perf_counter()
-    chain_m = lf.check_condition(chain_problem, chain_graph, method="m_spectrum")
-    chain_s = lf.check_condition(chain_problem, chain_graph, method="simple_spectrum")
-    star = lf.check_condition(chain_problem, star_graph, method="both")
+    chain = lf.check_condition(chain_problem, chain_graph)
+    chain_oracle = simple_spectrum_verdict(chain_problem, chain_graph)
+    star = lf.check_condition(chain_problem, star_graph)
     elapsed = time.perf_counter() - t0
     leaf_rank = np.linalg.matrix_rank(chain_problem.rows[1:4])
     support = sorted(star.witness_support) if star.witness_support else []
     support_rank = (np.linalg.matrix_rank(
         chain_problem.rows[[i - 1 for i in support]]) if support else -1)
-    ok = (chain_m.holds and chain_s.holds
+    ok = (chain.holds and chain_oracle.holds
           and not star.holds and star.witness is not None
           and set(support) <= {2, 3, 4}
           and leaf_rank == 1 and support_rank == 1
           and elapsed < 1.0)
-    report(2, ok, f"path-4 holds (both methods), star-4 fails with witness "
+    report(2, ok, f"path-4 holds (checker and row-span oracle), star-4 fails with witness "
                   f"support {support}, span dim {leaf_rank}, "
                   f"runtime {elapsed:.3f} s")
 
@@ -240,8 +240,8 @@ def test_acceptance_11_property_suites(rng):
         n = int(rng.integers(4, 7))
         graph = random_simple_spectrum_graph(rng, n)
         prob = random_problem(rng, n=n, m=int(rng.integers(2, 4)))
-        a = lf.check_condition(prob, graph, method="m_spectrum")
-        b = lf.check_condition(prob, graph, method="simple_spectrum")
+        a = lf.check_condition(prob, graph)
+        b = simple_spectrum_verdict(prob, graph)
         if a.holds == b.holds:
             agree += 1
 
@@ -250,7 +250,7 @@ def test_acceptance_11_property_suites(rng):
     prop1 = 0
     for _ in range(200):
         prob = random_problem(rng, n=8, m=3)
-        if lf.check_condition(prob, path8, method="both").holds:
+        if lf.check_condition(prob, path8).holds:
             prop1 += 1
 
     # augmented square system reproduces solution and residual

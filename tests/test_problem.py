@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lsqflow as lf
-from lsqflow.problem import RANK_RTOL, normal_equations_solution
+from lsqflow.problem import RANK_RTOL
 
-from _helpers import random_problem
+from _helpers import normal_equations_solution, random_problem
 
 
 class TestNetworkLinearEquation:

@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 
 import lsqflow as lf
-from lsqflow import simulate
+from lsqflow import simulate, switching
 from lsqflow.simulate import (
     BLOCK_STEPS,
     CHUNK_BLOCKS,
     CHUNK_MIN_DIM,
     DIVERGE_LIMIT,
-    TrajectorySample,
     _block_powers,
     _step_map,
     component_names,
     component_series,
 )
 
-from _helpers import random_problem, random_connected_graph, step_by_step
+from _helpers import (FlowState, ct_rhs, error_trajectory, random_problem,
+                      random_connected_graph, step_by_step)
 from conftest import CHAIN_X0, PENT2_X0, STAR_X0
 
 
@@ -58,7 +58,7 @@ class TestRhs:
         for _ in range(5):
             x = rng.standard_normal(8)
             v = rng.standard_normal(8)
-            dx, dv = lf.ct_rhs(chain_flow, lf.FlowState(0.0, x, v))
+            dx, dv = ct_rhs(chain_flow, FlowState(0.0, x, v))
             u = np.concatenate([x, v])
             b = np.concatenate([chain_flow.z_H, np.zeros(8)])
             du = chain_flow.M @ u + b
@@ -449,6 +449,48 @@ class TestDampedFlow:
             lf.simulate_damped(chain_flow, -0.1, np.zeros(8), np.zeros(8), 0.005, 1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+FINITE = np.zeros(8)
+WITH_NAN = np.array([0.0] * 7 + [NAN])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda f: lf.DiscreteConfig(epsilon=NAN), id="dt-epsilon-nan"),
+    pytest.param(lambda f: lf.DiscreteConfig(epsilon=INF), id="dt-epsilon-inf"),
+    pytest.param(lambda f: lf.simulate_damped(f, NAN, FINITE, FINITE, 0.005, 1.0),
+                 id="damped-alpha-nan"),
+    pytest.param(lambda f: lf.simulate_damped(f, INF, FINITE, FINITE, 0.005, 1.0),
+                 id="damped-alpha-inf"),
+    pytest.param(lambda f: lf.simulate_ct(f, WITH_NAN, FINITE, 0.005, 1.0), id="ct-x0-nan"),
+    pytest.param(lambda f: lf.simulate_ct(f, FINITE, WITH_NAN, 0.005, 1.0), id="ct-v0-nan"),
+    pytest.param(lambda f: lf.simulate_dt(f, WITH_NAN, FINITE, lf.DiscreteConfig(epsilon=0.03)),
+                 id="dt-x0-nan"),
+    pytest.param(lambda f: lf.simulate_ct(f, FINITE, FINITE, 0.005, INF), id="ct-t_end-inf"),
+    pytest.param(lambda f: lf.simulate_ct(f, FINITE, FINITE, NAN, 1.0), id="ct-step-nan"),
+    pytest.param(lambda f: lf.SwitchingSignal(period_T=NAN, graphs=(f.graph,)),
+                 id="switch-period-nan"),
+    pytest.param(lambda f: lf.SwitchingSignal(period_T=INF, graphs=(f.graph,)),
+                 id="switch-period-inf"),
+    pytest.param(lambda f: lf.simulate_switching(f.problem, lf.SwitchingSignal(0.1, (f.graph,)),
+                                                 FINITE, WITH_NAN, 0.005, 1.0),
+                 id="switch-v0-nan"),
+    pytest.param(lambda f: lf.simulate_switching(f.problem, lf.SwitchingSignal(0.1, (f.graph,)),
+                                                 FINITE, FINITE, 0.005, INF),
+                 id="switch-t_end-inf"),
+    pytest.param(lambda f: lf.simulate_switching(f.problem, lf.SwitchingSignal(0.1, (f.graph,)),
+                                                 FINITE, FINITE, NAN, 1.0),
+                 id="switch-step-nan"),
+])
+def test_non_finite_parameters_rejected_before_any_step(chain_flow, monkeypatch, call):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(simulate, "_propagate", no_step)
+    monkeypatch.setattr(switching, "_propagate", no_step)
+    with pytest.raises(ValueError):
+        call(chain_flow)
+
+
 class TestOscillationDetector:
     def test_fires_on_sustained_sine(self):
         t = np.linspace(0.0, 40.0 * np.pi, 2000)
@@ -471,14 +513,14 @@ class TestErrorTrajectory:
     def test_matches_recorded_error_at_reference(self, chain_flow, chain_problem):
         traj = lf.simulate_ct(chain_flow, np.ones(8), np.zeros(8), 0.01, 1.0)
         sol = lf.solve_least_squares(chain_problem)
-        pairs = lf.error_trajectory(traj, sol.y_star)
+        pairs = error_trajectory(traj, sol.y_star)
         assert len(pairs) == len(traj.t_or_k)
         vals = np.array([e for _, e in pairs])
         assert np.abs(vals - traj.error).max() < 1e-12
 
     def test_alternate_target(self, chain_flow):
         traj = lf.simulate_ct(chain_flow, np.zeros(8), np.zeros(8), 0.01, 0.1)
-        pairs = lf.error_trajectory(traj, np.zeros(2))
+        pairs = error_trajectory(traj, np.zeros(2))
         assert pairs[0][1] == 0.0
 
 
@@ -537,10 +579,3 @@ class TestCsv:
         lf.write_trajectory_csv(traj, out)
         assert out.read_text().splitlines()[0] == documented
 
-
-def test_trajectory_samples_namedtuple(chain_flow):
-    traj = lf.simulate_ct(chain_flow, np.zeros(8), np.zeros(8), 0.01, 0.1)
-    s = traj.samples[0]
-    assert isinstance(s, TrajectorySample)
-    assert s.t_or_k == 0.0
-    assert np.array_equal(s.x, np.zeros(8))

@@ -9,14 +9,14 @@ from lsqflow.spectral import (
     TAU_IM,
     TAU_ZERO_REL,
     _consensus_projector,
-    _imaginary_nonzero,
+    _nonzero_split,
     _null_block,
     _witness,
     epsilon_star_from_eigenvalues,
 )
 
 from _helpers import (ROW_PATTERNS, pattern_rows, random_problem,
-                      random_simple_spectrum_graph, witness_by_loop)
+                      random_simple_spectrum_graph, simple_spectrum_verdict, witness_by_loop)
 
 
 class TestAssemble:
@@ -111,13 +111,14 @@ class TestMSpectrum:
 
 class TestCheckCondition:
     def test_chain_holds_all_methods(self, chain_problem, chain_graph):
-        for method in ("simple_spectrum", "m_spectrum", "both"):
-            verdict = lf.check_condition(chain_problem, chain_graph, method=method)
+        # the checker and the per-eigenvector row-span oracle
+        for verdict in (lf.check_condition(chain_problem, chain_graph),
+                        simple_spectrum_verdict(chain_problem, chain_graph)):
             assert verdict.holds
             assert verdict.witness is None
 
     def test_star_fails_with_certificate(self, chain_problem, star_graph):
-        verdict = lf.check_condition(chain_problem, star_graph, method="m_spectrum")
+        verdict = lf.check_condition(chain_problem, star_graph)
         assert not verdict.holds
         eigenvalue, eta = verdict.witness
         assert abs(eigenvalue - 1.0) < 1e-9
@@ -131,21 +132,14 @@ class TestCheckCondition:
         rows = chain_problem.rows[1:]
         assert np.linalg.matrix_rank(rows) == 1
 
-    def test_simple_method_rejects_repeated_spectrum(self, chain_problem, star_graph):
-        with pytest.raises(lf.NotApplicableError):
-            lf.check_condition(chain_problem, star_graph, method="simple_spectrum")
-
-    def test_unknown_method(self, chain_problem, chain_graph):
-        with pytest.raises(ValueError):
-            lf.check_condition(chain_problem, chain_graph, method="oracle")
-
     def test_methods_agree_on_random_instances(self, rng, switch_pair):
         # 100 instances, each a connected graph with distinct Laplacian
-        # eigenvalues; both the row-span test and the eigenvalue test
-        # must return the same verdict (the "both" path would raise on
-        # any disagreement). Every tenth instance runs on a graph with a
-        # two-node eigenvector support and a 3-dimensional unknown, which
-        # guarantees the failing verdict is exercised too.
+        # eigenvalues; the checker (which raises if its M-side and
+        # Laplacian-side tests disagree) and the per-eigenvector row-span
+        # oracle must return the same verdict and witness support. Every
+        # tenth instance runs on a graph with a two-node eigenvector
+        # support and a 3-dimensional unknown, which guarantees the
+        # failing verdict is exercised too.
         holds_seen = fails_seen = 0
         for trial in range(100):
             if trial % 10 == 0:
@@ -155,10 +149,10 @@ class TestCheckCondition:
                 n = int(rng.integers(4, 7))
                 graph = random_simple_spectrum_graph(rng, n)
                 prob = random_problem(rng, n=n, m=int(rng.integers(2, 4)))
-            direct = lf.check_condition(prob, graph, method="simple_spectrum")
-            spectral = lf.check_condition(prob, graph, method="m_spectrum")
-            both = lf.check_condition(prob, graph, method="both")
-            assert direct.holds == spectral.holds == both.holds
+            direct = simple_spectrum_verdict(prob, graph)
+            verdict = lf.check_condition(prob, graph)
+            assert direct.holds == verdict.holds
+            assert direct.witness_support == verdict.witness_support
             holds_seen += direct.holds
             fails_seen += not direct.holds
         assert holds_seen > 0
@@ -171,7 +165,7 @@ class TestCheckCondition:
         passes = 0
         for _ in range(200):
             prob = random_problem(rng, n=8, m=3)
-            if lf.check_condition(prob, graph, method="both").holds:
+            if lf.check_condition(prob, graph).holds:
                 passes += 1
         assert passes == 200
 
@@ -277,12 +271,11 @@ class TestSpectralReport:
         assert report.projector_W is None
         assert report.zero_space_dim == 2
         assert report.epsilon_star is not None
-        assert _imaginary_nonzero(report.m_eigenvalues).size > 0
+        assert _nonzero_split(report.m_eigenvalues)[0].size > 0
 
     def test_report_carries_the_both_verdict(self, chain_problem, star_graph, star_flow):
         verdict = lf.build_spectral_report(star_flow).condition
-        direct = lf.check_condition(chain_problem, star_graph, method="both")
-        assert verdict.method == "both"
+        direct = lf.check_condition(chain_problem, star_graph)
         assert verdict.holds is direct.holds is False
         assert verdict.witness_support == direct.witness_support
         assert np.array_equal(verdict.witness[1], direct.witness[1])
@@ -301,15 +294,12 @@ class TestDisconnectedGraph:
 
     def test_verdict_fails_with_component_witness(self, case):
         problem, graph = case
-        for method in ("m_spectrum", "both"):
-            verdict = lf.check_condition(problem, graph, method=method)
-            assert verdict.holds is False
-            assert verdict.witness_support == frozenset({1, 2})
-            eigenvalue, eta = verdict.witness
-            assert eigenvalue == 0.0
-            assert np.array_equal(eta, [1.0, 0.0])
-        with pytest.raises(lf.NotApplicableError):
-            lf.check_condition(problem, graph, method="simple_spectrum")
+        verdict = lf.check_condition(problem, graph)
+        assert verdict.holds is False
+        assert verdict.witness_support == frozenset({1, 2})
+        eigenvalue, eta = verdict.witness
+        assert eigenvalue == 0.0
+        assert np.array_equal(eta, [1.0, 0.0])
 
     def test_verdict_matches_dynamics(self, case):
         problem, graph = case
@@ -342,7 +332,7 @@ class TestCompleteGraphWitness:
         # member whose support rows miss a direction
         H = [[1, .2], [.3, 1], [2, .4], [-.5, .9], [.7, -1.1], [1.3, .6]]
         problem = lf.NetworkLinearEquation(H, np.ones(6))
-        verdict = lf.check_condition(problem, lf.make_family("complete", 6), method="both")
+        verdict = lf.check_condition(problem, lf.make_family("complete", 6))
         assert verdict.holds is False
         assert verdict.witness_support == frozenset({1, 3})
         eigenvalue, eta = verdict.witness
@@ -358,8 +348,8 @@ class TestBatchedWitness:
                 spect = lf.spectrum(lf.laplacian(lf.make_family(family, n)))
                 for pattern in ("pair", "blind3", "blind2"):
                     problem = lf.NetworkLinearEquation(pattern_rows(pattern, n), np.ones(n))
-                    got = _witness(problem, spect, spect.eigenspace_groups)
-                    want = witness_by_loop(problem, spect, spect.eigenspace_groups)
+                    got = _witness(problem, spect)
+                    want = witness_by_loop(problem, spect, spect.eigenspace_groups[1:])
                     if want[0] is None:
                         assert got == (None, None)
                         continue
@@ -372,6 +362,7 @@ class TestBatchedWitness:
 
 class TestLaplacianChecker:
     def test_agrees_with_m_spectrum(self):
+        # the M side alone: no nonzero purely imaginary eigenvalue
         outcomes = {True: 0, False: 0}
         for family in ("path", "ring", "star", "complete"):
             for n in range(4, 17):
@@ -379,8 +370,10 @@ class TestLaplacianChecker:
                 spect = lf.spectrum(lf.laplacian(graph))
                 for pattern in ROW_PATTERNS:
                     problem = lf.NetworkLinearEquation(pattern_rows(pattern, n), np.ones(n))
-                    holds = lf.check_condition(problem, graph, method="m_spectrum").holds
+                    eigs = lf.m_spectrum(lf.assemble(problem, graph))
+                    holds = _nonzero_split(eigs)[0].size == 0
                     assert (_null_block(problem, spect) is None) == holds, (family, n, pattern)
+                    assert lf.check_condition(problem, graph).holds == holds
                     outcomes[holds] += 1
         assert min(outcomes.values()) >= 50
 
@@ -389,20 +382,19 @@ class TestLaplacianChecker:
         # single member witnesses the failure; the null block X does
         problem = lf.NetworkLinearEquation(pattern_rows("generic", 6), np.ones(6))
         graph = lf.make_family("star", 6)
-        for method in ("m_spectrum", "both"):
-            verdict = lf.check_condition(problem, graph, method=method)
-            assert verdict.holds is False
-            assert verdict.witness is None and verdict.witness_support is None
-            r, X = verdict.null_block
-            assert X.shape == (6, 2)
-            assert abs(np.linalg.norm(X) - 1.0) < 1e-12
-            assert np.abs(np.einsum("im,im->i", problem.rows, X)).max() < 1e-12
-            M = lf.assemble(problem, graph).M
-            u = np.concatenate([X.ravel(), -1j * X.ravel()])
-            assert np.abs(M @ u - 1j * r * u).max() < 1e-9
+        verdict = lf.check_condition(problem, graph)
+        assert verdict.holds is False
+        assert verdict.witness is None and verdict.witness_support is None
+        r, X = verdict.null_block
+        assert X.shape == (6, 2)
+        assert abs(np.linalg.norm(X) - 1.0) < 1e-12
+        assert np.abs(np.einsum("im,im->i", problem.rows, X)).max() < 1e-12
+        M = lf.assemble(problem, graph).M
+        u = np.concatenate([X.ravel(), -1j * X.ravel()])
+        assert np.abs(M @ u - 1j * r * u).max() < 1e-9
 
     def test_member_witness_leaves_no_null_block(self, chain_problem, star_graph):
-        verdict = lf.check_condition(chain_problem, star_graph, method="both")
+        verdict = lf.check_condition(chain_problem, star_graph)
         assert verdict.witness is not None
         assert verdict.null_block is None
 

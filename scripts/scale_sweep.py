@@ -20,7 +20,10 @@ default), with seeded generic rows (m = 2), it times:
   every 50 steps, at step epsilon* / 2 of the faster pair member. For
   N = 8 to 64 (32 to 256 state components) such a segment is shorter
   than a chunk, so these runs go block by block; from N = 65 on, B = 1
-  and a chunk is 32 steps.
+  and a chunk is 32 steps;
+- ``csv_ns_per_cell``: the cost per value, in nanoseconds, of
+  ``write_trajectory_csv`` on that ``simulate_ct`` run recorded every
+  CSV_RECORD_EVERY steps: 3000 / 10 + 1 rows of 4N + 3 values.
 
 ``--widths W ...`` times the three simulators again with every run
 whose segments span W blocks forced onto chunks of W blocks (W = 1: one
@@ -40,6 +43,7 @@ import contextlib
 import json
 import os
 import sys
+import tempfile
 import time
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -52,10 +56,11 @@ import lsqflow as lf
 from lsqflow import simulate
 from lsqflow.spectral import _verdict
 
-STAGES = ("assemble", "eigvals", "verdict", "analyze", "support_report")
+STAGES = ("assemble", "eigvals", "verdict", "analyze", "support_report", "csv_ns_per_cell")
 SIM_STAGES = ("dt_step_us", "ct_step_us", "sw_step_us")
 SIM_STEPS = 3000
 SW_DWELL = 50
+CSV_RECORD_EVERY = 10
 
 
 def best_ms(fn, repeats: int) -> float:
@@ -96,6 +101,17 @@ def simulation_us(flow, eps: float, partner, repeats: int) -> dict:
     return {stage: 1e3 * best_ms(run, repeats) / SIM_STEPS for stage, run in runs.items()}
 
 
+def csv_ns_per_cell(flow, eps: float, repeats: int) -> float:
+    x0 = np.linspace(-1.0, 1.0, flow.state_dim)
+    h = 0.5 * eps
+    traj = lf.simulate_ct(flow, x0, np.zeros(flow.state_dim), h, SIM_STEPS * h,
+                          record_every=CSV_RECORD_EVERY)
+    cells = len(traj.t_or_k) * (3 + 2 * flow.state_dim)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.csv")
+        return 1e6 * best_ms(lambda: lf.write_trajectory_csv(traj, path), repeats) / cells
+
+
 def sweep(family: str, n: int, repeats: int, widths) -> dict:
     rng = np.random.default_rng(n)
     problem = lf.NetworkLinearEquation(rng.standard_normal((n, 2)), rng.standard_normal(n))
@@ -117,6 +133,7 @@ def sweep(family: str, n: int, repeats: int, widths) -> dict:
         "support_report": best_ms(support, repeats),
     }
     eps = lf.epsilon_star_from_eigenvalues(eigs)
+    row["csv_ns_per_cell"] = csv_ns_per_cell(flow, eps, repeats)
     partner = lf.make_family("path" if family == "ring" else "ring", n)
     for width in [None, *widths]:
         with chunk_width(width):

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from array import array
 
 import numpy as np
 
@@ -40,21 +41,30 @@ def _complex_pairs(values) -> list:
     return [[float(v.real), float(v.imag)] for v in np.asarray(values)]
 
 
-def _json_text(value, indent: str = "") -> str:
+def _json_text(value, indent: str = "", rendered=None) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for payloads of
     string-keyed dicts, lists and scalars. ``indent`` selects the
     pure-Python encoder, which is slow on the (n m)^2 floats of
     ``projector_W``, so a list of finite floats is rendered here with
-    ``float.__repr__``, as that encoder does.
+    ``float.__repr__``, as that encoder does. Such lists that are items of
+    one list are rendered once per distinct row, keyed in ``rendered`` by
+    their exact float64 bits (so 0.0 and -0.0 stay apart): W has only m
+    distinct rows.
     """
     inner = indent + "  "
     if isinstance(value, dict) and value:
         items = (f"{json.dumps(key)}: {_json_text(value[key], inner)}" for key in sorted(value))
     elif isinstance(value, (list, tuple)) and value:
-        if all(type(v) is float for v in value) and all(map(math.isfinite, value)):
+        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+            if rendered is not None:
+                key = array("d", value).tobytes()
+                if key not in rendered:
+                    rendered[key] = _json_text(value, indent)
+                return rendered[key]
             items = map(float.__repr__, value)
         else:
-            items = (_json_text(v, inner) for v in value)
+            rows = {}
+            items = (_json_text(v, inner, rows) for v in value)
     else:
         return json.dumps(value)
     brackets = "{}" if isinstance(value, dict) else "[]"
@@ -97,7 +107,7 @@ def _run_analyze(config: RunConfig, out_dir, stdout) -> int:
             "epsilon_star": report.epsilon_star,
             "zero_space_dim": report.zero_space_dim,
             "projector_W": (None if report.projector_W is None
-                            else [[float(v) for v in row] for row in report.projector_W]),
+                            else report.projector_W.tolist()),
         },
     }
     _json_out(payload, config, out_dir, stdout)

@@ -19,6 +19,8 @@ from .errors import ConfigParseError, LsqflowError, SchemaError
 from .graphs import FAMILIES, Graph, graph_from_dict, graph_to_dict
 from .plotting import PlotSpec
 from .problem import NetworkLinearEquation
+# the engine and parse_config bound a run by the same MAX_STEPS and MAX_SAMPLES
+from .simulate import MAX_SAMPLES, MAX_STEPS, check_work  # noqa: F401
 from .switching import SwitchingSignal
 
 MODES = (
@@ -35,11 +37,6 @@ DEFAULT_STEP_H = 0.005
 DEFAULT_T_END = 200.0
 DEFAULT_MAX_STEPS = 40000
 DEFAULT_RECORD_EVERY = 10
-
-# Work bounds, checked before a simulation starts: integrator steps per
-# run and recorded samples per trajectory (the initial state included).
-MAX_STEPS = 10**8
-MAX_SAMPLES = 10**6
 
 
 @dataclass(eq=False)
@@ -203,12 +200,10 @@ def _check_work(mode, step_h, t_end, max_steps, record_every, violations) -> Non
         key, steps = "t_end", t_end / step_h   # may overflow to inf
     else:
         return
-    if steps > MAX_STEPS:
-        violations.append((key, f"asks for {steps:.4g} integrator steps; "
-                                f"the limit is {MAX_STEPS:.0e}"))
-    elif 1 + steps // record_every > MAX_SAMPLES:
-        violations.append((key, f"asks for {1 + steps // record_every:.4g} recorded "
-                                f"samples; the limit is {MAX_SAMPLES:.0e}"))
+    try:
+        check_work(steps, record_every)
+    except ValueError as exc:
+        violations.append((key, str(exc)))
 
 
 def parse_config(text: str, base_dir: Optional[str] = None,

@@ -11,7 +11,9 @@ still inspect and serialize what happened.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +32,37 @@ POWER_LIMIT = 1e150
 # below either, the GEMM rows a segment drops cost more than the GEMM saves.
 CHUNK_MIN_DIM = 32
 CHUNK_BLOCKS = 32
-CSV_CHUNK_ROWS = 1024
+CSV_CHUNK_CELLS = 8192
+# Work bounds, checked before a run starts: integrator steps per run and
+# recorded samples per trajectory (the initial state included).
+MAX_STEPS = 10**8
+MAX_SAMPLES = 10**6
+
+
+def _is_count(value) -> bool:
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 1)
+
+
+def check_work(steps, record_every) -> int:
+    """Step count of a run of ``steps`` steps (a ratio such as
+    ``t_end / step_h`` is rounded) that records every ``record_every``-th
+    state. Raises ValueError, before anything runs, unless record_every
+    is a positive integer and the run takes 1 to MAX_STEPS steps and
+    records at most MAX_SAMPLES states.
+    """
+    if not _is_count(record_every):
+        raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
+    if not steps <= MAX_STEPS:           # also catches nan and inf
+        raise ValueError(f"asks for {steps:.4g} integrator steps; the limit is {MAX_STEPS:.0e}")
+    count = int(round(steps))
+    if count < 1:
+        raise ValueError(f"asks for {steps:.4g} integrator steps; a run needs at least one")
+    if 1 + count // record_every > MAX_SAMPLES:
+        raise ValueError(f"asks for {1 + count // record_every:.4g} recorded samples; "
+                         f"the limit is {MAX_SAMPLES:.0e}")
+    return count
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -66,8 +98,9 @@ class DiscreteConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
-        if self.max_steps < 1 or self.record_every < 1:
-            raise ValueError("max_steps and record_every must be >= 1")
+        if not _is_count(self.max_steps):
+            raise ValueError(f"max_steps must be a positive integer, got {self.max_steps!r}")
+        check_work(self.max_steps, self.record_every)
 
 
 def component_names(n_nodes: int, dim: int) -> list:
@@ -274,7 +307,7 @@ def _forcing(flow):
 def _simulate_rk4(flow, M, x0, v0, step_h, t_end, record_every, **extra):
     if not (0 < step_h < math.inf and 0 < t_end < math.inf):
         raise ValueError("step_h and t_end must be positive and finite")
-    n_steps = int(round(t_end / step_h))
+    n_steps = check_work(t_end / step_h, record_every)
     u0 = _stack_initial(flow, x0, v0)
     meta = _base_metadata(flow, integrator="rk4", step=step_h, t_end=t_end,
                           record_every=record_every, **extra)
@@ -345,15 +378,171 @@ def oscillates(traj: Trajectory, component: str, *, ratio: float = 0.5) -> bool:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """CSV with 17-significant-digit floats; byte-stable across runs."""
+    """CSV with 17-significant-digit floats; byte-stable across runs.
+
+    Every value is written exactly as ``'%.17g' % value`` would write it
+    (see :func:`_format_17g`), in chunks of about CSV_CHUNK_CELLS values.
+    """
     names = component_names(traj.n_nodes, traj.dim)
-    header = "t," + ",".join(names) + ",error,cost"
+    header = "t," + ",".join(names) + ",error,cost\n"
     columns = (traj.t_or_k, traj.x, traj.v, traj.error, traj.cost)
-    row_format = ",".join(["%.17g"] * (len(names) + 3)) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        # python floats format fastest; converting in chunks bounds memory
-        for start in range(0, len(traj.t_or_k), CSV_CHUNK_ROWS):
-            rows = slice(start, start + CSV_CHUNK_ROWS)
-            chunk = np.column_stack([col[rows] for col in columns]).tolist()
-            fh.writelines(row_format % tuple(row) for row in chunk)
+    chunk_rows = max(1, CSV_CHUNK_CELLS // (len(names) + 3))
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for start in range(0, len(traj.t_or_k), chunk_rows):
+            rows = slice(start, start + chunk_rows)
+            fh.write(_format_17g(np.column_stack([col[rows] for col in columns])))
+
+
+# The CSV encoder. A value v with |v| in [1e-6, 1e17) has a decade e in
+# [-6, 16], so v * 10^(16-e) scales by an exact power of ten (10^0..10^22
+# are doubles) and Dekker's two-product gives it exactly as p + err. With
+# p >= 1e16 an even integer, D = p + rint(err) is the correctly rounded
+# 17-digit integer, ties to even, as '%.17g' rounds. Each value is laid
+# out in _CSV_SLOTS byte slots: sign, the "0.000" of a fixed-notation
+# value below 1, 17 digits with room for one decimal point, an "e-0k"
+# exponent, the separator. Its layout class (decade, digits left after
+# stripping trailing zeros, sign) selects from one table which slots keep
+# a digit, a digit shifted right past the point, or a constant; the rest
+# hold _CSV_DROP and are compressed out. Values it cannot lay out (zeros,
+# nan, inf, |v| outside the range, a decade that log10 got wrong, or
+# rounding up to 10^17) keep a NUL slot that '%.17g' fills in.
+_CSV_SLOTS = 32
+_CSV_BODY = 7            # slot of the first digit; the body holds 18 slots
+_CSV_EXP = 25            # "e-0k" for the decades -5 and -6
+_CSV_SEP = 29
+_CSV_DROP = 0xFF
+_E_MIN, _E_MAX = -6, 16
+_POW10 = np.array([float(10 ** k) for k in range(_E_MAX - _E_MIN + 1)])
+_SPLIT = float(2 ** 27 + 1)
+
+
+# entries of the word table after the 10^4 digit groups
+_W_ZERO, _W_LEAD, _W_COMMA, _W_NEWLINE = 10000, 10001, 10011, 10012
+
+
+def _csv_words():
+    """Content words of 4 slots: entry g < 10^4 holds the four digits of
+    g; then a zero word, the leading digits 0-9 at slot _CSV_BODY and the
+    two separators at slot _CSV_SEP, each at its place in its word."""
+    words = np.zeros((_W_NEWLINE + 1, 4), np.uint8)
+    g = np.arange(10000, dtype=np.int16)[:, None]
+    words[:_W_ZERO] = g // np.array([1000, 100, 10, 1], np.int16) % 10 + 48
+    words[_W_LEAD:_W_COMMA, _CSV_BODY % 4] = np.arange(48, 58)
+    words[_W_COMMA:, _CSV_SEP % 4] = [ord(","), ord("\n")]
+    return words.view(np.uint32).reshape(-1)
+
+
+def _csv_last_digit():
+    """Row i, entry g: the 1-based place among the 17 digits of the last
+    nonzero digit of g as group i (digits 2+4i .. 5+4i); 0 for g = 0."""
+    g = np.arange(10000, dtype=np.int16)
+    zeros = sum((g % d == 0).astype(np.int8) for d in (10, 100, 1000))
+    return np.where(g == 0, 0, 5 + 4 * np.arange(4, dtype=np.int8)[:, None] - zeros)
+
+
+def _csv_classes():
+    """Per layout class, three rows of _CSV_SLOTS bytes side by side: the
+    mask of the digits, the mask of the digits shifted one slot right,
+    past the decimal point, and the constant text, _CSV_DROP where the
+    slot is empty. The last class is the fallback: a NUL and the
+    separator."""
+    c = np.arange((_E_MAX - _E_MIN + 1) * 17 * 2)
+    e = c // 34 + _E_MIN
+    nd = c % 34 // 2 + 1
+    below_one = (e >= -4) & (e < 0)                # "0.000ddd", no point in the body
+    before = np.where(e >= 0, e + 1, np.where(below_one, nd, 1))
+    point = ~below_one & (nd > before)
+    end = np.maximum(nd, before) + point
+    k = np.arange(_CSV_SLOTS) - _CSV_BODY
+    unshifted = (k >= 0) & (k < np.where(point, before, end)[:, None])
+    shifted = (k > before[:, None]) & (k < end[:, None])
+    tables = np.zeros((3, len(c) + 1, _CSV_SLOTS), np.uint8)
+    tables[0, :-1][unshifted] = 0xFF
+    tables[1, :-1][shifted] = 0xFF
+    tables[0, :, _CSV_SEP] = 0xFF
+    text = tables[2]
+    text[:] = _CSV_DROP
+    text[:-1][unshifted | shifted] = 0
+    text[np.flatnonzero(point), _CSV_BODY + before[point]] = ord(".")
+    text[:-1][c % 2 == 1, 0] = ord("-")
+    for decade in range(-4, 0):
+        text[:-1][e == decade, 1:2 - decade] = np.frombuffer(b"0.000"[:1 - decade], np.uint8)
+    for decade in (-5, -6):
+        text[:-1][e == decade, _CSV_EXP:_CSV_EXP + 4] = np.frombuffer(
+            b"e-0" + bytes([48 - decade]), np.uint8)
+    text[:, _CSV_SEP] = 0
+    text[-1, 0] = 0
+    return np.concatenate(tables, axis=1).view(np.uint64)
+
+
+@functools.cache
+def _csv_tables():
+    """Built on the first CSV written, so other runs do not hold them."""
+    return _csv_words(), _csv_classes(), _csv_last_digit()
+
+
+def _format_17g(values: np.ndarray) -> bytes:
+    """Rows of ``values`` as CSV lines, each value exactly ``'%.17g' % v``."""
+    word_table, class_table, last_digit = _csv_tables()
+    cols = values.shape[1]
+    v = np.asarray(values, dtype=float).reshape(-1)
+    n = len(v)
+    a = np.abs(v)
+    ok = (a >= 1e-6) & (a < 1e17)
+    a[~ok] = 1.0
+    e = np.clip(np.floor(np.log10(a)), _E_MIN, _E_MAX).astype(np.intp)
+    # Dekker's two-product: a * b == p + err exactly
+    b = _POW10[16 - e]
+    p = a * b
+    t = a * _SPLIT
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = b * _SPLIT
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    err = a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+    D = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    # the decade was right: 1e16 <= p + err and D < 1e17
+    ok &= ((p > 1e16) | ((p == 1e16) & (err >= 0))) & (D < 10 ** 17)
+
+    # content: zero, leading digit, four 4-digit groups, zero, separator
+    hi = D // 10 ** 8
+    lo = (D - hi * 10 ** 8).astype(np.int32)
+    hi = hi.astype(np.int32)
+    lead = hi // 10 ** 8
+    mid = hi - lead * 10 ** 8
+    index = np.empty((n, _CSV_SLOTS // 4), np.int32)
+    index[:, 0] = index[:, 6] = _W_ZERO
+    index[:, 1] = lead + _W_LEAD
+    groups = index[:, 2:6]
+    groups[:, 0] = mid // 10000
+    groups[:, 1] = mid - groups[:, 0] * 10000
+    groups[:, 2] = lo // 10000
+    groups[:, 3] = lo - groups[:, 2] * 10000
+    index[:, 7] = _W_COMMA
+    index[cols - 1::cols, 7] = _W_NEWLINE
+    words = word_table.take(index).view(np.uint64)
+    shifted = np.empty_like(words)
+    shifted.view(np.uint8).reshape(-1)[1:] = words.view(np.uint8).reshape(-1)[:-1]
+
+    digits = last_digit[0].take(groups[:, 0])
+    for i in (1, 2, 3):
+        np.maximum(digits, last_digit[i].take(groups[:, i]), out=digits)
+    np.maximum(digits, 1, out=digits)
+    cls = (e - _E_MIN) * 34 + digits * 2 - 2 + (v < 0)
+    cls[~ok] = len(class_table) - 1
+    table = class_table.take(cls, axis=0)
+    w = _CSV_SLOTS // 8
+    words &= table[:, :w]
+    words |= shifted & table[:, w:2 * w]
+    words |= table[:, 2 * w:]
+    slots = words.view(np.uint8).reshape(-1)
+    text = slots[slots != _CSV_DROP].tobytes()
+    if ok.all():
+        return text
+    pieces = text.split(b"\0")
+    joined = [b""] * (2 * len(pieces) - 1)
+    joined[::2] = pieces
+    joined[1::2] = [b"%.17g" % x for x in v[~ok].tolist()]
+    return b"".join(joined)

@@ -33,6 +33,7 @@ from .simulate import (
     _propagate,
     _stack_initial,
     _step_map,
+    check_work,
 )
 from .spectral import assemble, equilibrium_dual, zero_space_projector
 
@@ -98,8 +99,10 @@ def simulate_switching(problem: NetworkLinearEquation, signal: SwitchingSignal,
     """
     if not (0 < step_h < math.inf and math.isfinite(t_end)):
         raise ValueError("step_h must be positive and finite, and t_end finite")
-    steps_per_period = _aligned_count(signal.period_T, step_h, "period_T / step_h")
+    check_work(t_end / step_h, record_every)
+    # periods first: then period_T <= t_end, and period_T / step_h is bounded too
     n_periods = _aligned_count(t_end, signal.period_T, "t_end / period_T")
+    steps_per_period = _aligned_count(signal.period_T, step_h, "period_T / step_h")
     distinct = list(dict.fromkeys(signal.graphs))
     flows = [assemble(problem, g) for g in distinct]
     b = _forcing(flows[0])

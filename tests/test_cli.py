@@ -82,6 +82,14 @@ class TestJsonText:
                    "h": (1.0, -float("inf")), "i": {}, "j": np.float64(0.1)}
         assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
+    def test_repeated_rows_render_by_their_bits(self):
+        # float rows are rendered once per distinct row: 0.0 and -0.0, an
+        # int and a nan must not share a row's text
+        rows = [[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0, 1.0], [-0.0, 1.0],
+                (0.0, 1.0), [0.0, float("nan")], [0.0, 1.0, 2.0]]
+        payload = {"W": rows, "nested": [rows, [[0.0, 1.0]]]}
+        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
 
 class TestOneEigenSolve:
     """Each analysis runs one dense eigen-solve of M on one assembled flow."""

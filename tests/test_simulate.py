@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lsqflow as lf
 from lsqflow import simulate, switching
@@ -9,6 +12,7 @@ from lsqflow.simulate import (
     CHUNK_MIN_DIM,
     DIVERGE_LIMIT,
     _block_powers,
+    _format_17g,
     _step_map,
     component_names,
     component_series,
@@ -17,6 +21,46 @@ from lsqflow.simulate import (
 from _helpers import (FlowState, ct_rhs, error_trajectory, random_problem,
                       random_connected_graph, step_by_step)
 from conftest import CHAIN_X0, PENT2_X0, STAR_X0
+
+
+def per_value_csv(values) -> bytes:
+    """Reference CSV body: every value formatted on its own with '%.17g'."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n"
+                   for row in np.asarray(values).tolist()).encode()
+
+
+def adversarial_values() -> np.ndarray:
+    """Values where a '%.17g' encoder can go wrong, about 10^6 of them."""
+    rng = np.random.default_rng(17)
+    decades = np.array([float(f"1e{k}") for k in range(-324, 309)])
+    decades = decades[decades > 0]
+    near = [decades]
+    up, down = decades, decades
+    for _ in range(3):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        near += [up, down]
+    near = np.concatenate(near)
+    # the 17-digit rounding carries into the next decade, or just does not
+    carries = np.concatenate([decades * (1 - 2.0 ** -53), decades * (1 - 2.0 ** -52)])
+    # exact decimal ties at the 18th digit: x.25 and x.75 around 2^50,
+    # x.125 .. x.875 around 1e14, and k 2^-j for random k and j
+    ties = np.concatenate([
+        2.0 ** 50 + np.arange(2 ** 16) * 0.25,
+        1e14 + np.arange(2 ** 16) * 0.125,
+        np.ldexp(rng.integers(1, 2 ** 53, 100_000).astype(float),
+                 -rng.integers(0, 80, 100_000)),
+    ])
+    subnormal = rng.integers(1, 2 ** 52, 20_000, dtype=np.uint64).view(np.float64)
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                        2.2250738585072009e-308, 2.2250738585072014e-308,
+                        1.7976931348623157e308, 1e-6, 1e17, 99999999999999999.0])
+    big = np.concatenate([rng.uniform(1e16, 1e17, 50_000),
+                          1e17 - 16.0 * np.arange(1, 5_000),
+                          1e16 + 2.0 * np.arange(5_000)])
+    bits = rng.integers(0, 2 ** 64, 150_000, dtype=np.uint64).view(np.float64)
+    scaled = rng.standard_normal(100_000) * 10.0 ** rng.integers(-9, 19, 100_000)
+    values = np.concatenate([near, carries, ties, subnormal, special, big, bits, scaled])
+    return np.concatenate([values, -values])
 
 
 def synthetic_trajectory(series):
@@ -480,6 +524,37 @@ WITH_NAN = np.array([0.0] * 7 + [NAN])
     pytest.param(lambda f: lf.simulate_switching(f.problem, lf.SwitchingSignal(0.1, (f.graph,)),
                                                  FINITE, FINITE, NAN, 1.0),
                  id="switch-step-nan"),
+    *(pytest.param(lambda f, every=every: lf.simulate_ct(f, FINITE, FINITE, 0.005, 1.0,
+                                                         record_every=every),
+                   id=f"ct-record_every-{every}") for every in (0, NAN, -1, 2.5)),
+    *(pytest.param(lambda f, every=every: lf.DiscreteConfig(epsilon=0.03, record_every=every),
+                   id=f"dt-record_every-{every}") for every in (0, NAN, -1, 2.5)),
+    pytest.param(lambda f: lf.simulate_damped(f, 0.5, FINITE, FINITE, 0.005, 1.0,
+                                              record_every=0), id="damped-record_every-0"),
+    pytest.param(lambda f: lf.simulate_switching(f.problem, lf.SwitchingSignal(0.1, (f.graph,)),
+                                                 FINITE, FINITE, 0.005, 1.0, record_every=2.5),
+                 id="switch-record_every-2.5"),
+    pytest.param(lambda f: lf.DiscreteConfig(epsilon=0.03, max_steps=NAN), id="dt-max_steps-nan"),
+    pytest.param(lambda f: lf.DiscreteConfig(epsilon=0.03, max_steps=2.5), id="dt-max_steps-2.5"),
+    # a run that rounds to zero steps
+    pytest.param(lambda f: lf.simulate_ct(f, FINITE, FINITE, 0.01, 0.001), id="ct-zero-steps"),
+    pytest.param(lambda f: lf.simulate_switching(f.problem, lf.SwitchingSignal(0.1, (f.graph,)),
+                                                 FINITE, FINITE, 0.005, 0.0),
+                 id="switch-zero-steps"),
+    # work beyond MAX_STEPS or MAX_SAMPLES
+    pytest.param(lambda f: lf.simulate_ct(f, FINITE, FINITE, 1e-300, 1.0), id="ct-1e300-steps"),
+    pytest.param(lambda f: lf.simulate_ct(f, FINITE, FINITE, 1e-12, 1.0, record_every=10**12),
+                 id="ct-1e12-steps"),
+    pytest.param(lambda f: lf.simulate_ct(f, FINITE, FINITE, 1e-6, 2.0, record_every=1),
+                 id="ct-2e6-samples"),
+    pytest.param(lambda f: lf.simulate_damped(f, 0.5, FINITE, FINITE, 1e-300, 1.0),
+                 id="damped-1e300-steps"),
+    pytest.param(lambda f: lf.DiscreteConfig(epsilon=0.03, max_steps=10**9), id="dt-1e9-steps"),
+    pytest.param(lambda f: lf.DiscreteConfig(epsilon=0.03, max_steps=10**7, record_every=1),
+                 id="dt-1e7-samples"),
+    pytest.param(lambda f: lf.simulate_switching(f.problem, lf.SwitchingSignal(0.1, (f.graph,)),
+                                                 FINITE, FINITE, 1e-320, 1.0),
+                 id="switch-inf-steps"),
 ])
 def test_non_finite_parameters_rejected_before_any_step(chain_flow, monkeypatch, call):
     def no_step(*args, **kwargs):
@@ -569,6 +644,53 @@ class TestCsv:
             path = tmp_path / f"{k}.csv"
             lf.write_trajectory_csv(traj, path)
             assert path.read_bytes() == per_value(traj)
+
+    def test_encoder_matches_per_value_format_on_adversarial_values(self):
+        values = adversarial_values()
+        values = values[:len(values) // 7 * 7].reshape(-1, 7)
+        assert values.size >= 10 ** 6
+        for start in range(0, len(values), 1024):
+            chunk = values[start:start + 1024]
+            assert _format_17g(chunk) == per_value_csv(chunk)
+
+    @pytest.mark.parametrize("shift", [-1e-3, 1e-3])
+    def test_encoder_checks_the_decade_log10_gives(self, monkeypatch, shift):
+        # a log10 that errs by a decade near the powers of ten must only
+        # send those values to the per-value fallback
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        decades = np.array([float(f"1e{k}") for k in range(-8, 19)])
+        values = decades[:, None] * (1 + np.linspace(-5e-3, 5e-3, 1001))
+        values = np.concatenate([values.reshape(-1), np.nextafter(decades, 0)]).reshape(-1, 1)
+        assert _format_17g(values) == per_value_csv(values)
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
+                      elements=st.floats()))
+    @settings(max_examples=300)
+    def test_encoder_matches_per_value_format_on_any_doubles(self, values):
+        assert _format_17g(values) == per_value_csv(values)
+
+    @pytest.mark.parametrize("n_nodes, dim, n_rows, chunk_cells", [
+        (4, 2, 3 * simulate.CSV_CHUNK_CELLS // 19 + 5, simulate.CSV_CHUNK_CELLS),
+        (200, 2, 25, simulate.CSV_CHUNK_CELLS),     # 803 columns, 10 rows a chunk
+        (200, 2, 7, 100),                           # wider than a chunk: one row each
+    ])
+    def test_long_and_wide_trajectories(self, tmp_path, monkeypatch, n_nodes, dim, n_rows,
+                                        chunk_cells):
+        monkeypatch.setattr(simulate, "CSV_CHUNK_CELLS", chunk_cells)
+        rng = np.random.default_rng(n_rows)
+        nm = n_nodes * dim
+        x = rng.standard_normal((n_rows, nm)) * 10.0 ** rng.integers(-8, 18, (n_rows, nm))
+        x[::5, ::3] = 0.0
+        traj = lf.Trajectory(t_or_k=np.arange(n_rows), x=x, v=-x[:, ::-1], error=x[:, 0] ** 2,
+                             cost=np.abs(x[:, 1]), y_ref=np.zeros(dim),
+                             metadata={"n_nodes": n_nodes, "dim": dim})
+        path = tmp_path / "t.csv"
+        lf.write_trajectory_csv(traj, path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        assert header.count(b",") == 2 * nm + 2
+        columns = np.column_stack([traj.t_or_k, traj.x, traj.v, traj.error, traj.cost])
+        assert body == per_value_csv(columns)
 
     def test_header_matches_documentation_fixture(self, chain_flow, tmp_path):
         from conftest import fixture_path

@@ -20,7 +20,7 @@ from .graphs import FAMILIES, Graph, graph_from_dict, graph_to_dict
 from .plotting import PlotSpec
 from .problem import NetworkLinearEquation
 # the engine and parse_config bound a run by the same MAX_STEPS and MAX_SAMPLES
-from .simulate import MAX_SAMPLES, MAX_STEPS, check_work  # noqa: F401
+from .simulate import MAX_SAMPLES, MAX_STEPS, _checked_steps  # noqa: F401
 from .switching import SwitchingSignal
 
 MODES = (
@@ -201,7 +201,7 @@ def _check_work(mode, step_h, t_end, max_steps, record_every, violations) -> Non
     else:
         return
     try:
-        check_work(steps, record_every)
+        _checked_steps(steps, record_every)
     except ValueError as exc:
         violations.append((key, str(exc)))
 

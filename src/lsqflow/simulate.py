@@ -44,7 +44,7 @@ def _is_count(value) -> bool:
             and value >= 1)
 
 
-def check_work(steps, record_every) -> int:
+def _checked_steps(steps, record_every) -> int:
     """Step count of a run of ``steps`` steps (a ratio such as
     ``t_end / step_h`` is rounded) that records every ``record_every``-th
     state. Raises ValueError, before anything runs, unless record_every
@@ -100,7 +100,7 @@ class DiscreteConfig:
             raise ValueError("epsilon must be positive and finite")
         if not _is_count(self.max_steps):
             raise ValueError(f"max_steps must be a positive integer, got {self.max_steps!r}")
-        check_work(self.max_steps, self.record_every)
+        _checked_steps(self.max_steps, self.record_every)
 
 
 def component_names(n_nodes: int, dim: int) -> list:
@@ -307,7 +307,7 @@ def _forcing(flow):
 def _simulate_rk4(flow, M, x0, v0, step_h, t_end, record_every, **extra):
     if not (0 < step_h < math.inf and 0 < t_end < math.inf):
         raise ValueError("step_h and t_end must be positive and finite")
-    n_steps = check_work(t_end / step_h, record_every)
+    n_steps = _checked_steps(t_end / step_h, record_every)
     u0 = _stack_initial(flow, x0, v0)
     meta = _base_metadata(flow, integrator="rk4", step=step_h, t_end=t_end,
                           record_every=record_every, **extra)

@@ -29,11 +29,11 @@ from .problem import NetworkLinearEquation
 from .simulate import (
     Trajectory,
     _base_metadata,
+    _checked_steps,
     _forcing,
     _propagate,
     _stack_initial,
     _step_map,
-    check_work,
 )
 from .spectral import assemble, equilibrium_dual, zero_space_projector
 
@@ -99,7 +99,7 @@ def simulate_switching(problem: NetworkLinearEquation, signal: SwitchingSignal,
     """
     if not (0 < step_h < math.inf and math.isfinite(t_end)):
         raise ValueError("step_h must be positive and finite, and t_end finite")
-    check_work(t_end / step_h, record_every)
+    _checked_steps(t_end / step_h, record_every)
     # periods first: then period_T <= t_end, and period_T / step_h is bounded too
     n_periods = _aligned_count(t_end, signal.period_T, "t_end / period_T")
     steps_per_period = _aligned_count(signal.period_T, step_h, "period_T / step_h")

@@ -123,7 +123,7 @@ def sweep(family: str, n: int, repeats: int, widths) -> dict:
         _verdict(problem, graph, lf.spectrum(lf.laplacian(graph)), eigs)
 
     def support():
-        lf.support_report(lf.spectrum(lf.laplacian(graph)), seed=0)
+        lf.support_report(lf.spectrum(lf.laplacian(graph)))
 
     row = {
         "assemble": best_ms(lambda: lf.assemble(problem, graph), repeats),

@@ -83,7 +83,7 @@ def snapshot() -> dict:
     for family in FAMILIES:
         for n in SIZES:
             graph = lf.make_family(family, n)
-            report = lf.support_report(lf.spectrum(lf.laplacian(graph)), seed=0)
+            report = lf.support_report(lf.spectrum(lf.laplacian(graph)))
             entries[f"{family}-{n}/support"] = {
                 "min_support": report.min_support,
                 "supports": [sorted(s) for s in report.supports],

@@ -18,12 +18,12 @@ from array import array
 
 import numpy as np
 
-from .config import MODES, RunConfig, parse_config
-from .errors import DivergedError, LsqflowError, NoStableModesError, NotCharacterizedError
+from .config import MODES, RunConfig, _parse_plot, parse_config
+from .errors import (DivergedError, LsqflowError, NoStableModesError, NotCharacterizedError,
+                     SchemaError)
 from .graphs import family_min_support, laplacian, make_family, spectrum, support_report
 from .plotting import PlotSpec, emit_plot
 from .problem import solve_least_squares
-from .seeding import default_seed
 from .simulate import DiscreteConfig, simulate_ct, simulate_dt, simulate_damped, write_trajectory_csv
 from .spectral import assemble, build_spectral_report, epsilon_star
 from .switching import simulate_switching
@@ -141,7 +141,7 @@ def _run_feasibility(config: RunConfig, out_dir, stdout) -> int:
     rows = []
     for family, n in config.rows:
         graph = make_family(family, n)
-        report = support_report(spectrum(laplacian(graph)), seed=default_seed())
+        report = support_report(spectrum(laplacian(graph)))
         try:
             closed = family_min_support(family, n)
         except NotCharacterizedError:
@@ -245,15 +245,17 @@ def run(config: RunConfig, out_dir=None, stdout=None, stderr=None) -> int:
 
 def _plot_override(raw: str) -> PlotSpec:
     # --plot takes either an inline JSON object or a comma-separated
-    # list of component names.
+    # list of component names; both are checked like a config's plot.
     raw = raw.strip()
     if raw.startswith("{"):
         section = json.loads(raw)
-        return PlotSpec(series=tuple(section["series"]),
-                        xlabel=section.get("xlabel", "t"),
-                        ylabel=section.get("ylabel", "value"),
-                        path=section.get("path"))
-    return PlotSpec(series=tuple(s for s in raw.split(",") if s))
+    else:
+        section = {"series": [s for s in raw.split(",") if s]}
+    violations = []
+    spec = _parse_plot(section, violations)
+    if violations:
+        raise SchemaError(violations)
+    return spec
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ from .graphs import FAMILIES, Graph, graph_from_dict, graph_to_dict
 from .plotting import PlotSpec
 from .problem import NetworkLinearEquation
 # the engine and parse_config bound a run by the same MAX_STEPS and MAX_SAMPLES
-from .simulate import MAX_SAMPLES, MAX_STEPS, _checked_steps  # noqa: F401
+from .simulate import MAX_SAMPLES, MAX_STEPS, _aligned_count, _checked_steps  # noqa: F401
 from .switching import SwitchingSignal
 
 MODES = (
@@ -167,14 +167,21 @@ def _parse_plot(section, violations):
         violations.append(("plot", "must be an object"))
         return None
     series = section.get("series")
+    path = section.get("path")
+    ok = True
     if not isinstance(series, list) or not all(isinstance(s, str) for s in series):
         violations.append(("series", "must be a list of component names"))
+        ok = False
+    if path is not None and not isinstance(path, str):
+        violations.append(("path", "must be a string path"))
+        ok = False
+    if not ok:
         return None
     return PlotSpec(
         series=tuple(series),
         xlabel=str(section.get("xlabel", "t")),
         ylabel=str(section.get("ylabel", "value")),
-        path=section.get("path"),
+        path=path,
     )
 
 
@@ -193,15 +200,28 @@ def _positive(data, key, default, violations, integer=False):
     return float(v)
 
 
-def _check_work(mode, step_h, t_end, max_steps, record_every, violations) -> None:
+def _check_work(mode, step_h, t_end, max_steps, record_every, switching, violations) -> None:
+    """The run's own checks, before it starts: work bounds, and a t_end
+    that is a whole number of steps (of periods, for a switching run).
+    Skipped when a value they read was rejected, so that they do not
+    judge the default put in its place."""
     if mode == "simulate-dt":
-        key, steps = "max_steps", max_steps
+        key, steps, used = "max_steps", max_steps, ("max_steps", "record_every")
     elif mode in ("simulate-ct", "simulate-switching"):
         key, steps = "t_end", t_end / step_h   # may overflow to inf
+        used = ("step_h", "t_end", "record_every")
     else:
+        return
+    if any(path in used for path, _ in violations):
         return
     try:
         _checked_steps(steps, record_every)
+        if mode == "simulate-ct":
+            _aligned_count(t_end, step_h, "t_end / step_h")
+        elif switching is not None:
+            _aligned_count(t_end, switching.period_T, "t_end / period_T")
+            key = "period_T"   # what fails from here on is the period
+            _aligned_count(switching.period_T, step_h, "period_T / step_h")
     except ValueError as exc:
         violations.append((key, str(exc)))
 
@@ -264,7 +284,7 @@ def parse_config(text: str, base_dir: Optional[str] = None,
     record_every = _positive(data, "record_every", DEFAULT_RECORD_EVERY,
                              violations, integer=True)
     max_steps = _positive(data, "max_steps", DEFAULT_MAX_STEPS, violations, integer=True)
-    _check_work(mode, step_h, t_end, max_steps, record_every, violations)
+    _check_work(mode, step_h, t_end, max_steps, record_every, switching, violations)
     epsilon = None
     if "epsilon" in data:
         epsilon = _positive(data, "epsilon", None, violations)

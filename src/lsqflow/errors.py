@@ -85,8 +85,8 @@ class DivergedError(LsqflowError):
         self.bad_components = list(bad_components)
 
 
-class StepAlignmentError(LsqflowError):
-    """Step size does not align switch instants with the time grid."""
+class StepAlignmentError(LsqflowError, ValueError):
+    """A run's end or switch instants do not lie on its step grid."""
 
 
 class ConfigParseError(LsqflowError):

@@ -20,7 +20,6 @@ from .errors import (
     NumericalFailureError,
     TooSmallError,
 )
-from .seeding import default_seed
 
 # Eigenvalues within TAU_EIG_REL * max(1, lambda_max) are grouped as equal;
 # eigenvector entries below TAU_SUPP (after unit normalization) count as zero.
@@ -238,40 +237,34 @@ def _eigenspace_members(basis: np.ndarray):
     yield basis.T
 
 
-def _min_support_in_group(basis: np.ndarray, samples: int, rng) -> int:
-    """Smallest support over members of one eigenspace.
+def _min_support_in_group(basis: np.ndarray) -> int:
+    """Smallest support over the members :func:`_eigenspace_members` yields.
 
     Exact for one- and two-dimensional eigenspaces and whenever the
-    eigenspace contains a member supported on two nodes; otherwise the
-    sampled candidates give a tight upper bound. A connected graph admits
-    no eigenvector supported on a single node, so support two is a global
+    eigenspace contains a member supported on two nodes. Otherwise it is
+    the smallest support among the basis vectors: an upper bound that
+    depends on the eigen-solver's basis (Q3's eigenvalue-2 space gives 8,
+    where chi_1 + chi_2 has support 4). A connected graph admits no
+    eigenvector supported on a single node, so support two is a global
     floor for the search: the first candidate that reaches it ends it.
     """
-    n, d = basis.shape
-    best = n
+    best = basis.shape[0]
     for block in _eigenspace_members(basis):
         sizes = _support_mask(block).sum(axis=1)
         floor = np.flatnonzero(sizes <= 2)
         if floor.size:
             return int(sizes[floor[0]])
-        best = min(best, int(sizes.min(initial=n)))
-    if d >= 3 and samples > 0:
-        coeff = rng.standard_normal((samples, d))
-        coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
-        best = min(best, int(_support_mask(coeff @ basis.T).sum(axis=1).min()))
+        best = int(sizes.min(initial=best))
     return best
 
 
-def support_report(spect: LaplacianSpectrum, *, samples: int = 1000, seed=None) -> SupportReport:
+def support_report(spect: LaplacianSpectrum) -> SupportReport:
     """Support sets of the computed basis plus the eigenspace-wide minimum."""
-    rng = np.random.default_rng(default_seed() if seed is None else seed)
     V = spect.eigenvectors
     supports = tuple(_support_of(V[:, k]) for k in range(V.shape[1]))
     simple = all(len(g) == 1 for g in spect.eigenspace_groups)
-    min_support = V.shape[0]
-    for group in spect.eigenspace_groups:
-        basis = V[:, list(group)]
-        min_support = min(min_support, _min_support_in_group(basis, samples, rng))
+    min_support = min(_min_support_in_group(V[:, list(group)])
+                      for group in spect.eigenspace_groups)
     return SupportReport(supports=supports, min_support=min_support, simple_spectrum=simple)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DivergedError
+from .errors import DimensionMismatchError, DivergedError, StepAlignmentError
 from .spectral import AssembledFlow
 
 DIVERGE_LIMIT = 1e9
@@ -61,6 +61,16 @@ def _checked_steps(steps, record_every) -> int:
     if 1 + count // record_every > MAX_SAMPLES:
         raise ValueError(f"asks for {1 + count // record_every:.4g} recorded samples; "
                          f"the limit is {MAX_SAMPLES:.0e}")
+    return count
+
+
+def _aligned_count(total: float, step: float, what: str) -> int:
+    """``total / step`` as a whole number; raises StepAlignmentError unless
+    the ratio is a positive integer to 1e-12 relative."""
+    ratio = total / step
+    count = int(round(ratio))
+    if count < 1 or abs(ratio - count) > 1e-12 * max(1.0, abs(ratio)):
+        raise StepAlignmentError(f"{what}: {total} is not an integer multiple of {step}")
     return count
 
 
@@ -307,7 +317,8 @@ def _forcing(flow):
 def _simulate_rk4(flow, M, x0, v0, step_h, t_end, record_every, **extra):
     if not (0 < step_h < math.inf and 0 < t_end < math.inf):
         raise ValueError("step_h and t_end must be positive and finite")
-    n_steps = _checked_steps(t_end / step_h, record_every)
+    _checked_steps(t_end / step_h, record_every)
+    n_steps = _aligned_count(t_end, step_h, "t_end / step_h")
     u0 = _stack_initial(flow, x0, v0)
     meta = _base_metadata(flow, integrator="rk4", step=step_h, t_end=t_end,
                           record_every=record_every, **extra)
@@ -317,7 +328,11 @@ def _simulate_rk4(flow, M, x0, v0, step_h, t_end, record_every, **extra):
 
 def simulate_ct(flow: AssembledFlow, x0, v0, step_h: float, t_end: float,
                 record_every: int = 10) -> Trajectory:
-    """Classical fixed-step RK4 integration of the saddle-point flow."""
+    """Classical fixed-step RK4 integration of the saddle-point flow.
+
+    ``t_end`` must be a whole number of steps; otherwise
+    :class:`StepAlignmentError` is raised before the first step.
+    """
     return _simulate_rk4(flow, flow.M, x0, v0, step_h, t_end, record_every)
 
 

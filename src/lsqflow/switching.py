@@ -19,15 +19,12 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    FingerprintMismatchError,
-    StepAlignmentError,
-)
-from .graphs import Graph, graph_from_dict, laplacian, spectrum, _support_of
+from .errors import DimensionMismatchError, FingerprintMismatchError
+from .graphs import Graph, graph_from_dict, laplacian, spectrum, support_report
 from .problem import NetworkLinearEquation
 from .simulate import (
     Trajectory,
+    _aligned_count,
     _base_metadata,
     _checked_steps,
     _forcing,
@@ -73,16 +70,6 @@ class LimitSet:
 
     def contains(self, point, tol: float = 1e-8) -> bool:
         return self.distance_to(point) <= tol * (1.0 + float(np.linalg.norm(self.base_point)))
-
-
-def _aligned_count(total: float, step: float, what: str) -> int:
-    ratio = total / step
-    count = int(round(ratio))
-    if count < 1 or abs(ratio - count) > 1e-12 * max(1.0, abs(ratio)):
-        raise StepAlignmentError(
-            f"{what}: {total} is not an integer multiple of {step}"
-        )
-    return count
 
 
 def simulate_switching(problem: NetworkLinearEquation, signal: SwitchingSignal,
@@ -194,15 +181,12 @@ def check_support_fingerprint(graph: Graph, allowed_supports) -> None:
     supports of the eigenvector basis against ``allowed_supports``.
     Raises :class:`FingerprintMismatchError` on any deviation.
     """
-    spect = spectrum(laplacian(graph))
-    if any(len(g) > 1 for g in spect.eigenspace_groups):
+    report = support_report(spectrum(laplacian(graph)))
+    if not report.simple_spectrum:
         raise FingerprintMismatchError(
             f"{graph!r}: repeated Laplacian eigenvalues, supports are basis-dependent"
         )
-    found = {
-        frozenset(_support_of(spect.eigenvectors[:, k]))
-        for k in range(graph.n_nodes)
-    }
+    found = set(report.supports)
     wanted = {frozenset(int(i) for i in s) for s in allowed_supports}
     if found != wanted:
         raise FingerprintMismatchError(

@@ -306,6 +306,33 @@ class TestCommandLine:
         svg = (tmp_path / "plot.svg").read_text()
         assert svg.count("<polyline") == 2
 
+    @pytest.mark.parametrize("spec, path", [
+        ('{"series": 5}', "series"),
+        ("{}", "series"),
+        ('{"series": ["x_1_1"], "path": 5}', "path"),
+    ])
+    def test_bad_plot_override_is_schema_error(self, tmp_path, spec, path):
+        res = cli("simulate-dt", "--config",
+                  str(fixture_path("chain4_dt_step003.json")),
+                  "--out", str(tmp_path), "--plot", spec)
+        assert res.returncode == 1
+        env = json.loads(res.stderr)
+        assert env["error"] == "SchemaError"
+        assert [p for p, _ in env["details"]["violations"]] == [path]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_plot_path_in_config_writes_nothing(self, tmp_path):
+        config = json.loads(fixture_path("chain4_dt_step003.json").read_text())
+        config["plot"] = {"series": ["error"], "path": 5}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        res = cli("simulate-dt", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert res.returncode == 1
+        env = json.loads(res.stderr)
+        assert env["error"] == "SchemaError"
+        assert [p for p, _ in env["details"]["violations"]] == ["path"]
+        assert not (tmp_path / "out").exists()
+
     def test_plot_override_inline_json(self, tmp_path):
         spec = json.dumps({"series": ["x_1_1"], "path": "states.svg"})
         res = cli("simulate-dt", "--config",

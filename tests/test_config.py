@@ -197,6 +197,22 @@ class TestNumericFields:
         # modes that run no integrator ignore t_end
         parse({"mode": "solve-lsq", "problem": CHAIN_PROBLEM, "t_end": 1e12})
 
+    def test_t_end_must_be_a_whole_number_of_steps(self):
+        ct = {"mode": "simulate-ct", "problem": CHAIN_PROBLEM, "graph": CHAIN_GRAPH,
+              "x0": [0] * 8, "t_end": 1.0}
+        assert paths_of({**ct, "step_h": 0.3}) == ["t_end"]
+        assert paths_of({**ct, "step_h": 0.4, "record_every": 1}) == ["t_end"]
+        parse({**ct, "step_h": 0.25})
+        # a rejected t_end is not judged again through its default, 200
+        assert violations_of({**ct, "t_end": -1, "step_h": 0.3}) == [("t_end", "must be positive")]
+        assert violations_of({**ct, "t_end": -1, "step_h": 1e-9}) == [("t_end", "must be positive")]
+        # a switching run also needs whole periods, each a whole number of steps
+        sw = {"mode": "simulate-switching", "problem": CHAIN_PROBLEM, "x0": [0] * 8,
+              "switching": {"period_T": 1.0, "graphs": [CHAIN_GRAPH]}}
+        assert paths_of({**sw, "step_h": 0.01, "t_end": 2.5}) == ["t_end"]
+        assert paths_of({**sw, "step_h": 0.3, "t_end": 2.0}) == ["period_T"]
+        parse({**sw, "step_h": 0.25, "t_end": 2.0})
+
     def test_defaults(self):
         cfg = parse({"mode": "solve-lsq", "problem": CHAIN_PROBLEM})
         assert cfg.step_h == 0.005
@@ -294,6 +310,7 @@ class TestPlotAndOutputs:
     def test_output_paths_must_be_strings(self):
         assert "out_csv" in paths_of({**self.BASE, "out_csv": 3})
         assert "out_json" in paths_of({**self.BASE, "out_json": ["x"]})
+        assert paths_of({**self.BASE, "plot": {"series": ["error"], "path": 5}}) == ["path"]
 
 
 class TestRoundTrip:

@@ -175,7 +175,7 @@ class TestSpectrum:
 class TestSupportReport:
     def test_star4_minimal_support_is_a_leaf_pair(self):
         spect = lf.spectrum(lf.laplacian(lf.make_family("star", 4)))
-        report = lf.support_report(spect, seed=0)
+        report = lf.support_report(spect)
         assert report.min_support == 2
         assert not report.simple_spectrum
         # the repeated eigenvalue's eigenspace lives on the leaves only
@@ -185,19 +185,19 @@ class TestSupportReport:
 
     def test_path4_supports_are_full(self):
         spect = lf.spectrum(lf.laplacian(lf.make_family("path", 4)))
-        report = lf.support_report(spect, seed=0)
+        report = lf.support_report(spect)
         assert report.min_support == 4
         assert report.simple_spectrum
 
     def test_stars_all_have_support_two(self):
         for n in range(4, 11):
             spect = lf.spectrum(lf.laplacian(lf.make_family("star", n)))
-            assert lf.support_report(spect, seed=0).min_support == 2
+            assert lf.support_report(spect).min_support == 2
 
     def test_complete_all_have_support_two(self):
         for n in range(4, 11):
             spect = lf.spectrum(lf.laplacian(lf.make_family("complete", n)))
-            assert lf.support_report(spect, seed=0).min_support == 2
+            assert lf.support_report(spect).min_support == 2
 
     def test_ring_ground_truth_formula(self):
         # For a ring the sparsest eigenvector in the plane at rotation
@@ -205,7 +205,7 @@ class TestSupportReport:
         # minimum over eigenvectors is n - max_k gcd(2k, n).
         for n in (5, 6, 7, 8, 9, 10, 11, 12, 13, 16):
             spect = lf.spectrum(lf.laplacian(lf.make_family("ring", n)))
-            report = lf.support_report(spect, seed=0)
+            report = lf.support_report(spect)
             truth = n - max(math.gcd(2 * k, n) for k in range(1, (n + 1) // 2))
             assert report.min_support == truth, f"ring n={n}"
 
@@ -219,8 +219,59 @@ class TestSupportReport:
         spect = lf.spectrum(lf.laplacian(lf.make_family("star", 5)))
         group = max(spect.eigenspace_groups, key=len)
         basis = spect.eigenvectors[:, list(group)]
-        rng = np.random.default_rng(0)
-        assert _min_support_in_group(basis, 0, rng) == 2
+        assert _min_support_in_group(basis) == 2
+
+
+def hypercube(dim):
+    n = 1 << dim
+    return lf.make_graph(n, [(u + 1, (u ^ (1 << b)) + 1)
+                             for u in range(n) for b in range(dim) if u < u ^ (1 << b)])
+
+
+def petersen():
+    outer = [(k, (k + 1) % 5) for k in range(5)]
+    inner = [(5 + k, 5 + (k + 2) % 5) for k in range(5)]
+    spokes = [(k, 5 + k) for k in range(5)]
+    return lf.make_graph(10, [(i + 1, j + 1) for i, j in outer + inner + spokes])
+
+
+def torus(a, b):
+    def node(i, j):
+        return (i % a) * b + (j % b) + 1
+    return lf.make_graph(a * b, {tuple(sorted((node(i, j), node(i + di, j + dj))))
+                                 for i in range(a) for j in range(b)
+                                 for di, dj in ((1, 0), (0, 1))})
+
+
+class TestWideEigenspacesWithoutPairs:
+    # eigenspaces of dimension >= 3 with no member on two nodes: the search
+    # ends with the basis vectors, so it reports their smallest support
+    @staticmethod
+    def wide_groups(graph):
+        spect = lf.spectrum(lf.laplacian(graph))
+        groups = [g for g in spect.eigenspace_groups if len(g) >= 3]
+        assert groups
+        return [(spect.eigenvalues[g[0]], spect.eigenvectors[:, list(g)]) for g in groups]
+
+    @pytest.mark.parametrize("graph", [hypercube(3), petersen(), torus(4, 4)],
+                             ids=["Q3", "petersen", "torus-4x4"])
+    def test_reports_the_smallest_basis_support(self, graph):
+        for _, basis in self.wide_groups(graph):
+            assert not any(len(i) for i, _, _ in _pair_members(basis))
+            smallest = min(len(_support_of(column)) for column in basis.T)
+            assert _min_support_in_group(basis) == smallest
+
+    def test_bound_is_at_least_the_true_minimum(self):
+        # Q3, eigenvalue 2: the characters chi_k(u) = (-1)^(bit k of u)
+        # span it, and chi_1 + chi_2 vanishes wherever bits 1 and 2 differ
+        graph = hypercube(3)
+        L = lf.laplacian(graph)
+        chi = np.array([[(-1.0) ** ((u >> k) & 1) for u in range(8)] for k in range(3)])
+        member = chi[0] + chi[1]
+        assert np.abs(L @ member - 2.0 * member).max() < 1e-12
+        assert len(_support_of(member)) == 4
+        basis, = [b for r, b in self.wide_groups(graph) if abs(r - 2.0) < 1e-9]
+        assert _min_support_in_group(basis) >= 4
 
 
 class TestEigenspaceMembers:
@@ -331,7 +382,7 @@ class TestFamilyMinSupport:
                  + [("complete", n) for n in (4, 7, 10)])
         for family, n in cases:
             spect = lf.spectrum(lf.laplacian(lf.make_family(family, n)))
-            computed = lf.support_report(spect, seed=0).min_support
+            computed = lf.support_report(spect).min_support
             assert computed == lf.family_min_support(family, n), (family, n)
 
     def test_ring_twelve_catalog_overstates_truth(self):
@@ -340,7 +391,7 @@ class TestFamilyMinSupport:
         # cos(pi j / 2) = (1, 0, -1, 0, ...), which zeroes 6 nodes, so the
         # true minimum is n/2 = 6. Catalog and computed report now agree.
         spect = lf.spectrum(lf.laplacian(lf.make_family("ring", 12)))
-        computed = lf.support_report(spect, seed=0).min_support
+        computed = lf.support_report(spect).min_support
         assert computed == 6
         assert lf.family_min_support("ring", 12) == 6
 

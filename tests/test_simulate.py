@@ -351,6 +351,12 @@ class TestSimulateCt:
         assert len(traj.t_or_k) == 22
         assert abs(traj.t_or_k[-1] - 1.025) < 1e-12
 
+    def test_t_end_must_be_a_whole_number_of_steps(self, chain_flow):
+        with pytest.raises(lf.StepAlignmentError, match="t_end / step_h"):
+            lf.simulate_ct(chain_flow, np.zeros(8), np.zeros(8), 0.4, 1.0, record_every=1)
+        traj = lf.simulate_ct(chain_flow, np.zeros(8), np.zeros(8), 0.25, 1.0, record_every=1)
+        assert traj.t_or_k.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
     def test_stride_does_not_change_dynamics(self, chain_flow):
         dense = lf.simulate_ct(chain_flow, np.ones(8), np.zeros(8), 0.01, 0.5,
                                record_every=1)
@@ -555,6 +561,12 @@ WITH_NAN = np.array([0.0] * 7 + [NAN])
     pytest.param(lambda f: lf.simulate_switching(f.problem, lf.SwitchingSignal(0.1, (f.graph,)),
                                                  FINITE, FINITE, 1e-320, 1.0),
                  id="switch-inf-steps"),
+    # a t_end that is not a whole number of steps (StepAlignmentError)
+    pytest.param(lambda f: lf.simulate_ct(f, FINITE, FINITE, 0.4, 1.0, record_every=1),
+                 id="ct-t_end-0.4-misaligned"),
+    pytest.param(lambda f: lf.simulate_ct(f, FINITE, FINITE, 0.3, 1.0), id="ct-t_end-0.3-misaligned"),
+    pytest.param(lambda f: lf.simulate_damped(f, 0.5, FINITE, FINITE, 0.3, 1.0),
+                 id="damped-t_end-misaligned"),
 ])
 def test_non_finite_parameters_rejected_before_any_step(chain_flow, monkeypatch, call):
     def no_step(*args, **kwargs):

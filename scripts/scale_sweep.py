@@ -6,8 +6,8 @@ default), with seeded generic rows (m = 2), it times:
 
 - ``assemble``: building the flow matrices;
 - ``eigvals``: the dense eigen-solve of M (``m_spectrum``);
-- ``verdict``: the condition verdict from that spectrum, Laplacian
-  eigen-solve included;
+- ``verdict``: the condition verdict from that spectrum, the Laplacian
+  eigen-solve and the rank pass over its eigenspaces included;
 - ``analyze``: the whole ``build_spectral_report`` (eigen-solve, verdict,
   threshold and projector);
 - ``support_report``: the minimum-support search of ``graph-feasibility``;
@@ -54,7 +54,7 @@ import numpy as np
 
 import lsqflow as lf
 from lsqflow import simulate
-from lsqflow.spectral import _verdict
+from lsqflow.spectral import _nonzero_split, _rank_pass, _verdict
 
 STAGES = ("assemble", "eigvals", "verdict", "analyze", "support_report", "csv_ns_per_cell")
 SIM_STAGES = ("dt_step_us", "ct_step_us", "sw_step_us")
@@ -120,7 +120,10 @@ def sweep(family: str, n: int, repeats: int, widths) -> dict:
     eigs = lf.m_spectrum(flow)
 
     def verdict():
-        _verdict(problem, graph, lf.spectrum(lf.laplacian(graph)), eigs)
+        spect = lf.spectrum(lf.laplacian(graph))
+        kernel_dim, failing = _rank_pass(problem, spect, spect.eigenspace_groups)
+        _verdict(problem, graph, spect, _nonzero_split(eigs, kernel_dim)[0], failing)
+        return kernel_dim
 
     def support():
         lf.support_report(lf.spectrum(lf.laplacian(graph)))
@@ -132,7 +135,7 @@ def sweep(family: str, n: int, repeats: int, widths) -> dict:
         "analyze": best_ms(lambda: lf.build_spectral_report(flow), repeats),
         "support_report": best_ms(support, repeats),
     }
-    eps = lf.epsilon_star_from_eigenvalues(eigs)
+    eps = lf.epsilon_star_from_eigenvalues(eigs, verdict())
     row["csv_ns_per_cell"] = csv_ns_per_cell(flow, eps, repeats)
     partner = lf.make_family("path" if family == "ring" else "ring", n)
     for width in [None, *widths]:

@@ -23,6 +23,12 @@ their supports, ``zero_space_dim``, epsilon*, eigenvalue lists, minimum
 supports, errors, and the largest change in the projector W. It exits 1
 when anything but W changed. BLAS runs on one thread, because a threaded
 eigen-solve of M can move eigenvalues in their last digits between runs.
+
+Both modes also print the smallest kernel gap ratio over the analyze
+payloads (of AFTER, when comparing): the (k+1)-th smallest ``|lambda|``
+of M over the largest of the k smallest, k = ``zero_space_dim``. The
+analysis raises when it falls to ``1 / TAU_GAP``; a snapshot prints it on
+stderr, so that stdout stays the snapshot.
 """
 
 import argparse
@@ -98,6 +104,19 @@ def snapshot() -> dict:
     return entries
 
 
+def smallest_kernel_gap(entries: dict) -> tuple:
+    """(ratio, key) of the analyze payload whose kernel gap ratio is smallest."""
+    gaps = []
+    for key, entry in entries.items():
+        if "spectral" in entry:
+            size = np.sort(np.hypot(*np.array(entry["spectral"]["m_eigenvalues"]).T))
+            k = entry["spectral"]["zero_space_dim"]
+            if k < size.size:
+                kernel = size[:k].max(initial=0.0)
+                gaps.append((size[k] / kernel if kernel else np.inf, key))
+    return min(gaps)
+
+
 def _witness_of(entry: dict):
     if "condition" in entry:
         return entry["condition"]["witness"], entry["condition"]["witness_support"]
@@ -159,7 +178,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.compare:
         with open(args.compare[0]) as fa, open(args.compare[1]) as fb:
-            result = compare(json.load(fa), json.load(fb))
+            before, after = json.load(fa), json.load(fb)
+        result = compare(before, after)
         print(f"{result['entries']} entries")
         for name, items in result["differences"].items():
             print(f"{name:16s} {len(items)}")
@@ -167,8 +187,11 @@ def main() -> int:
                 print(f"    {item}")
         print(f"W max abs change: holding {result['W_max_abs_change']['holding']:.3e}, "
               f"failing {result['W_max_abs_change']['failing']:.3e}")
+        print("smallest kernel gap ratio %.3g (%s)" % smallest_kernel_gap(after))
         return 1 if any(result["differences"].values()) else 0
-    text = json.dumps(snapshot(), sort_keys=True)
+    entries = snapshot()
+    print("smallest kernel gap ratio %.3g (%s)" % smallest_kernel_gap(entries), file=sys.stderr)
+    text = json.dumps(entries, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

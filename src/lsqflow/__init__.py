@@ -25,7 +25,6 @@ from .problem import (
     LeastSquaresSolution,
     NetworkLinearEquation,
     build_state_expansion,
-    residual_component,
     solve_least_squares,
 )
 from .graphs import (
@@ -35,7 +34,6 @@ from .graphs import (
     SupportReport,
     family_min_support,
     graph_from_dict,
-    graph_to_dict,
     is_connected,
     laplacian,
     make_family,
@@ -83,7 +81,7 @@ from .switching import (
     tail_sup_error,
 )
 from .plotting import PlotSpec, emit_plot
-from .config import MODES, RunConfig, config_to_dict, parse_config, serialize_config
+from .config import MODES, RunConfig, parse_config
 from .cli import main, run
 
 __version__ = "0.1.0"

@@ -243,16 +243,17 @@ def run(config: RunConfig, out_dir=None, stdout=None, stderr=None) -> int:
         return 2
 
 
-def _plot_override(raw: str) -> PlotSpec:
+def _plot_override(raw: str, problem) -> PlotSpec:
     # --plot takes either an inline JSON object or a comma-separated
-    # list of component names; both are checked like a config's plot.
+    # list of component names; both are checked like a config's plot,
+    # series names against the problem's components.
     raw = raw.strip()
     if raw.startswith("{"):
         section = json.loads(raw)
     else:
         section = {"series": [s for s in raw.split(",") if s]}
     violations = []
-    spec = _parse_plot(section, violations)
+    spec = _parse_plot(section, violations, problem)
     if violations:
         raise SchemaError(violations)
     return spec
@@ -280,7 +281,7 @@ def main(argv=None) -> int:
         config = parse_config(text, base_dir=os.path.dirname(os.path.abspath(args.config)),
                               default_mode=args.mode)
         if args.plot is not None:
-            config.plot = _plot_override(args.plot)
+            config.plot = _plot_override(args.plot, config.problem)
         return run(config, out_dir=args.out)
     except (LsqflowError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(json.dumps(error_envelope(exc)), file=sys.stderr)

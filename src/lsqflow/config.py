@@ -16,11 +16,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigParseError, LsqflowError, SchemaError
-from .graphs import FAMILIES, Graph, graph_from_dict, graph_to_dict
+from .graphs import FAMILIES, Graph, graph_from_dict
 from .plotting import PlotSpec
 from .problem import NetworkLinearEquation
 # the engine and parse_config bound a run by the same MAX_STEPS and MAX_SAMPLES
-from .simulate import MAX_SAMPLES, MAX_STEPS, _aligned_count, _checked_steps  # noqa: F401
+from .simulate import (MAX_SAMPLES, MAX_STEPS, _aligned_count, _checked_steps,  # noqa: F401
+                       component_names)
 from .switching import SwitchingSignal
 
 MODES = (
@@ -37,6 +38,11 @@ DEFAULT_STEP_H = 0.005
 DEFAULT_T_END = 200.0
 DEFAULT_MAX_STEPS = 40000
 DEFAULT_RECORD_EVERY = 10
+
+# graph-feasibility rows: family graphs need three nodes; the largest
+# allowed graph bounds the support search of one row (ring-1000, the
+# slowest family, takes about 11 s with BLAS on one thread).
+MAX_FEASIBILITY_NODES = 1000
 
 
 @dataclass(eq=False)
@@ -162,7 +168,9 @@ def _parse_switching(section, violations):
         return None
 
 
-def _parse_plot(section, violations):
+def _parse_plot(section, violations, problem=None):
+    """The plot section; with a problem, every series must name one of
+    its components, ``error`` or ``cost``."""
     if not isinstance(section, dict):
         violations.append(("plot", "must be an object"))
         return None
@@ -172,6 +180,17 @@ def _parse_plot(section, violations):
     if not isinstance(series, list) or not all(isinstance(s, str) for s in series):
         violations.append(("series", "must be a list of component names"))
         ok = False
+    elif not series:
+        violations.append(("series", "must name at least one series"))
+        ok = False
+    elif problem is not None:
+        known = {"error", "cost", *component_names(problem.n_nodes, problem.dim)}
+        unknown = [s for s in series if s not in known]
+        if unknown:
+            violations.append(("series", f"unknown {', '.join(map(repr, unknown))}; expected "
+                                         f"error, cost, x_i_j or v_i_j with i <= "
+                                         f"{problem.n_nodes} and j <= {problem.dim}"))
+            ok = False
     if path is not None and not isinstance(path, str):
         violations.append(("path", "must be a string path"))
         ok = False
@@ -333,12 +352,15 @@ def parse_config(text: str, base_dir: Optional[str] = None,
                 if (not isinstance(item, list) or len(item) != 2
                         or item[0] not in FAMILIES or not _is_int(item[1])):
                     violations.append((f"rows[{k}]", "must be [family, n] with a known family"))
+                elif not 3 <= item[1] <= MAX_FEASIBILITY_NODES:
+                    violations.append((f"rows[{k}]", f"n must be between 3 and "
+                                                     f"{MAX_FEASIBILITY_NODES}"))
                 else:
                     rows.append((item[0], item[1]))
     elif mode == "graph-feasibility":
         violations.append(("rows", "required"))
 
-    plot = _parse_plot(data["plot"], violations) if "plot" in data else None
+    plot = _parse_plot(data["plot"], violations, problem) if "plot" in data else None
 
     out_csv = data.get("out_csv")
     out_json = data.get("out_json")
@@ -354,49 +376,3 @@ def parse_config(text: str, base_dir: Optional[str] = None,
         epsilon=epsilon, max_steps=max_steps, alpha=alpha, rows=rows,
         out_csv=out_csv, out_json=out_json, plot=plot,
     )
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    """Canonical JSON-ready form; parse(serialize(c)) reproduces c."""
-    out = {"mode": config.mode}
-    if config.problem is not None:
-        out["problem"] = {
-            "H": [list(map(float, row)) for row in config.problem.rows],
-            "z": [float(v) for v in config.problem.obs],
-        }
-    if config.graph is not None:
-        out["graph"] = graph_to_dict(config.graph)
-    if config.switching is not None:
-        out["switching"] = {
-            "period_T": config.switching.period_T,
-            "graphs": [graph_to_dict(g) for g in config.switching.graphs],
-        }
-    if config.x0 is not None:
-        out["x0"] = [float(v) for v in config.x0]
-    if config.v0 is not None:
-        out["v0"] = [float(v) for v in config.v0]
-    out["step_h"] = config.step_h
-    out["t_end"] = config.t_end
-    out["record_every"] = config.record_every
-    out["max_steps"] = config.max_steps
-    if config.epsilon is not None:
-        out["epsilon"] = config.epsilon
-    if config.alpha:
-        out["alpha"] = config.alpha
-    if config.rows is not None:
-        out["rows"] = [[family, n] for family, n in config.rows]
-    if config.out_csv is not None:
-        out["out_csv"] = config.out_csv
-    if config.out_json is not None:
-        out["out_json"] = config.out_json
-    if config.plot is not None:
-        plot = {"series": list(config.plot.series), "xlabel": config.plot.xlabel,
-                "ylabel": config.plot.ylabel}
-        if config.plot.path is not None:
-            plot["path"] = config.plot.path
-        out["plot"] = plot
-    return out
-
-
-def serialize_config(config: RunConfig) -> str:
-    return json.dumps(config_to_dict(config), indent=2, sort_keys=True)

@@ -290,14 +290,6 @@ def graph_from_dict(d: dict) -> Graph:
     raise ValueError(f"graph type must be one of {FAMILIES + ('custom',)}, got {kind!r}")
 
 
-def graph_to_dict(graph: Graph) -> dict:
-    return {
-        "type": "custom",
-        "n": graph.n_nodes,
-        "edges": [list(e) for e in graph.sorted_edges()],
-    }
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -121,12 +121,6 @@ def solve_least_squares(problem: NetworkLinearEquation) -> LeastSquaresSolution:
     return LeastSquaresSolution(y_star=y_star, residual=residual, objective=objective)
 
 
-def residual_component(problem: NetworkLinearEquation, y_star, i: int) -> float:
-    """h_i . y* - z_i for a 1-based node index i."""
-    h_i = problem.row(i)
-    return float(h_i @ np.asarray(y_star, dtype=float) - problem.obs[i - 1])
-
-
 def build_state_expansion(problem: NetworkLinearEquation) -> AugmentedSystem:
     n, m = problem.n_nodes, problem.dim
     top = np.hstack([problem.rows, -np.eye(n)])

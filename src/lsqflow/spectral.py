@@ -39,10 +39,11 @@ from .problem import (
 )
 
 # |Re(lambda)| <= TAU_IM * |lambda| classifies an eigenvalue as purely
-# imaginary; |lambda| <= TAU_ZERO_REL * spectral_radius classifies it as
-# zero. Both guards keep the numerical kernel of M out of the stable set.
+# imaginary. The kernel of M holds its k smallest eigenvalues in modulus,
+# k from the Laplacian side; the (k+1)-th must exceed them by a factor
+# 1 / TAU_GAP.
 TAU_IM = 1e-7
-TAU_ZERO_REL = 1e-8
+TAU_GAP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -139,11 +140,23 @@ def m_spectrum(flow: AssembledFlow) -> np.ndarray:
     return eigs[order]
 
 
-def _nonzero_split(eigs) -> tuple:
-    """(purely imaginary, stable) eigenvalues among those classified nonzero."""
+def _nonzero_split(eigs, kernel_dim: int) -> tuple:
+    """(purely imaginary, stable) eigenvalues of M outside its kernel.
+
+    The kernel's ``kernel_dim`` eigenvalues are the smallest in modulus.
+    The next one must lie clearly apart: a modulus within a factor
+    ``1 / TAU_GAP`` of the largest kernel value raises
+    :class:`InternalInconsistencyError`.
+    """
     eigs = np.asarray(eigs, dtype=complex)
-    radius = np.abs(eigs).max(initial=0.0)
-    nonzero = eigs[np.abs(eigs) > TAU_ZERO_REL * max(radius, 1e-300)]
+    size = np.abs(eigs)
+    order = np.argsort(size, kind="stable")
+    kernel, rest = order[:kernel_dim], order[kernel_dim:]
+    largest = size[kernel].max(initial=0.0)
+    if rest.size and largest >= TAU_GAP * size[rest[0]]:
+        raise InternalInconsistencyError(f"kernel dimension {kernel_dim}, but |lambda| "
+                                         f"{largest:.3e} and {size[rest[0]]:.3e} are not apart")
+    nonzero = np.delete(eigs, kernel)
     imaginary = np.abs(nonzero.real) <= TAU_IM * np.abs(nonzero)
     return nonzero[imaginary], nonzero[~imaginary]
 
@@ -158,13 +171,47 @@ def _stacked_rank(stack: np.ndarray) -> tuple:
     return np.count_nonzero(sv > tol, axis=1), vt[:, -1]
 
 
-def _witness(problem, spect: LaplacianSpectrum) -> tuple:
-    """(witness, support) of the first member of an eigenspace with r > 0
-    whose support rows do not span the unknown space; (None, None) if none.
+def _rank_pass(problem, spect: LaplacianSpectrum, groups) -> tuple:
+    """(k, failing): the Laplacian-side rank test on the eigenspaces in
+    ``groups``, one stacked SVD per eigenspace dimension d.
 
-    The support rows of a block of members are tested together, one
-    stacked SVD per support size."""
-    for group in spect.eigenspace_groups[1:]:
+    For an eigenvalue r with orthonormal eigenbasis B (n x d), K is the
+    n x (d m) matrix with rows ``B_i (x) h_i``. At r = 0, B spans the
+    indicators of the c components, and a kernel vector of M has v
+    constant per component and x = B C with ``h_i^T x_i = 0``, a null
+    vector vec(C) of K: k = dim ker M = c m + nullity(K). For r > 0, M
+    has the eigenvalue ``i r`` iff K is rank-deficient: ``failing`` maps
+    each such group to its null block (r, X), X = B C (n x m) for K's
+    null vector vec(C), so ``h_i^T x_i = 0`` and ``(X, -i X)`` is an
+    eigenvector of M at ``i r``.
+    """
+    m = problem.dim
+    zero = spect.eigenspace_groups[0]
+    k, failing = len(zero) * m, {}
+    for d in {len(g) for g in groups}:
+        same = [g for g in groups if len(g) == d]
+        bases = np.stack([spect.eigenvectors[:, list(g)] for g in same])
+        K = bases[..., None] * problem.rows[:, None, :]  # rows B_i (x) h_i
+        ranks, nulls = _stacked_rank(K.reshape(len(same), -1, d * m))
+        for g, B, rank, c in zip(same, bases, ranks, nulls):
+            if g == zero:
+                k += d * m - int(rank)
+            elif rank < d * m:
+                failing[g] = float(spect.eigenvalues[g[0]]), B @ c.reshape(d, m)
+    return k, failing
+
+
+def _witness(problem, spect: LaplacianSpectrum, groups) -> tuple:
+    """(witness, support) of the first member of the eigenspaces
+    ``groups`` whose support rows do not span the unknown space; (None,
+    None) if none.
+
+    A member ``w = B c`` with ``h_i^T eta = 0`` on its support makes
+    ``c (x) eta`` a null vector of K, so only the eigenspaces that
+    :func:`_rank_pass` finds failing can hold one. The support rows of a
+    block of members are tested together, one stacked SVD per support
+    size."""
+    for group in groups:
         for block in _eigenspace_members(spect.eigenvectors[:, list(group)]):
             masks = _support_mask(block)
             sizes = masks.sum(axis=1)
@@ -181,58 +228,36 @@ def _witness(problem, spect: LaplacianSpectrum) -> tuple:
     return None, None
 
 
-def _null_block(problem, spect: LaplacianSpectrum) -> Optional[tuple]:
-    """The Laplacian-side test on a connected graph, one stacked SVD per
-    eigenspace dimension d.
-
-    For every eigenvalue r > 0 with eigenbasis B (n x d), the n x (d m)
-    matrix K with rows ``B_i (x) h_i`` must have full column rank. Returns
-    None if all do, else (r, X) for the smallest r that fails: X = B C
-    (n x m) from K's null vector vec(C), so ``h_i^T x_i = 0`` and
-    ``(X, -i X)`` is an eigenvector of M at ``i r``.
-    """
-    m = problem.dim
-    groups = spect.eigenspace_groups[1:]  # r = 0: only the constants
-    failing = {}  # group -> null vector of its K
-    for d in {len(g) for g in groups}:
-        same = [g for g in groups if len(g) == d]
-        bases = np.stack([spect.eigenvectors[:, list(g)] for g in same])
-        K = bases[..., None] * problem.rows[:, None, :]  # rows B_i (x) h_i
-        ranks, nulls = _stacked_rank(K.reshape(len(same), -1, d * m))
-        failing.update((g, c) for g, rank, c in zip(same, ranks, nulls) if rank < d * m)
-    if not failing:
-        return None
-    group = min(failing)  # groups hold ascending eigenvalue indices
-    X = spect.eigenvectors[:, list(group)] @ failing[group].reshape(len(group), m)
-    return float(spect.eigenvalues[group[0]]), X
-
-
-def _verdict(problem, graph, spect: LaplacianSpectrum, eigs) -> ConditionVerdict:
-    """The condition verdict from the spectra of L and M.
+def _verdict(problem, graph, spect: LaplacianSpectrum, imaginary, failing) -> ConditionVerdict:
+    """The condition verdict from M's purely imaginary eigenvalues and the
+    failing eigenspaces of :func:`_rank_pass`.
 
     The condition holds iff M has no nonzero purely imaginary eigenvalue,
     and the Laplacian-side rank test cross-checks that on every spectrum,
     raising :class:`InternalInconsistencyError` on disagreement. The
-    member witness search runs only when the condition fails; where no
-    member witnesses the failure, the verdict carries the Laplacian
-    side's null block instead. On a disconnected graph no direction mixes
-    across components, so the witness is the first unit vector at
-    eigenvalue 0, backed by node 1's component: the support of the
-    zero-eigenspace projection of the first node's indicator.
+    member witness search runs only when the condition fails, on the
+    failing eigenspaces; where no member witnesses the failure, the
+    verdict carries the null block of the smallest failing r instead. On
+    a disconnected graph no direction mixes across components, so the
+    witness is the first unit vector at eigenvalue 0, backed by node 1's
+    component: the support of the zero-eigenspace projection of the first
+    node's indicator.
     """
     if not is_connected(graph):
         zero = spect.eigenvectors[:, list(spect.eigenspace_groups[0])]
         return ConditionVerdict(False, (0.0, np.eye(problem.dim)[0]),
                                 _support_of(zero @ zero[0]))
-    holds = _nonzero_split(eigs)[0].size == 0
-    null_block = _null_block(problem, spect)
-    if (null_block is None) != holds:
-        raise InternalInconsistencyError(f"checkers disagree: laplacian={null_block is None}, "
+    holds = imaginary.size == 0
+    if (not failing) != holds:
+        raise InternalInconsistencyError(f"checkers disagree: laplacian={not failing}, "
                                          f"m_spectrum={holds}")
     if holds:
         return ConditionVerdict(True, None)
-    witness, support = _witness(problem, spect)
-    return ConditionVerdict(False, witness, support, null_block if witness is None else None)
+    groups = sorted(failing)  # groups hold ascending eigenvalue indices
+    witness, support = _witness(problem, spect, groups)
+    if witness is not None:
+        return ConditionVerdict(False, witness, support)
+    return ConditionVerdict(False, None, None, failing[groups[0]])
 
 
 def check_condition(problem: NetworkLinearEquation, graph: Graph) -> ConditionVerdict:
@@ -244,48 +269,26 @@ def check_condition(problem: NetworkLinearEquation, graph: Graph) -> ConditionVe
     return build_spectral_report(assemble(problem, graph)).condition
 
 
-def epsilon_star_from_eigenvalues(eigenvalues) -> float:
-    """min over eigenvalues with Re != 0 of -2 Re / |lambda|^2."""
-    stable = _nonzero_split(eigenvalues)[1]
-    if stable.size == 0:
+def _step_threshold(stable) -> Optional[float]:
+    """min over the stable eigenvalues of -2 Re / |lambda|^2; None if none."""
+    return float(np.min(-2.0 * stable.real / np.abs(stable) ** 2)) if stable.size else None
+
+
+def epsilon_star_from_eigenvalues(eigenvalues, kernel_dim: int) -> float:
+    """The step threshold of the eigenvalues outside the kernel of M with
+    Re != 0; the kernel holds the ``kernel_dim`` smallest in modulus."""
+    eps = _step_threshold(_nonzero_split(eigenvalues, kernel_dim)[1])
+    if eps is None:
         raise NoStableModesError("no eigenvalue with nonzero real part")
-    return float(np.min(-2.0 * stable.real / np.abs(stable) ** 2))
+    return eps
 
 
 def epsilon_star(flow: AssembledFlow) -> float:
-    return epsilon_star_from_eigenvalues(m_spectrum(flow))
-
-
-def _zero_space_dim(problem: NetworkLinearEquation, spect: LaplacianSpectrum) -> int:
-    """Dimension of the kernel of M, the sum over components c of
-    m + nullity(H_c): in a kernel vector v is constant per component and
-    x = Z C, for the zero eigenbasis Z (n x c) of L, has ``h_i^T x_i = 0``,
-    a null vector of the matrix with rows ``Z_i (x) h_i`` (rank at
-    ``RANK_RTOL``).
-    """
-    zero = spect.eigenvectors[:, list(spect.eigenspace_groups[0])]
-    cols = zero.shape[1] * problem.dim
-    K = (zero[:, :, None] * problem.rows[:, None, :]).reshape(1, -1, cols)
-    return 2 * cols - int(_stacked_rank(K)[0][0])
-
-
-def _consensus_projector(flow: AssembledFlow, eigs, zero_space_dim: int) -> np.ndarray:
-    """v-block of the spectral projector onto the zero eigenspace where the
-    condition holds: the kernels of M and M^T are ``{(0, 1 (x) eta)}``, so
-    it is ``(1 1^T / n) (x) I_m``.
-
-    The spectrum needs at least as many eigenvalues classified as zero as
-    the kernel has dimensions. It may hold more: slow stable modes of long
-    paths fall below ``TAU_ZERO_REL`` (two near -6e-8 on path-200, m = 2).
-    """
-    zeros = len(eigs) - sum(map(len, _nonzero_split(eigs)))
-    if zeros < zero_space_dim:
-        raise InternalInconsistencyError(f"{zeros} eigenvalues of M classified as zero, "
-                                         f"kernel dimension {zero_space_dim}")
-    n = flow.problem.n_nodes
-    W = np.kron(np.full((n, n), 1.0 / n), np.eye(flow.problem.dim))
-    W.setflags(write=False)
-    return W
+    """The step threshold of the flow, its kernel dimension from the
+    zero eigenspace of the Laplacian."""
+    spect = spectrum(flow.L)
+    kernel_dim = _rank_pass(flow.problem, spect, spect.eigenspace_groups[:1])[0]
+    return epsilon_star_from_eigenvalues(m_spectrum(flow), kernel_dim)
 
 
 def zero_space_projector(flow: AssembledFlow) -> tuple:
@@ -342,18 +345,21 @@ def predict_v_limit(flow: AssembledFlow, v_star, v0) -> np.ndarray:
 def build_spectral_report(flow: AssembledFlow) -> SpectralReport:
     """Eigen-data bundle serialized by the CLI's analyze mode.
 
-    One eigen-solve of M yields the verdict, the step threshold and the
-    check of the closed-form projector, which is returned when the
-    condition holds.
+    One eigen-solve of M and one rank pass over the Laplacian eigenspaces
+    yield the kernel dimension, the verdict and the step threshold. Where
+    the condition holds, the kernels of M and M^T are ``{(0, 1 (x) eta)}``,
+    so the v-block of the spectral projector onto the kernel is the closed
+    form ``(1 1^T / n) (x) I_m``.
     """
     eigs = m_spectrum(flow)
     spect = spectrum(flow.L)
-    verdict = _verdict(flow.problem, flow.graph, spect, eigs)
-    try:
-        eps = epsilon_star_from_eigenvalues(eigs)
-    except NoStableModesError:
-        eps = None
-    zero_space_dim = _zero_space_dim(flow.problem, spect)
-    W = _consensus_projector(flow, eigs, zero_space_dim) if verdict.holds else None
-    return SpectralReport(m_eigenvalues=eigs, epsilon_star=eps, zero_space_dim=zero_space_dim,
-                          projector_W=W, condition=verdict)
+    zero_space_dim, failing = _rank_pass(flow.problem, spect, spect.eigenspace_groups)
+    imaginary, stable = _nonzero_split(eigs, zero_space_dim)
+    verdict = _verdict(flow.problem, flow.graph, spect, imaginary, failing)
+    W = None
+    if verdict.holds:
+        n = flow.problem.n_nodes
+        W = np.kron(np.full((n, n), 1.0 / n), np.eye(flow.problem.dim))
+        W.setflags(write=False)
+    return SpectralReport(m_eigenvalues=eigs, epsilon_star=_step_threshold(stable),
+                          zero_space_dim=zero_space_dim, projector_W=W, condition=verdict)

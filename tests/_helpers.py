@@ -1,6 +1,7 @@
 """Random instance generators and reference oracles shared across test
 modules."""
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,69 @@ def simple_spectrum_verdict(problem, graph):
         if np.count_nonzero(sv > sv[0] * max(rows.shape) * RANK_RTOL) < problem.dim:
             return lf.ConditionVerdict(False, (float(r), vt[-1]), support)
     return lf.ConditionVerdict(True, None)
+
+
+def residual_component(problem, y_star, i):
+    """h_i . y* - z_i for a 1-based node index i."""
+    h_i = problem.row(i)
+    return float(h_i @ np.asarray(y_star, dtype=float) - problem.obs[i - 1])
+
+
+def graph_to_dict(graph):
+    """JSON form of a graph as an explicit edge list; ``graph_from_dict``
+    reads it back."""
+    return {
+        "type": "custom",
+        "n": graph.n_nodes,
+        "edges": [list(e) for e in graph.sorted_edges()],
+    }
+
+
+def config_to_dict(config):
+    """Canonical JSON-ready form of a run config; parsing
+    ``serialize_config(c)`` reproduces c."""
+    out = {"mode": config.mode}
+    if config.problem is not None:
+        out["problem"] = {
+            "H": [list(map(float, row)) for row in config.problem.rows],
+            "z": [float(v) for v in config.problem.obs],
+        }
+    if config.graph is not None:
+        out["graph"] = graph_to_dict(config.graph)
+    if config.switching is not None:
+        out["switching"] = {
+            "period_T": config.switching.period_T,
+            "graphs": [graph_to_dict(g) for g in config.switching.graphs],
+        }
+    if config.x0 is not None:
+        out["x0"] = [float(v) for v in config.x0]
+    if config.v0 is not None:
+        out["v0"] = [float(v) for v in config.v0]
+    out["step_h"] = config.step_h
+    out["t_end"] = config.t_end
+    out["record_every"] = config.record_every
+    out["max_steps"] = config.max_steps
+    if config.epsilon is not None:
+        out["epsilon"] = config.epsilon
+    if config.alpha:
+        out["alpha"] = config.alpha
+    if config.rows is not None:
+        out["rows"] = [[family, n] for family, n in config.rows]
+    if config.out_csv is not None:
+        out["out_csv"] = config.out_csv
+    if config.out_json is not None:
+        out["out_json"] = config.out_json
+    if config.plot is not None:
+        plot = {"series": list(config.plot.series), "xlabel": config.plot.xlabel,
+                "ylabel": config.plot.ylabel}
+        if config.plot.path is not None:
+            plot["path"] = config.plot.path
+        out["plot"] = plot
+    return out
+
+
+def serialize_config(config):
+    return json.dumps(config_to_dict(config), indent=2, sort_keys=True)
 
 
 def normal_equations_solution(problem):

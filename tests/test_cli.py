@@ -310,6 +310,9 @@ class TestCommandLine:
         ('{"series": 5}', "series"),
         ("{}", "series"),
         ('{"series": ["x_1_1"], "path": 5}', "path"),
+        ("nope", "series"),
+        (",", "series"),
+        ('{"series": ["x_5_1"]}', "series"),
     ])
     def test_bad_plot_override_is_schema_error(self, tmp_path, spec, path):
         res = cli("simulate-dt", "--config",
@@ -332,6 +335,23 @@ class TestCommandLine:
         assert env["error"] == "SchemaError"
         assert [p for p, _ in env["details"]["violations"]] == ["path"]
         assert not (tmp_path / "out").exists()
+
+    def test_unknown_series_in_config_writes_nothing(self, tmp_path):
+        # chain-4 has m = 2: x_9_9 names no component
+        config = json.loads(fixture_path("chain4_dt_step003.json").read_text())
+        config["plot"] = {"series": ["error", "x_9_9"]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        out.mkdir()
+        res = cli("simulate-dt", "--config", str(path), "--out", str(out))
+        assert res.returncode == 1
+        env = json.loads(res.stderr)
+        assert env["error"] == "SchemaError"
+        assert env["details"]["violations"] == [
+            ["series", "unknown 'x_9_9'; expected error, cost, x_i_j or v_i_j "
+                       "with i <= 4 and j <= 2"]]
+        assert list(out.iterdir()) == []
 
     def test_plot_override_inline_json(self, tmp_path):
         spec = json.dumps({"series": ["x_1_1"], "path": "states.svg"})

@@ -7,6 +7,7 @@ import pytest
 
 import lsqflow as lf
 
+from _helpers import config_to_dict, serialize_config
 from conftest import FIXTURES, fixture_path, load_fixture
 
 CHAIN_PROBLEM = {
@@ -293,6 +294,17 @@ class TestRowsSection:
         cfg = parse({"mode": "graph-feasibility", "rows": [["star", 6]]})
         assert cfg.rows == [("star", 6)]
 
+    def test_row_sizes_bounded_at_parse_time(self):
+        # family graphs need three nodes; above the bound the support
+        # search of one row would run unbounded on a dense n x n Laplacian
+        bound = lf.config.MAX_FEASIBILITY_NODES
+        data = {"mode": "graph-feasibility",
+                "rows": [["path", 2], ["ring", 100000000], ["star", 3], ["complete", bound],
+                         ["ring", bound + 1], ["path", -4]]}
+        assert paths_of(data) == ["rows[0]", "rows[1]", "rows[4]", "rows[5]"]
+        cfg = parse({"mode": "graph-feasibility", "rows": [["star", 3], ["ring", bound]]})
+        assert cfg.rows == [("star", 3), ("ring", bound)]
+
 
 class TestPlotAndOutputs:
     BASE = {"mode": "solve-lsq", "problem": CHAIN_PROBLEM}
@@ -300,6 +312,21 @@ class TestPlotAndOutputs:
     def test_plot_series_required(self):
         assert "series" in paths_of({**self.BASE, "plot": {}})
         assert "plot" in paths_of({**self.BASE, "plot": "x_1_1"})
+
+    def test_plot_series_must_name_components(self):
+        # the chain problem has n = 4 and m = 2
+        assert paths_of({**self.BASE, "plot": {"series": ["x_9_9"]}}) == ["series"]
+        assert paths_of({**self.BASE, "plot": {"series": ["v_4_3"]}}) == ["series"]
+        assert paths_of({**self.BASE, "plot": {"series": ["error", "nope"]}}) == ["series"]
+        assert paths_of({**self.BASE, "plot": {"series": []}}) == ["series"]
+        cfg = parse({**self.BASE, "plot": {"series": ["x_4_2", "v_1_1", "error", "cost"]}})
+        assert cfg.plot.series == ("x_4_2", "v_1_1", "error", "cost")
+
+    def test_plot_series_unchecked_without_problem(self):
+        # no problem, no components to check the names against
+        cfg = parse({"mode": "graph-feasibility", "rows": [["star", 6]],
+                     "plot": {"series": ["x_9_9"]}})
+        assert cfg.plot.series == ("x_9_9",)
 
     def test_plot_defaults(self):
         cfg = parse({**self.BASE, "plot": {"series": ["error"]}})
@@ -323,18 +350,18 @@ class TestRoundTrip:
         assert len(names) == 16
         for name in names:
             cfg = load_fixture(name)
-            text = lf.serialize_config(cfg)
+            text = serialize_config(cfg)
             again = lf.parse_config(text)
-            assert lf.config_to_dict(again) == lf.config_to_dict(cfg), name
+            assert config_to_dict(again) == config_to_dict(cfg), name
 
     def test_serialization_is_deterministic(self):
         cfg1 = load_fixture("chain4_ct.json")
         cfg2 = load_fixture("chain4_ct.json")
-        assert lf.serialize_config(cfg1) == lf.serialize_config(cfg2)
+        assert serialize_config(cfg1) == serialize_config(cfg2)
 
     def test_arrays_survive_exactly(self):
         cfg = load_fixture("pent3d_switch_T025.json")
-        again = lf.parse_config(lf.serialize_config(cfg))
+        again = lf.parse_config(serialize_config(cfg))
         assert np.array_equal(again.x0, cfg.x0)
         assert np.array_equal(again.problem.rows, cfg.problem.rows)
         assert again.switching.period_T == cfg.switching.period_T

@@ -13,7 +13,7 @@ from lsqflow.graphs import (
     _support_of,
 )
 
-from _helpers import (laplacian_by_loop, members_of, pair_members_by_loop,
+from _helpers import (graph_to_dict, laplacian_by_loop, members_of, pair_members_by_loop,
                       random_connected_graph)
 
 
@@ -94,11 +94,11 @@ class TestConstruction:
 
     def test_dict_round_trip_family(self):
         g = lf.make_family("ring", 7)
-        assert lf.graph_from_dict(lf.graph_to_dict(g)) == g
+        assert lf.graph_from_dict(graph_to_dict(g)) == g
 
     def test_dict_round_trip_custom(self):
         g = lf.make_graph(5, [(1, 4), (2, 4), (3, 5), (4, 5)])
-        assert lf.graph_from_dict(lf.graph_to_dict(g)) == g
+        assert lf.graph_from_dict(graph_to_dict(g)) == g
 
     def test_dict_custom_requires_edges(self):
         with pytest.raises((lf.LsqflowError, ValueError)):

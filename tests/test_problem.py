@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import lsqflow as lf
 from lsqflow.problem import RANK_RTOL
 
-from _helpers import normal_equations_solution, random_problem
+from _helpers import normal_equations_solution, random_problem, residual_component
 
 
 class TestNetworkLinearEquation:
@@ -98,13 +98,13 @@ class TestResidualComponent:
     def test_matches_full_residual(self, chain_problem):
         sol = lf.solve_least_squares(chain_problem)
         for i in range(1, 5):
-            assert abs(lf.residual_component(chain_problem, sol.y_star, i)
+            assert abs(residual_component(chain_problem, sol.y_star, i)
                        - sol.residual[i - 1]) < 1e-14
 
     def test_rejects_bad_node(self, chain_problem):
         sol = lf.solve_least_squares(chain_problem)
         with pytest.raises(lf.InvalidNodeError):
-            lf.residual_component(chain_problem, sol.y_star, 0)
+            residual_component(chain_problem, sol.y_star, 0)
 
 
 class TestStateExpansion:

@@ -6,11 +6,10 @@ import pytest
 
 import lsqflow as lf
 from lsqflow.spectral import (
+    TAU_GAP,
     TAU_IM,
-    TAU_ZERO_REL,
-    _consensus_projector,
     _nonzero_split,
-    _null_block,
+    _rank_pass,
     _witness,
     epsilon_star_from_eigenvalues,
 )
@@ -104,9 +103,13 @@ class TestMSpectrum:
             assert eigs.real.max() <= 1e-9 * scale
 
     def test_kernel_dimension_is_problem_dim(self, chain_flow):
-        eigs = lf.m_spectrum(chain_flow)
-        radius = np.abs(eigs).max()
-        assert int(np.sum(np.abs(eigs) <= TAU_ZERO_REL * radius)) == 2
+        # the Laplacian-side count, M's numerical rank and the gap in the
+        # spectrum all give a kernel of dimension 2
+        spect = lf.spectrum(chain_flow.L)
+        assert _rank_pass(chain_flow.problem, spect, spect.eigenspace_groups) == (2, {})
+        assert chain_flow.M.shape[0] - np.linalg.matrix_rank(chain_flow.M) == 2
+        size = np.sort(np.abs(lf.m_spectrum(chain_flow)))
+        assert size[1] < TAU_GAP * size[2]
 
 
 class TestCheckCondition:
@@ -172,18 +175,30 @@ class TestCheckCondition:
 
 class TestEpsilonStar:
     def test_real_eigenvalue_oracle(self):
-        assert abs(epsilon_star_from_eigenvalues([-1.0 + 0j]) - 2.0) < 1e-15
+        assert abs(epsilon_star_from_eigenvalues([-1.0 + 0j], 0) - 2.0) < 1e-15
         # -2 Re / |l|^2 for l = -a +/- bi
         lam = complex(-0.5, 2.0)
         expected = -2.0 * lam.real / abs(lam) ** 2
-        assert abs(epsilon_star_from_eigenvalues([lam, lam.conjugate()]) - expected) < 1e-15
+        assert abs(epsilon_star_from_eigenvalues([lam, lam.conjugate()], 0) - expected) < 1e-15
 
     def test_zero_eigenvalues_excluded(self):
-        assert abs(epsilon_star_from_eigenvalues([0.0, -1.0 + 0j]) - 2.0) < 1e-15
+        assert abs(epsilon_star_from_eigenvalues([0.0, -1.0 + 0j], 1) - 2.0) < 1e-15
 
     def test_pure_imaginary_only_raises(self):
         with pytest.raises(lf.NoStableModesError):
-            epsilon_star_from_eigenvalues([1j, -1j, 0.0])
+            epsilon_star_from_eigenvalues([1j, -1j, 0.0], 1)
+
+    def test_kernel_without_gap_raises(self):
+        # the kernel's two values and the next one differ by a factor 100
+        eigs = [0.0, 1e-17 + 0j, -1e-15 + 0j, -1.0 + 0j]
+        with pytest.raises(lf.InternalInconsistencyError):
+            _nonzero_split(eigs, 2)
+        with pytest.raises(lf.InternalInconsistencyError):
+            epsilon_star_from_eigenvalues(eigs, 2)
+        # a kernel larger than its count: two exact zeros for k = 1
+        with pytest.raises(lf.InternalInconsistencyError):
+            _nonzero_split([0.0, 0.0, -1.0 + 0j], 1)
+        assert abs(epsilon_star_from_eigenvalues(eigs, 3) - 2.0) < 1e-15
 
     def test_chain_value(self, chain_flow):
         assert abs(lf.epsilon_star(chain_flow) - 0.0362) < 5e-4
@@ -192,9 +207,9 @@ class TestEpsilonStar:
         # at eps*, the binding stable eigenvalue is mapped onto the unit
         # circle and no stable eigenvalue leaves it
         eigs = lf.m_spectrum(chain_flow)
-        radius = np.abs(eigs).max()
-        stable = eigs[(np.abs(eigs) > TAU_ZERO_REL * radius)
-                      & (np.abs(eigs.real) > TAU_IM * np.abs(eigs))]
+        outside = np.argsort(np.abs(eigs))[2:]  # the kernel has dimension 2
+        stable = eigs[outside][np.abs(eigs[outside].real) > TAU_IM * np.abs(eigs[outside])]
+        assert stable.size == 14
         eps = lf.epsilon_star(chain_flow)
         mapped = np.abs(1.0 + eps * stable)
         assert mapped.max() <= 1.0 + 1e-12
@@ -271,7 +286,7 @@ class TestSpectralReport:
         assert report.projector_W is None
         assert report.zero_space_dim == 2
         assert report.epsilon_star is not None
-        assert _nonzero_split(report.m_eigenvalues)[0].size > 0
+        assert _nonzero_split(report.m_eigenvalues, report.zero_space_dim)[0].size > 0
 
     def test_report_carries_the_both_verdict(self, chain_problem, star_graph, star_flow):
         verdict = lf.build_spectral_report(star_flow).condition
@@ -342,13 +357,16 @@ class TestCompleteGraphWitness:
 
 class TestBatchedWitness:
     def test_matches_per_member_loop(self):
+        # the batched search walks only the eigenspaces that the rank pass
+        # finds failing; the loop walks every eigenspace with r > 0
         found = 0
         for family in ("star", "complete"):
             for n in range(4, 13):
                 spect = lf.spectrum(lf.laplacian(lf.make_family(family, n)))
                 for pattern in ("pair", "blind3", "blind2"):
                     problem = lf.NetworkLinearEquation(pattern_rows(pattern, n), np.ones(n))
-                    got = _witness(problem, spect)
+                    failing = _rank_pass(problem, spect, spect.eigenspace_groups)[1]
+                    got = _witness(problem, spect, sorted(failing))
                     want = witness_by_loop(problem, spect, spect.eigenspace_groups[1:])
                     if want[0] is None:
                         assert got == (None, None)
@@ -362,7 +380,8 @@ class TestBatchedWitness:
 
 class TestLaplacianChecker:
     def test_agrees_with_m_spectrum(self):
-        # the M side alone: no nonzero purely imaginary eigenvalue
+        # the M side alone: its kernel dimension from the rank of M, and no
+        # nonzero purely imaginary eigenvalue outside that kernel
         outcomes = {True: 0, False: 0}
         for family in ("path", "ring", "star", "complete"):
             for n in range(4, 17):
@@ -370,9 +389,12 @@ class TestLaplacianChecker:
                 spect = lf.spectrum(lf.laplacian(graph))
                 for pattern in ROW_PATTERNS:
                     problem = lf.NetworkLinearEquation(pattern_rows(pattern, n), np.ones(n))
-                    eigs = lf.m_spectrum(lf.assemble(problem, graph))
-                    holds = _nonzero_split(eigs)[0].size == 0
-                    assert (_null_block(problem, spect) is None) == holds, (family, n, pattern)
+                    M = lf.assemble(problem, graph).M
+                    kernel_dim = M.shape[0] - np.linalg.matrix_rank(M)
+                    holds = _nonzero_split(np.linalg.eigvals(M), kernel_dim)[0].size == 0
+                    k, failing = _rank_pass(problem, spect, spect.eigenspace_groups)
+                    assert k == kernel_dim, (family, n, pattern)
+                    assert (not failing) == holds, (family, n, pattern)
                     assert lf.check_condition(problem, graph).holds == holds
                     outcomes[holds] += 1
         assert min(outcomes.values()) >= 50
@@ -412,22 +434,30 @@ class TestClosedFormKernel:
         assert report.projector_W is None
 
     def test_projector_checked_against_spectrum(self, chain_flow):
+        # W comes only from a spectrum whose kernel count of smallest
+        # eigenvalues lies apart from the rest; one more or one fewer raises
         eigs = lf.m_spectrum(chain_flow)
-        W = _consensus_projector(chain_flow, eigs, 2)
+        assert sum(map(len, _nonzero_split(eigs, 2))) == 14
+        for wrong in (1, 3):
+            with pytest.raises(lf.InternalInconsistencyError):
+                _nonzero_split(eigs, wrong)
+        W = lf.build_spectral_report(chain_flow).projector_W
         assert np.array_equal(W, np.kron(np.full((4, 4), 0.25), np.eye(2)))
-        with pytest.raises(lf.InternalInconsistencyError):
-            _consensus_projector(chain_flow, eigs, 3)
 
-    def test_slow_modes_below_zero_threshold_keep_the_projector(self):
-        # path-200: two stable eigenvalues near -6e-8 are classified as
-        # zero next to the two kernel eigenvalues; the condition holds
-        rng = np.random.default_rng(200)
-        problem = lf.NetworkLinearEquation(rng.standard_normal((200, 2)),
-                                           rng.standard_normal(200))
-        report = lf.build_spectral_report(lf.assemble(problem, lf.make_family("path", 200)))
-        radius = np.abs(report.m_eigenvalues).max()
-        assert np.count_nonzero(np.abs(report.m_eigenvalues) <= TAU_ZERO_REL * radius) == 4
-        assert report.condition.holds
+    @pytest.mark.parametrize("n, slowest", [(200, (5.93e-8, 6.04e-8)), (400, (3.43e-9, 3.83e-9))],
+                             ids=["path-200", "path-400"])
+    def test_slow_modes_of_long_paths_are_stable(self, n, slowest):
+        # the slowest modes of long paths lie far below the spectral
+        # radius (about 8.9), yet outside the kernel of dimension 2: they
+        # are stable, the condition holds and W is returned
+        rng = np.random.default_rng(n)
+        problem = lf.NetworkLinearEquation(rng.standard_normal((n, 2)), rng.standard_normal(n))
+        report = lf.build_spectral_report(lf.assemble(problem, lf.make_family("path", n)))
         assert report.zero_space_dim == 2
-        assert np.array_equal(report.projector_W,
-                              np.kron(np.full((200, 200), 1.0 / 200), np.eye(2)))
+        imaginary, stable = _nonzero_split(report.m_eigenvalues, 2)
+        assert imaginary.size == 0 and stable.size == 4 * n - 2
+        slow = stable[np.argsort(np.abs(stable))[:2]]
+        assert np.allclose(np.abs(slow), slowest, rtol=1e-2)
+        assert np.all(slow.real < 0)
+        assert report.condition.holds
+        assert np.array_equal(report.projector_W, np.kron(np.full((n, n), 1.0 / n), np.eye(2)))

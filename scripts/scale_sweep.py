@@ -17,29 +17,23 @@ default), with seeded generic rows (m = 2), it times:
   bounded runs), step maps and block powers included;
 - ``sw_step_us``: the same for a 3000-step ``simulate_switching`` run
   that alternates the graph with a ring (a path, for the ring family)
-  every 50 steps, at step epsilon* / 2 of the faster pair member. For
-  N = 8 to 64 (32 to 256 state components) such a segment is shorter
-  than a chunk, so these runs go block by block; from N = 65 on, B = 1
-  and a chunk is 32 steps;
+  every 50 steps, at step epsilon* / 2 of the faster pair member. All
+  three record every 100th state; from N = 65 on (more than 256 state
+  components), B = 1;
 - ``csv_ns_per_cell``: the cost per value, in nanoseconds, of
   ``write_trajectory_csv`` on that ``simulate_ct`` run recorded every
   CSV_RECORD_EVERY steps: 3000 / 10 + 1 rows of 4N + 3 values.
 
-``--widths W ...`` times the three simulators again with every run
-whose segments span W blocks forced onto chunks of W blocks (W = 1: one
-matvec per block), whatever its state dimension; that is how
-``simulate.CHUNK_BLOCKS`` and ``simulate.CHUNK_MIN_DIM`` were chosen.
 The stage figures are the best of ``--repeats`` runs, in milliseconds
 unless named otherwise. The table comes first; the last line of stdout
 is one JSON object.
 
     python3 scripts/scale_sweep.py
     python3 scripts/scale_sweep.py --families ring --sizes 200 --repeats 5
-    python3 scripts/scale_sweep.py --families path --sizes 4 8 16 --widths 1 16 32
+    python3 scripts/scale_sweep.py --families path --sizes 4 8 16
 """
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -53,7 +47,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 
 import lsqflow as lf
-from lsqflow import simulate
 from lsqflow.spectral import _nonzero_split, _rank_pass, _verdict
 
 STAGES = ("assemble", "eigvals", "verdict", "analyze", "support_report", "csv_ns_per_cell")
@@ -70,19 +63,6 @@ def best_ms(fn, repeats: int) -> float:
         fn()
         times.append(time.perf_counter() - t0)
     return 1e3 * min(times)
-
-
-@contextlib.contextmanager
-def chunk_width(width):
-    """Force every run onto chunks of ``width`` blocks; None keeps the
-    library's own choice."""
-    saved = simulate.CHUNK_BLOCKS, simulate.CHUNK_MIN_DIM
-    if width is not None:
-        simulate.CHUNK_BLOCKS, simulate.CHUNK_MIN_DIM = width, 0
-    try:
-        yield
-    finally:
-        simulate.CHUNK_BLOCKS, simulate.CHUNK_MIN_DIM = saved
 
 
 def simulation_us(flow, eps: float, partner, repeats: int) -> dict:
@@ -112,7 +92,7 @@ def csv_ns_per_cell(flow, eps: float, repeats: int) -> float:
         return 1e6 * best_ms(lambda: lf.write_trajectory_csv(traj, path), repeats) / cells
 
 
-def sweep(family: str, n: int, repeats: int, widths) -> dict:
+def sweep(family: str, n: int, repeats: int) -> dict:
     rng = np.random.default_rng(n)
     problem = lf.NetworkLinearEquation(rng.standard_normal((n, 2)), rng.standard_normal(n))
     graph = lf.make_family(family, n)
@@ -138,11 +118,7 @@ def sweep(family: str, n: int, repeats: int, widths) -> dict:
     eps = lf.epsilon_star_from_eigenvalues(eigs, verdict())
     row["csv_ns_per_cell"] = csv_ns_per_cell(flow, eps, repeats)
     partner = lf.make_family("path" if family == "ring" else "ring", n)
-    for width in [None, *widths]:
-        with chunk_width(width):
-            suffix = "" if width is None else f"@W{width}"
-            for stage, value in simulation_us(flow, eps, partner, repeats).items():
-                row[stage + suffix] = value
+    row.update(simulation_us(flow, eps, partner, repeats))
     return row
 
 
@@ -152,16 +128,14 @@ def main() -> int:
     parser.add_argument("--families", nargs="+", default=["ring", "star", "complete", "path"])
     parser.add_argument("--sizes", nargs="+", type=int, default=[48, 100, 200])
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--widths", nargs="+", type=int, default=[])
     args = parser.parse_args()
 
-    columns = [*STAGES, *SIM_STAGES,
-               *(f"{stage}@W{width}" for width in args.widths for stage in SIM_STAGES)]
+    columns = [*STAGES, *SIM_STAGES]
     results = {}
     print(f"{'graph':14s}" + "".join(f"{c:>16s}" for c in columns))
     for family in args.families:
         for n in args.sizes:
-            row = sweep(family, n, args.repeats, args.widths)
+            row = sweep(family, n, args.repeats)
             results[f"{family}-{n}"] = row
             print(f"{family + '-' + str(n):14s}" + "".join(f"{row[c]:16.2f}" for c in columns),
                   flush=True)

@@ -127,6 +127,16 @@ def _parse_problem(section, violations):
         return None
 
 
+def _node_mismatch(section, n_nodes):
+    """Why a graph section does not fit a problem with ``n_nodes`` nodes,
+    or None. Read from the section's ``n`` before the graph is built, so
+    that an oversized graph costs nothing."""
+    n = section.get("n") if isinstance(section, dict) else None
+    if n_nodes is not None and _is_int(n) and n != n_nodes:
+        return f"has {n} nodes, problem has {n_nodes}"
+    return None
+
+
 def _parse_graph(section, violations, path="graph"):
     try:
         return graph_from_dict(section)
@@ -135,7 +145,7 @@ def _parse_graph(section, violations, path="graph"):
         return None
 
 
-def _parse_switching(section, violations):
+def _parse_switching(section, violations, n_nodes):
     if not isinstance(section, dict):
         violations.append(("switching", "must be an object"))
         return None
@@ -154,6 +164,11 @@ def _parse_switching(section, violations):
         ok = False
     else:
         for k, gs in enumerate(graph_specs):
+            mismatch = _node_mismatch(gs, n_nodes)
+            if mismatch:
+                violations.append(("switching", f"graphs[{k}] {mismatch}"))
+                ok = False
+                continue
             g = _parse_graph(gs, violations, path=f"graphs[{k}]")
             if g is None:
                 ok = False
@@ -286,15 +301,20 @@ def parse_config(text: str, base_dir: Optional[str] = None,
     elif mode in _NEEDS_PROBLEM:
         violations.append(("problem", "required"))
 
+    n_nodes = problem.n_nodes if problem is not None else None
     graph = None
     if "graph" in data:
-        graph = _parse_graph(data["graph"], violations)
+        mismatch = _node_mismatch(data["graph"], n_nodes)
+        if mismatch:
+            violations.append(("graph", mismatch))
+        else:
+            graph = _parse_graph(data["graph"], violations)
     elif mode in _NEEDS_GRAPH:
         violations.append(("graph", "required"))
 
     switching = None
     if "switching" in data:
-        switching = _parse_switching(data["switching"], violations)
+        switching = _parse_switching(data["switching"], violations, n_nodes)
     elif mode == "simulate-switching":
         violations.append(("switching", "required"))
 
@@ -334,11 +354,6 @@ def parse_config(text: str, base_dir: Optional[str] = None,
             violations.append(("x0", f"must have length {nm}"))
         if v0 is not None and v0.shape != (nm,):
             violations.append(("v0", f"must have length {nm}"))
-        if graph is not None and graph.n_nodes != problem.n_nodes:
-            violations.append(("graph", f"has {graph.n_nodes} nodes, problem has "
-                                        f"{problem.n_nodes}"))
-        if switching is not None and switching.graphs[0].n_nodes != problem.n_nodes:
-            violations.append(("switching", "graphs disagree with problem node count"))
 
     rows = None
     if "rows" in data:

@@ -3,7 +3,10 @@
 All integrators are deterministic: fixed step, fixed recording stride,
 no adaptivity. Each step of ``u' = M u + b`` is an exact affine map
 ``u -> P u + c`` (RK4 or Euler), and one block engine applies it for
-every run: continuous, discrete, damped and switching. Divergence (any
+every run: continuous, discrete, damped and switching. The engine
+computes each state as its own product ``P^j u + c_j`` from the anchor
+u of its block, and only the recorded states and the anchors, unless a
+norm bound cannot rule out divergence within the block. Divergence (any
 state component non-finite or beyond 1e9 in magnitude) raises
 :class:`DivergedError` carrying the partial trajectory, so callers can
 still inspect and serialize what happened.
@@ -27,11 +30,6 @@ DIVERGE_LIMIT = 1e9
 BLOCK_STEPS = 64
 BLOCK_DOUBLES = 1 << 17
 POWER_LIMIT = 1e150
-# From CHUNK_MIN_DIM state components on, a run whose segments each span
-# a chunk of CHUNK_BLOCKS blocks advances a chunk at a time with one GEMM;
-# below either, the GEMM rows a segment drops cost more than the GEMM saves.
-CHUNK_MIN_DIM = 32
-CHUNK_BLOCKS = 32
 CSV_CHUNK_CELLS = 8192
 # Work bounds, checked before a run starts: integrator steps per run and
 # recorded samples per trajectory (the initial state included).
@@ -157,9 +155,10 @@ def _step_map(M, b, h, method="rk4"):
 
 
 def _block_powers(P, c, block):
-    """Stacked ``[P; P^2; ...; P^B]`` (shape ``(B*n, n)``) and offsets
+    """Powers ``P, P^2, ..., P^B`` (shape ``(B, n, n)``) and offsets
     ``c_1..c_B`` with ``c_j = P c_{j-1} + c``, so that j steps from u
-    land on ``P^j u + c_j``.
+    land on ``P^j u + c_j``; and the bounds ``max_j ||P^j||_inf`` and
+    ``max_j ||c_j||_inf`` of the divergence certificate.
 
     Extension stops before any entry passes POWER_LIMIT: past that, a
     power times a zero state component gives ``inf * 0`` instead of 0.
@@ -169,20 +168,32 @@ def _block_powers(P, c, block):
     powers = np.empty((block, n, n))
     offsets = np.empty((block, n))
     powers[0], offsets[0] = P, c
+    gain, shift = np.abs(P).sum(axis=1).max(), np.abs(c).max()
     size = 1
     while size < block:
         np.matmul(P, powers[size - 1], out=powers[size])
         offsets[size] = P @ offsets[size - 1] + c
-        if not (np.abs(powers[size]).max() <= POWER_LIMIT
-                and np.abs(offsets[size]).max() <= POWER_LIMIT):
+        entries, reach = np.abs(powers[size]), np.abs(offsets[size]).max()
+        if not (entries.max() <= POWER_LIMIT and reach <= POWER_LIMIT):
             break
+        gain, shift = max(gain, entries.sum(axis=1).max()), max(shift, reach)
         size += 1
-    return powers[:size].reshape(size * n, n), offsets[:size]
+    return powers[:size], offsets[:size], float(gain), float(shift)
 
 
-def _finish_trajectory(flow, states, steps_at, time_of, metadata):
+def _pick(powers, offsets, first, size, every):
+    """Powers and offsets of the recorded steps ``first, first + every,
+    ... <= size`` of a block, then of its last step unless that is the
+    last recorded one; and the number of recorded steps."""
+    rows = slice(first - 1, size, every)
+    recorded = len(range(size)[rows])
+    if (size - first) % every:          # the last step is not a recorded one
+        rows = np.append(np.arange(size)[rows], size - 1)
+    return powers[rows], offsets[rows], recorded
+
+
+def _finish_trajectory(flow, u, steps, time_of, metadata):
     nm = flow.state_dim
-    u = np.concatenate(states)
     x = np.ascontiguousarray(u[:, :nm])
     v = np.ascontiguousarray(u[:, nm:])
     diff = x - np.tile(flow.y_ref, flow.problem.n_nodes)
@@ -191,40 +202,9 @@ def _finish_trajectory(flow, states, steps_at, time_of, metadata):
     r = np.einsum("kj,ikj->ik", flow.problem.rows, nodes) - flow.problem.obs
     cost = 0.5 * np.einsum("ik,ik->i", r, r)
     return Trajectory(
-        t_or_k=time_of(np.concatenate(steps_at)), x=x, v=v, error=error, cost=cost,
+        t_or_k=time_of(steps), x=x, v=v, error=error, cost=cost,
         y_ref=np.array(flow.y_ref), metadata=metadata,
     )
-
-
-def _advance(u, stacked, offsets, width, size):
-    """The ``size`` states after ``u`` (steps 1..size, ``size <= width * B``).
-
-    With width 1 this is one block: one matvec against the stacked powers.
-    A wider chunk takes its anchors, every B-th state, from the recurrence
-    ``a -> P^B a + c_B`` and the states between them from one GEMM of the
-    anchors against ``P..P^(B-1)``, so a recorded anchor is the state the
-    run continues from. Only the anchors the ``size`` steps need are
-    computed, but the GEMM always has ``width`` rows, zero ones past a
-    segment's end included, because BLAS may round a row differently at
-    another width: the states must not depend on where a run's segments
-    end.
-    """
-    block, n = offsets.shape
-    if width == 1:
-        return (stacked[:size * n] @ u).reshape(size, n) + offsets[:size]
-    anchors = np.zeros((width + 1, n))
-    anchors[0] = u
-    jump, shift = stacked[-n:], offsets[-1]
-    chunk = np.empty((width, block * n))
-    # past a divergence the later anchors may overflow; those states
-    # come after the first bad one and are dropped
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(-(-size // block)):
-            anchors[j + 1] = jump @ anchors[j] + shift
-        np.matmul(anchors[:-1], stacked[:-n].T, out=chunk[:, :-n])
-        chunk[:, :-n] += offsets[:-1].reshape(-1)
-    chunk[:, -n:] = anchors[1:]
-    return chunk.reshape(width * block, n)[:size]
 
 
 def _propagate(ref_flow, step_maps, schedule, u0, time_of, record_every, metadata):
@@ -233,55 +213,69 @@ def _propagate(ref_flow, step_maps, schedule, u0, time_of, record_every, metadat
     plus the first and last, and stop with a partial trajectory on
     divergence.
 
-    Each segment advances in blocks of B steps, anchored every B steps
-    from the start of the segment whatever the recording stride, so the
-    stride never changes the dynamics. From CHUNK_MIN_DIM components on,
-    if every segment spans CHUNK_BLOCKS blocks, CHUNK_BLOCKS blocks go at
-    once (:func:`_advance`); otherwise each block is one matvec against
-    the stacked powers. The first state that is non-finite or beyond
-    DIVERGE_LIMIT ends the run at its exact step, and is recorded last.
+    Each segment advances in blocks of B steps from an anchor state u,
+    anchored every B steps from the start of the segment whatever the
+    recording stride. The state j steps on is the product ``P^j u + c_j``
+    of one power, so its bits depend neither on the stride nor on which
+    other states are computed. When ``max_j ||P^j|| * ||u|| + max_j ||c_j||``
+    (infinity norms) is at most half of DIVERGE_LIMIT, no state of the
+    block can leave the finite range, and only the recorded states and
+    the next anchor are computed. Otherwise the block computes all its
+    states, and the first of them that is non-finite or beyond
+    DIVERGE_LIMIT ends the run at its exact step and is recorded last.
     """
     n = len(u0)
     seg_lengths = [steps for _, steps in schedule]
     block = max(1, min(BLOCK_STEPS, max(seg_lengths), BLOCK_DOUBLES // (n * n)))
-    chunked = n >= CHUNK_MIN_DIM and min(seg_lengths) >= CHUNK_BLOCKS * block
-    width = CHUNK_BLOCKS if chunked else 1
-    powers = [_block_powers(P, c, block) for P, c in step_maps]
-    n_total = sum(seg_lengths)
-    u = u0
-    states, steps_at = [u0[None, :]], [np.zeros(1, dtype=int)]
-    k = 0
+    maps = [_block_powers(P, c, block) for P, c in step_maps]
+    steps = np.append(np.arange(0, sum(seg_lengths), record_every), sum(seg_lengths))
+    states = np.empty((len(steps), n))          # filled in block by block
+    states[0], filled, picks = u0, 1, {}
+    # bound >= ||u||_inf, carried from block to block and re-measured
+    # only when it no longer certifies a block
+    u, bound, k = u0, float(np.abs(u0).max()), 0
     for index, seg_steps in schedule:
-        stacked, offsets = powers[index]
+        powers, offsets, gain, shift = maps[index]
         stop = k + seg_steps
         while k < stop:
-            size = min(width * len(offsets), stop - k)
-            U = _advance(u, stacked, offsets, width, size)
-            # row j holds step k + 1 + j; the stride's first one in the chunk:
-            first = record_every - 1 - k % record_every
-            if not np.abs(U).max() <= DIVERGE_LIMIT:   # also catches nan
-                bad = ~(np.abs(U) <= DIVERGE_LIMIT)
-                j = int(bad.any(axis=1).argmax())
-                keep = np.append(np.arange(first, j, record_every), j)
-                states.append(U[keep])
-                steps_at.append(k + 1 + keep)
-                names = component_names(ref_flow.problem.n_nodes, ref_flow.problem.dim)
-                bad_names = [names[i] for i in np.flatnonzero(bad[j])]
-                when = time_of(k + 1 + j)
-                traj = _finish_trajectory(ref_flow, states, steps_at, time_of, metadata)
-                raise DivergedError(
-                    f"state left the finite range at {when} "
-                    f"(components {', '.join(bad_names)})",
-                    when, traj, bad_names,
-                )
-            keep = np.arange(first, size, record_every)
-            if k + size == n_total and (keep.size == 0 or keep[-1] != size - 1):
-                keep = np.append(keep, size - 1)
-            states.append(U[keep])
-            steps_at.append(k + 1 + keep)
+            size = min(len(offsets), stop - k)
+            # steps k + first, k + first + record_every, ... are recorded
+            first = min(record_every - k % record_every, size + 1)
+            if not gain * bound + shift <= 0.5 * DIVERGE_LIMIT:
+                bound = float(np.abs(u).max())
+            if gain * bound + shift <= 0.5 * DIVERGE_LIMIT:
+                key = (index, first, size)
+                if key not in picks:
+                    picks[key] = _pick(powers, offsets, first, size, record_every)
+                picked, shifts, recorded = picks[key]
+                U = np.matmul(picked, u) + shifts
+                rows = U[:recorded]
+                bound = gain * bound + shift
+            else:
+                U = np.matmul(powers[:size], u) + offsets[:size]
+                bad = ~(np.abs(U) <= DIVERGE_LIMIT)     # also catches nan
+                if bad.any():
+                    j = int(bad.any(axis=1).argmax())
+                    rows = U[first - 1:j:record_every]
+                    steps = np.append(steps[:filled + len(rows)], k + 1 + j)
+                    names = component_names(ref_flow.problem.n_nodes, ref_flow.problem.dim)
+                    bad_names = [names[i] for i in np.flatnonzero(bad[j])]
+                    when = time_of(k + 1 + j)
+                    traj = _finish_trajectory(ref_flow, np.vstack([states[:filled], rows, U[j]]),
+                                              steps, time_of, metadata)
+                    raise DivergedError(
+                        f"state left the finite range at {when} "
+                        f"(components {', '.join(bad_names)})",
+                        when, traj, bad_names,
+                    )
+                rows = U[first - 1::record_every]
+                bound = float(np.abs(U[-1]).max())
+            states[filled:filled + len(rows)] = rows
+            filled += len(rows)
             u = U[-1]
             k += size
-    return _finish_trajectory(ref_flow, states, steps_at, time_of, metadata)
+    states[-1] = u          # the last step, on the stride or not
+    return _finish_trajectory(ref_flow, states, steps, time_of, metadata)
 
 
 def _stack_initial(flow, x0, v0):

@@ -248,6 +248,24 @@ class TestCrossChecks:
                               "graphs": [{"type": "ring", "n": 5}]}}
         assert "switching" in paths_of(data)
 
+    @pytest.mark.parametrize("section", ["graph", "switching"])
+    def test_node_count_checked_before_the_graph_is_built(self, monkeypatch, section):
+        # a complete graph of 1000 nodes takes about a second to build
+        def make_family(kind, n):
+            raise AssertionError(f"built a {kind} graph of {n} nodes")
+
+        monkeypatch.setattr(lf.graphs, "make_family", make_family)
+        big = {"type": "complete", "n": 1000}
+        data = {**self.BASE, "x0": [0] * 8}
+        if section == "graph":
+            data["graph"] = big
+            expected = ("graph", "has 1000 nodes, problem has 4")
+        else:
+            data.update(mode="simulate-switching",
+                        switching={"period_T": 1.0, "graphs": [CHAIN_GRAPH, big]})
+            expected = ("switching", "graphs[1] has 1000 nodes, problem has 4")
+        assert expected in violations_of(data)
+
 
 class TestSwitchingSection:
     BASE = {"mode": "simulate-switching", "problem": CHAIN_PROBLEM, "x0": [0] * 8}

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +12,8 @@ from hypothesis.extra import numpy as hnp
 import lsqflow as lf
 from lsqflow import simulate, switching
 from lsqflow.simulate import (
+    BLOCK_DOUBLES,
     BLOCK_STEPS,
-    CHUNK_BLOCKS,
-    CHUNK_MIN_DIM,
     DIVERGE_LIMIT,
     _block_powers,
     _format_17g,
@@ -20,7 +24,7 @@ from lsqflow.simulate import (
 
 from _helpers import (FlowState, ct_rhs, error_trajectory, random_problem,
                       random_connected_graph, step_by_step)
-from conftest import CHAIN_X0, PENT2_X0, STAR_X0
+from conftest import CHAIN_X0, PENT2_X0, PENT3_X0, STAR_X0
 
 
 def per_value_csv(values) -> bytes:
@@ -152,13 +156,24 @@ PATH15_X0 = np.linspace(-2.0, 2.0, 30)
 
 @pytest.fixture(scope="module")
 def path15_flow():
-    # 2 N m = 60 state components: runs take the chunked GEMM path, at a
-    # size where BLAS may round a GEMM row differently at another width
+    # 2 N m = 60 state components, so blocks of B = 36 steps
     rng = np.random.default_rng(15)
     problem = lf.NetworkLinearEquation(rng.standard_normal((15, 2)), rng.standard_normal(15))
     flow = lf.assemble(problem, lf.make_family("path", 15))
-    assert 2 * flow.state_dim >= CHUNK_MIN_DIM and CHUNK_BLOCKS > 1
+    assert BLOCK_DOUBLES // (2 * flow.state_dim) ** 2 == 36
     return flow
+
+
+def _exact_path_only(monkeypatch):
+    """Make the divergence certificate fail on every block, so that each
+    block computes all of its states and checks them one by one."""
+    block_powers = simulate._block_powers
+
+    def uncertified(P, c, block):
+        powers, offsets, _, shift = block_powers(P, c, block)
+        return powers, offsets, np.inf, shift
+
+    monkeypatch.setattr(simulate, "_block_powers", uncertified)
 
 
 def _assert_matches_reference(traj, steps, states, time_scale=1.0):
@@ -236,12 +251,13 @@ class TestBlockEngine:
         assert len(traj.t_or_k) == 301
         assert not traj.x.any() and not traj.v.any()
 
-    # The same checks on the chunked path: anchors every B = 36 steps and
-    # one GEMM per chunk of CHUNK_BLOCKS blocks.
+    # The same checks at 60 state components (the test_chunked_* names
+    # date from an engine that advanced runs of this size in chunks):
+    # anchors every B = 36 steps.
 
     @pytest.mark.parametrize("record_every", [1, 7])
     def test_chunked_rk4_matches_step_by_step(self, path15_flow, record_every):
-        # 2501 steps: two full chunks and a partial one
+        # 2501 steps: 69 full blocks and a partial one
         flow = path15_flow
         traj = lf.simulate_ct(flow, PATH15_X0, np.ones(30), 0.01, 25.01,
                               record_every=record_every)
@@ -265,7 +281,7 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("factor", [3.0, 20.0])
     def test_chunked_divergence_matches_step_by_step(self, path15_flow, factor):
-        # diverges at step 3834 (fourth chunk) and at step 82 (first chunk)
+        # diverges at step 3834 (block 107) and at step 82 (block 3)
         flow = path15_flow
         epsilon = factor * lf.epsilon_star(flow)
         config = lf.DiscreteConfig(epsilon=epsilon, max_steps=6000, record_every=10)
@@ -280,19 +296,73 @@ class TestBlockEngine:
         assert exc.bad_components == [component_names(15, 2)[i] for i in bad]
         assert np.array_equal(exc.trajectory.t_or_k, steps)
 
-    def test_chunked_stride_does_not_change_dynamics(self, path15_flow):
-        dense = lf.simulate_ct(path15_flow, PATH15_X0, np.zeros(30), 0.01, 14.0,
-                               record_every=1)
-        sparse = lf.simulate_ct(path15_flow, PATH15_X0, np.zeros(30), 0.01, 14.0,
-                                record_every=7)
-        assert np.array_equal(dense.x[::7], sparse.x)
-        assert np.array_equal(dense.v[::7], sparse.v)
+    def test_chunked_stride_does_not_change_dynamics(self, path15_flow, pent3_problem,
+                                                     switch_pair):
+        # a stride of 7 computes other states in each block than a stride
+        # of 1; at 60 and 30 components (30 = 2 mod 4) the bits must agree
+        pent3 = lf.SwitchingSignal(period_T=0.5, graphs=switch_pair)
+        runs = [
+            lambda every: lf.simulate_ct(path15_flow, PATH15_X0, np.zeros(30), 0.01, 14.0,
+                                         record_every=every),
+            lambda every: lf.simulate_switching(pent3_problem, pent3, PENT3_X0, np.ones(15),
+                                                0.01, 14.0, record_every=every),
+        ]
+        for run in runs:
+            dense, sparse = run(1), run(7)
+            assert np.array_equal(dense.t_or_k[::7], sparse.t_or_k)
+            assert np.array_equal(dense.x[::7], sparse.x)
+            assert np.array_equal(dense.v[::7], sparse.v)
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # path-15 as in path15_flow, every step recorded
+        script = (
+            "import sys, numpy as np, lsqflow as lf\n"
+            "rng = np.random.default_rng(15)\n"
+            "problem = lf.NetworkLinearEquation(rng.standard_normal((15, 2)),"
+            " rng.standard_normal(15))\n"
+            "flow = lf.assemble(problem, lf.make_family('path', 15))\n"
+            "traj = lf.simulate_ct(flow, np.linspace(-2.0, 2.0, 30), np.zeros(30),"
+            " 0.01, 20.0, record_every=1)\n"
+            "lf.write_trajectory_csv(traj, sys.argv[1])\n"
+        )
+        src = str(Path(lf.__file__).resolve().parents[1])
+        csvs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            path = tmp_path / f"threads{threads}.csv"
+            subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True)
+            csvs.append(path.read_bytes())
+        assert len(csvs[0].splitlines()) == 2002
+        assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize("every", [1, 7, 100])
+    def test_exact_path_gives_the_certified_bytes(self, path15_flow, pent3_problem,
+                                                  switch_pair, monkeypatch, every):
+        pent3 = lf.SwitchingSignal(period_T=0.5, graphs=switch_pair)
+
+        def runs():
+            return [
+                lf.simulate_ct(path15_flow, PATH15_X0, np.zeros(30), 0.01, 25.01,
+                               record_every=every),
+                lf.simulate_switching(pent3_problem, pent3, PENT3_X0, np.ones(15), 0.01,
+                                      14.0, record_every=every),
+                lf.simulate_dt(path15_flow, PATH15_X0, np.zeros(30),
+                               lf.DiscreteConfig(0.9 * lf.epsilon_star(path15_flow),
+                                                 2503, every)),
+            ]
+
+        certified = runs()
+        _exact_path_only(monkeypatch)
+        for got, want in zip(runs(), certified):
+            assert np.array_equal(got.t_or_k, want.t_or_k)
+            assert np.array_equal(got.x, want.x)
+            assert np.array_equal(got.v, want.v)
 
     @pytest.mark.parametrize("dwell", [36, 300, 1188, 1500])
     def test_chunked_switch_prefix_matches_one_graph_run(self, path15_flow, dwell):
-        # dwells of 36 and 300 steps run block by block (a chunk is 1152
-        # steps); at 1188 and 1500 the first segment ends with the first
-        # block of the second chunk, or inside its tenth
+        # the first segment ends on a block boundary (36 and 1188 steps)
+        # or inside a block (300 and 1500)
         problem, path = path15_flow.problem, path15_flow.graph
         ring = lf.make_family("ring", 15)
         signals = [lf.SwitchingSignal(period_T=0.01 * dwell, graphs=graphs)
@@ -304,28 +374,32 @@ class TestBlockEngine:
         assert np.array_equal(mixed.v[:dwell + 1], fixed.v[:dwell + 1])
         assert not np.array_equal(mixed.x[dwell + 1:], fixed.x[dwell + 1:])
 
-    @pytest.mark.parametrize("surplus, width", [(-1, 1), (0, CHUNK_BLOCKS)])
-    def test_chunks_need_segments_of_a_whole_chunk(self, path15_flow, monkeypatch,
-                                                   surplus, width):
-        widths = set()
-        advance = simulate._advance
+    def test_certified_run_computes_only_recorded_states(self, path15_flow, monkeypatch):
+        # two dwells of 1151 steps: blocks of 36 from each segment start,
+        # so each segment ends with a partial block
+        products = []
+        matmul = np.matmul
 
-        def spy(u, stacked, offsets, w, size):
-            widths.add(w)
-            return advance(u, stacked, offsets, w, size)
+        def spy(a, b, *args, **kwargs):
+            if np.ndim(b) == 1:
+                products.append(len(a))
+            return matmul(a, b, *args, **kwargs)
 
-        monkeypatch.setattr(simulate, "_advance", spy)
-        dwell = CHUNK_BLOCKS * 36 + surplus
-        signal = lf.SwitchingSignal(period_T=0.01 * dwell,
+        monkeypatch.setattr(np, "matmul", spy)
+        signal = lf.SwitchingSignal(period_T=11.51,
                                     graphs=(path15_flow.graph, lf.make_family("ring", 15)))
-        lf.simulate_switching(path15_flow.problem, signal, PATH15_X0, np.zeros(30), 0.01,
-                              0.02 * dwell, record_every=50)
-        assert widths == {width}
+        traj = lf.simulate_switching(path15_flow.problem, signal, PATH15_X0, np.zeros(30),
+                                     0.01, 23.02, record_every=100)
+        recorded = set(range(100, 2302, 100)) | {2302}
+        anchors = {start + j for start in (0, 1151) for j in range(36, 1151, 36)}
+        assert np.array_equal(np.round(traj.t_or_k / 0.01), [0] + sorted(recorded))
+        assert len(products) == len(anchors | {1151, 2302})
+        assert max(products) <= 2
+        assert sum(products) == len(recorded | anchors | {1151})
 
     def test_chunked_power_guard_keeps_zero_state_at_zero(self, path15_flow):
-        # epsilon = 1e80 puts P^2 past POWER_LIMIT: blocks of one step, so
-        # each chunk is CHUNK_BLOCKS anchors; 1200 steps span a chunk of the
-        # nominal B = 36, so the run is chunked
+        # epsilon = 1e80 puts P^2 past POWER_LIMIT: blocks of one step
+        # instead of the nominal B = 36
         prob = lf.NetworkLinearEquation(path15_flow.problem.rows, np.zeros(15))
         flow = lf.assemble(prob, path15_flow.graph)
         P, c = _step_map(flow.M, _forcing(flow), 1e80, "euler")

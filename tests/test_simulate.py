@@ -374,9 +374,12 @@ class TestBlockEngine:
         assert np.array_equal(mixed.v[:dwell + 1], fixed.v[:dwell + 1])
         assert not np.array_equal(mixed.x[dwell + 1:], fixed.x[dwell + 1:])
 
-    def test_certified_run_computes_only_recorded_states(self, path15_flow, monkeypatch):
-        # two dwells of 1151 steps: blocks of 36 from each segment start,
-        # so each segment ends with a partial block
+    @staticmethod
+    def _count_products(flow, monkeypatch, dwell, every):
+        """Run two dwells of ``dwell`` steps (path, then ring) recording
+        every ``every``-th state; return the trajectory, the number of states
+        in each product batch, and the recorded, anchor and segment-end
+        steps of the run (blocks of 36 steps from each segment start)."""
         products = []
         matmul = np.matmul
 
@@ -386,16 +389,35 @@ class TestBlockEngine:
             return matmul(a, b, *args, **kwargs)
 
         monkeypatch.setattr(np, "matmul", spy)
-        signal = lf.SwitchingSignal(period_T=11.51,
-                                    graphs=(path15_flow.graph, lf.make_family("ring", 15)))
-        traj = lf.simulate_switching(path15_flow.problem, signal, PATH15_X0, np.zeros(30),
-                                     0.01, 23.02, record_every=100)
-        recorded = set(range(100, 2302, 100)) | {2302}
-        anchors = {start + j for start in (0, 1151) for j in range(36, 1151, 36)}
+        signal = lf.SwitchingSignal(period_T=0.01 * dwell,
+                                    graphs=(flow.graph, lf.make_family("ring", 15)))
+        traj = lf.simulate_switching(flow.problem, signal, PATH15_X0, np.zeros(30),
+                                     0.01, 0.02 * dwell, record_every=every)
+        recorded = set(range(every, 2 * dwell, every)) | {2 * dwell}
+        anchors = {start + j for start in (0, dwell) for j in range(36, dwell, 36)}
+        return traj, products, recorded, anchors | {dwell, 2 * dwell}
+
+    def test_certified_run_computes_only_recorded_states(self, path15_flow, monkeypatch):
+        # two dwells of 1151 steps, so each segment ends with a partial block
+        traj, products, recorded, block_ends = self._count_products(
+            path15_flow, monkeypatch, 1151, 100)
         assert np.array_equal(np.round(traj.t_or_k / 0.01), [0] + sorted(recorded))
-        assert len(products) == len(anchors | {1151, 2302})
+        assert len(products) == len(block_ends)
         assert max(products) <= 2
-        assert sum(products) == len(recorded | anchors | {1151})
+        assert sum(products) == len(recorded | block_ends)
+
+    # Named for the chunked engine, which advanced a segment 32 blocks at a
+    # time only when it held a whole chunk of 32 blocks; the cases keep its
+    # segments of 32 * 36 + surplus steps, ending inside a block or on a
+    # block boundary, at record strides of 1 and 32.
+    @pytest.mark.parametrize("surplus, every", [(-1, 1), (0, 32)])
+    def test_chunks_need_segments_of_a_whole_chunk(self, path15_flow, monkeypatch,
+                                                   surplus, every):
+        traj, products, recorded, block_ends = self._count_products(
+            path15_flow, monkeypatch, 32 * 36 + surplus, every)
+        assert np.array_equal(np.round(traj.t_or_k / 0.01), [0] + sorted(recorded))
+        assert len(products) == len(block_ends)
+        assert sum(products) == len(recorded | block_ends)
 
     def test_chunked_power_guard_keeps_zero_state_at_zero(self, path15_flow):
         # epsilon = 1e80 puts P^2 past POWER_LIMIT: blocks of one step

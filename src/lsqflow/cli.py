@@ -24,7 +24,7 @@ from .errors import (DivergedError, LsqflowError, NoStableModesError, NotCharact
 from .graphs import family_min_support, laplacian, make_family, spectrum, support_report
 from .plotting import PlotSpec, emit_plot
 from .problem import solve_least_squares
-from .simulate import DiscreteConfig, simulate_ct, simulate_dt, simulate_damped, write_trajectory_csv
+from .simulate import DiscreteConfig, simulate_damped, simulate_dt, write_trajectory_csv
 from .spectral import assemble, build_spectral_report, epsilon_star
 from .switching import simulate_switching
 
@@ -183,13 +183,8 @@ def _run_simulation(config: RunConfig, out_dir, stdout) -> int:
         v0 = np.zeros_like(config.x0)
     try:
         if mode == "simulate-ct":
-            flow = assemble(config.problem, config.graph)
-            if config.alpha > 0:
-                traj = simulate_damped(flow, config.alpha, config.x0, v0,
-                                          config.step_h, config.t_end,
-                                          record_every=config.record_every)
-            else:
-                traj = simulate_ct(flow, config.x0, v0, config.step_h, config.t_end,
+            traj = simulate_damped(assemble(config.problem, config.graph), config.alpha,
+                                   config.x0, v0, config.step_h, config.t_end,
                                    record_every=config.record_every)
         elif mode == "simulate-dt":
             flow = assemble(config.problem, config.graph)

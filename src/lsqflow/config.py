@@ -16,11 +16,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigParseError, LsqflowError, SchemaError
-from .graphs import FAMILIES, Graph, graph_from_dict
+from .graphs import FAMILIES, Graph, _graph_spec, _is_int, graph_from_dict
 from .plotting import PlotSpec
 from .problem import NetworkLinearEquation
 # the engine and parse_config bound a run by the same MAX_STEPS and MAX_SAMPLES
-from .simulate import (MAX_SAMPLES, MAX_STEPS, _aligned_count, _checked_steps,  # noqa: F401
+from .simulate import (MAX_SAMPLES, MAX_STEPS, _checked_steps, _run_length,  # noqa: F401
                        component_names)
 from .switching import SwitchingSignal
 
@@ -74,10 +74,6 @@ def _is_number(v) -> bool:
         return math.isfinite(v)
     except OverflowError:
         return False
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _numeric_matrix(v):
@@ -137,8 +133,14 @@ def _node_mismatch(section, n_nodes):
     return None
 
 
-def _parse_graph(section, violations, path="graph"):
+def _parse_graph(section, violations, n_nodes, path="graph"):
+    """The section's graph, or None. Without a problem (n_nodes None) its
+    size cannot be judged, so only its type, n and edges are checked and
+    the graph is not built."""
     try:
+        if n_nodes is None:
+            _graph_spec(section)
+            return None
         return graph_from_dict(section)
     except (LsqflowError, ValueError) as exc:
         violations.append((path, str(exc)))
@@ -169,7 +171,7 @@ def _parse_switching(section, violations, n_nodes):
                 violations.append(("switching", f"graphs[{k}] {mismatch}"))
                 ok = False
                 continue
-            g = _parse_graph(gs, violations, path=f"graphs[{k}]")
+            g = _parse_graph(gs, violations, n_nodes, path=f"graphs[{k}]")
             if g is None:
                 ok = False
             else:
@@ -240,24 +242,22 @@ def _check_work(mode, step_h, t_end, max_steps, record_every, switching, violati
     Skipped when a value they read was rejected, so that they do not
     judge the default put in its place."""
     if mode == "simulate-dt":
-        key, steps, used = "max_steps", max_steps, ("max_steps", "record_every")
+        key, used = "max_steps", ("max_steps", "record_every")
     elif mode in ("simulate-ct", "simulate-switching"):
-        key, steps = "t_end", t_end / step_h   # may overflow to inf
-        used = ("step_h", "t_end", "record_every")
+        key, used = "t_end", ("step_h", "t_end", "record_every")
+        period = (switching.period_T if switching is not None and mode == "simulate-switching"
+                  else None)
     else:
         return
     if any(path in used for path, _ in violations):
         return
     try:
-        _checked_steps(steps, record_every)
-        if mode == "simulate-ct":
-            _aligned_count(t_end, step_h, "t_end / step_h")
-        elif switching is not None:
-            _aligned_count(t_end, switching.period_T, "t_end / period_T")
-            key = "period_T"   # what fails from here on is the period
-            _aligned_count(switching.period_T, step_h, "period_T / step_h")
+        if mode == "simulate-dt":
+            _checked_steps(max_steps, record_every)
+        else:
+            _run_length(step_h, t_end, record_every, period)
     except ValueError as exc:
-        violations.append((key, str(exc)))
+        violations.append((getattr(exc, "key", key), str(exc)))
 
 
 def parse_config(text: str, base_dir: Optional[str] = None,
@@ -308,7 +308,7 @@ def parse_config(text: str, base_dir: Optional[str] = None,
         if mismatch:
             violations.append(("graph", mismatch))
         else:
-            graph = _parse_graph(data["graph"], violations)
+            graph = _parse_graph(data["graph"], violations, n_nodes)
     elif mode in _NEEDS_GRAPH:
         violations.append(("graph", "required"))
 

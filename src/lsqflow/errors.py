@@ -86,7 +86,15 @@ class DivergedError(LsqflowError):
 
 
 class StepAlignmentError(LsqflowError, ValueError):
-    """A run's end or switch instants do not lie on its step grid."""
+    """A run's end or switch instants do not lie on its step grid.
+
+    ``key`` names the parameter to blame: the numerator of the ratio that
+    is not a whole number (``t_end`` or ``period_T``).
+    """
+
+    def __init__(self, message: str, key: str):
+        super().__init__(message)
+        self.key = key
 
 
 class ConfigParseError(LsqflowError):

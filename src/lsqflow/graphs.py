@@ -268,26 +268,38 @@ def support_report(spect: LaplacianSpectrum) -> SupportReport:
     return SupportReport(supports=supports, min_support=min_support, simple_spectrum=simple)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _graph_spec(d) -> tuple:
+    """``(type, n, edges)`` of a graph's JSON form, checked without
+    building the graph: n an integer, type known, and for a custom graph
+    edges a list of ``[i, j]`` integer pairs (None for a family).
+    """
+    if not isinstance(d, dict):
+        raise ValueError("graph spec must be an object")
+    kind, n, edges = d.get("type"), d.get("n"), d.get("edges")
+    if not _is_int(n):
+        raise ValueError("graph spec needs an integer 'n'")
+    if kind in FAMILIES:
+        return kind, n, None
+    if kind != "custom":
+        raise ValueError(f"graph type must be one of {FAMILIES + ('custom',)}, got {kind!r}")
+    if not (isinstance(edges, list) and all(isinstance(e, list) and len(e) == 2
+                                            and all(map(_is_int, e)) for e in edges)):
+        raise ValueError("custom graph spec needs an 'edges' list of [i, j] integer pairs")
+    return kind, n, edges
+
+
 def graph_from_dict(d: dict) -> Graph:
     """Build a graph from its JSON form.
 
     ``{"type": "path"|"ring"|"star"|"complete", "n": N}`` or
     ``{"type": "custom", "n": N, "edges": [[i, j], ...]}`` (1-based).
     """
-    if not isinstance(d, dict):
-        raise ValueError("graph spec must be an object")
-    kind = d.get("type")
-    n = d.get("n")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError("graph spec needs an integer 'n'")
-    if kind in FAMILIES:
-        return make_family(kind, n)
-    if kind == "custom":
-        edges = d.get("edges")
-        if not isinstance(edges, list):
-            raise ValueError("custom graph spec needs an 'edges' list")
-        return make_graph(n, edges)
-    raise ValueError(f"graph type must be one of {FAMILIES + ('custom',)}, got {kind!r}")
+    kind, n, edges = _graph_spec(d)
+    return make_family(kind, n) if edges is None else make_graph(n, edges)
 
 
 def _is_prime(n: int) -> bool:

@@ -18,6 +18,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -62,14 +63,36 @@ def _checked_steps(steps, record_every) -> int:
     return count
 
 
-def _aligned_count(total: float, step: float, what: str) -> int:
-    """``total / step`` as a whole number; raises StepAlignmentError unless
-    the ratio is a positive integer to 1e-12 relative."""
+def _aligned_count(total: float, step: float, names: tuple) -> int:
+    """``total / step`` as a whole number; raises StepAlignmentError on the
+    numerator ``names[0]`` unless the ratio is a positive integer to
+    1e-12 relative. ``names`` name the numerator and the denominator."""
     ratio = total / step
     count = int(round(ratio))
     if count < 1 or abs(ratio - count) > 1e-12 * max(1.0, abs(ratio)):
-        raise StepAlignmentError(f"{what}: {total} is not an integer multiple of {step}")
+        raise StepAlignmentError(f"{' / '.join(names)}: {total} is not an integer multiple "
+                                 f"of {step}", names[0])
     return count
+
+
+def _run_length(step_h, t_end, record_every, period_T=None) -> tuple:
+    """``(steps, steps per dwell)`` of a run of step step_h to t_end that
+    records every record_every-th state; a run on one matrix is one dwell.
+    Raises ValueError before anything runs unless step_h and t_end are
+    positive and finite and the run passes :func:`_checked_steps`, and
+    StepAlignmentError unless t_end is a whole number of steps, or, with
+    a switching period, of periods, each a whole number of steps.
+    """
+    if not (0 < step_h < math.inf and 0 < t_end < math.inf):
+        raise ValueError("step_h and t_end must be positive and finite")
+    _checked_steps(t_end / step_h, record_every)
+    if period_T is None:
+        steps = _aligned_count(t_end, step_h, ("t_end", "step_h"))
+        return steps, steps
+    # periods first: then period_T <= t_end, and period_T / step_h is bounded too
+    periods = _aligned_count(t_end, period_T, ("t_end", "period_T"))
+    dwell = _aligned_count(period_T, step_h, ("period_T", "step_h"))
+    return periods * dwell, dwell
 
 
 @dataclass(frozen=True)
@@ -278,46 +301,38 @@ def _propagate(ref_flow, step_maps, schedule, u0, time_of, record_every, metadat
     return _finish_trajectory(ref_flow, states, steps, time_of, metadata)
 
 
-def _stack_initial(flow, x0, v0):
+def _run(flow, Ms, slots, steps, dwell, x0, v0, h, method, record_every, **extra):
+    """Run ``steps`` steps of size h of ``u' = M u + b`` from u = (x0, v0),
+    holding ``M = Ms[slots[0]]`` for ``dwell`` steps, then
+    ``Ms[slots[1]]``, and so on cyclically; consecutive dwells on the same
+    matrix form one segment of the block engine. A run on one matrix is
+    ``Ms = [M], slots = [0], dwell = steps``. ``flow`` gives b, the
+    reference and the metadata, to which ``extra`` is added.
+    """
+    nm = flow.state_dim
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     v0 = np.asarray(v0, dtype=float).reshape(-1)
-    nm = flow.state_dim
     if x0.shape != (nm,) or v0.shape != (nm,):
         raise DimensionMismatchError(
             f"initial states must have shape ({nm},), got {x0.shape} and {v0.shape}"
         )
     if not (np.isfinite(x0).all() and np.isfinite(v0).all()):
         raise ValueError("initial states must be finite")
-    return np.concatenate([x0, v0])
-
-
-def _base_metadata(flow, **extra):
+    b = np.concatenate([flow.z_H, np.zeros(nm)])
+    step_maps = [_step_map(M, b, h, method) for M in Ms]
+    order = (slots[p % len(slots)] for p in range(steps // dwell))
+    schedule = [(index, dwell * len(list(run))) for index, run in groupby(order)]
     meta = {
         "n_nodes": flow.problem.n_nodes,
         "dim": flow.problem.dim,
         "problem": repr(flow.problem),
         "graph": flow.graph.label or f"custom-{flow.graph.n_nodes}",
         "reference": "least-squares" if flow.problem.full_rank else "origin",
+        "integrator": method, "step": h, "record_every": record_every, **extra,
     }
-    meta.update(extra)
-    return meta
-
-
-def _forcing(flow):
-    """Constant term b of u' = M u + b for the stacked state u = (x, v)."""
-    return np.concatenate([flow.z_H, np.zeros(flow.state_dim)])
-
-
-def _simulate_rk4(flow, M, x0, v0, step_h, t_end, record_every, **extra):
-    if not (0 < step_h < math.inf and 0 < t_end < math.inf):
-        raise ValueError("step_h and t_end must be positive and finite")
-    _checked_steps(t_end / step_h, record_every)
-    n_steps = _aligned_count(t_end, step_h, "t_end / step_h")
-    u0 = _stack_initial(flow, x0, v0)
-    meta = _base_metadata(flow, integrator="rk4", step=step_h, t_end=t_end,
-                          record_every=record_every, **extra)
-    return _propagate(flow, [_step_map(M, _forcing(flow), step_h)], [(0, n_steps)],
-                      u0, lambda k: k * step_h, record_every, meta)
+    time_of = (lambda k: k) if method == "euler" else (lambda k: k * h)
+    return _propagate(flow, step_maps, schedule, np.concatenate([x0, v0]), time_of,
+                      record_every, meta)
 
 
 def simulate_ct(flow: AssembledFlow, x0, v0, step_h: float, t_end: float,
@@ -327,7 +342,8 @@ def simulate_ct(flow: AssembledFlow, x0, v0, step_h: float, t_end: float,
     ``t_end`` must be a whole number of steps; otherwise
     :class:`StepAlignmentError` is raised before the first step.
     """
-    return _simulate_rk4(flow, flow.M, x0, v0, step_h, t_end, record_every)
+    return _run(flow, [flow.M], [0], *_run_length(step_h, t_end, record_every), x0, v0,
+                step_h, "rk4", record_every, t_end=t_end)
 
 
 def simulate_dt(flow: AssembledFlow, x0, v0, config: DiscreteConfig) -> Trajectory:
@@ -337,13 +353,8 @@ def simulate_dt(flow: AssembledFlow, x0, v0, config: DiscreteConfig) -> Trajecto
     as the flow; above it, some components blow up and the run ends in
     :class:`DivergedError` with the partial trajectory attached.
     """
-    u0 = _stack_initial(flow, x0, v0)
-    step = _step_map(flow.M, _forcing(flow), config.epsilon, "euler")
-    meta = _base_metadata(flow, integrator="euler", step=config.epsilon,
-                          max_steps=config.max_steps,
-                          record_every=config.record_every)
-    return _propagate(flow, [step], [(0, config.max_steps)], u0, lambda k: k,
-                      config.record_every, meta)
+    return _run(flow, [flow.M], [0], config.max_steps, config.max_steps, x0, v0,
+                config.epsilon, "euler", config.record_every, max_steps=config.max_steps)
 
 
 def simulate_damped(flow: AssembledFlow, alpha: float, x0, v0,
@@ -361,7 +372,8 @@ def simulate_damped(flow: AssembledFlow, alpha: float, x0, v0,
     nm = flow.state_dim
     M = flow.M.copy()
     M[:nm, :nm] -= alpha * flow.L_kron
-    return _simulate_rk4(flow, M, x0, v0, step_h, t_end, record_every, alpha=alpha)
+    return _run(flow, [M], [0], *_run_length(step_h, t_end, record_every), x0, v0,
+                step_h, "rk4", record_every, t_end=t_end, alpha=alpha)
 
 
 def oscillates(traj: Trajectory, component: str, *, ratio: float = 0.5) -> bool:

@@ -15,23 +15,13 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
 from .errors import DimensionMismatchError, FingerprintMismatchError
 from .graphs import Graph, graph_from_dict, laplacian, spectrum, support_report
 from .problem import NetworkLinearEquation
-from .simulate import (
-    Trajectory,
-    _aligned_count,
-    _base_metadata,
-    _checked_steps,
-    _forcing,
-    _propagate,
-    _stack_initial,
-    _step_map,
-)
+from .simulate import Trajectory, _run, _run_length
 from .spectral import assemble, equilibrium_dual, zero_space_projector
 
 IntersectionResult = namedtuple("IntersectionResult", "intersects distance")
@@ -84,27 +74,13 @@ def simulate_switching(problem: NetworkLinearEquation, signal: SwitchingSignal,
     not a sub-stepping feature: step_h must divide period_T and t_end
     must be a whole number of periods.
     """
-    if not (0 < step_h < math.inf and math.isfinite(t_end)):
-        raise ValueError("step_h must be positive and finite, and t_end finite")
-    _checked_steps(t_end / step_h, record_every)
-    # periods first: then period_T <= t_end, and period_T / step_h is bounded too
-    n_periods = _aligned_count(t_end, signal.period_T, "t_end / period_T")
-    steps_per_period = _aligned_count(signal.period_T, step_h, "period_T / step_h")
+    steps, dwell = _run_length(step_h, t_end, record_every, signal.period_T)
     distinct = list(dict.fromkeys(signal.graphs))
     flows = [assemble(problem, g) for g in distinct]
-    b = _forcing(flows[0])
-    step_maps = [_step_map(f.M, b, step_h) for f in flows]
-    slots = [distinct.index(g) for g in signal.graphs]
-    order = (slots[p % len(slots)] for p in range(n_periods))
-    schedule = [(index, steps_per_period * len(list(run))) for index, run in groupby(order)]
-
-    meta = _base_metadata(
-        flows[0], integrator="rk4", step=step_h, t_end=t_end,
-        record_every=record_every, period_T=signal.period_T,
-        graphs=[g.label or f"custom-{g.n_nodes}" for g in signal.graphs],
-    )
-    return _propagate(flows[0], step_maps, schedule, _stack_initial(flows[0], x0, v0),
-                      lambda k: k * step_h, record_every, meta)
+    return _run(flows[0], [f.M for f in flows], [distinct.index(g) for g in signal.graphs],
+                steps, dwell, x0, v0, step_h, "rk4", record_every, t_end=t_end,
+                period_T=signal.period_T,
+                graphs=[g.label or f"custom-{g.n_nodes}" for g in signal.graphs])
 
 
 def limit_set(problem: NetworkLinearEquation, graph: Graph) -> LimitSet:
@@ -165,6 +141,8 @@ def oscillation_period(traj: Trajectory, lag_min: float, lag_max: float,
     hi_lag = int(round(lag_max / dt))
     if hi_lag >= len(tail):
         raise ValueError("lag_max exceeds the settled window")
+    if hi_lag < lo_lag:
+        raise ValueError(f"no lag of at least 2 samples lies in [{lag_min}, {lag_max}]")
     lags = np.arange(lo_lag, hi_lag + 1)
     mismatch = np.array([float(np.mean(np.abs(tail[l:] - tail[:-l]))) for l in lags])
     scale = float(np.mean(np.abs(tail - tail.mean())))

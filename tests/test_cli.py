@@ -231,6 +231,31 @@ class TestSimulationModes:
             (b / "pent3d_switch_T010.svg").read_bytes()
 
 
+    @pytest.mark.parametrize("alpha", [1.0, 0])
+    def test_damped_run_through_the_cli(self, tmp_path, alpha):
+        # alpha > 0 runs the damped flow; alpha = 0 is plain simulate_ct
+        x0 = [-2.0, -0.5, -1.8, -1.5, 1.8, -0.6, 1.9, -1.4]
+        data = {"problem": {"H": [[0, 1], [3, 0], [2, 0], [1, 0]], "z": [-1, 0, -2, 2]},
+                "graph": {"type": "custom", "n": 4, "edges": [[1, 2], [1, 3], [3, 4]]},
+                "x0": x0, "step_h": 0.01, "t_end": 2.0, "record_every": 5, "alpha": alpha}
+        path = tmp_path / "damped.json"
+        path.write_text(json.dumps(data))
+        assert lf.main(["simulate-ct", "--config", str(path), "--out", str(tmp_path)]) == 0
+        cfg = lf.parse_config(json.dumps({**data, "mode": "simulate-ct"}))
+        flow = lf.assemble(cfg.problem, cfg.graph)
+        args = (np.array(x0), np.zeros(8), 0.01, 2.0, 5)
+        if alpha:
+            expected = lf.simulate_damped(flow, alpha, *args)
+        else:
+            expected = lf.simulate_ct(flow, *args)
+        lf.write_trajectory_csv(expected, tmp_path / "expected.csv")
+        assert (tmp_path / "simulate-ct.csv").read_bytes() == \
+            (tmp_path / "expected.csv").read_bytes()
+        if alpha:
+            plain = lf.simulate_ct(flow, *args)
+            assert not np.array_equal(plain.x, expected.x)
+
+
 class TestErrorEnvelopes:
     def test_schema_error_envelope(self):
         try:

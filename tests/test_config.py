@@ -224,6 +224,78 @@ class TestNumericFields:
         assert cfg.alpha == 0.0
 
 
+_RUNS = {"ct": "simulate-ct", "damped": "simulate-ct", "dt": "simulate-dt",
+         "switching": "simulate-switching"}
+_TIMED = ("ct", "damped", "switching")
+# (run, config values, the key a config is blamed on, or None for a run that starts);
+# switching runs have period_T = 1.0
+RUN_LENGTH_CASES = [
+    *((run, {"step_h": 0.25, "t_end": 2.0}, None) for run in _TIMED),
+    *((run, {"step_h": 0}, "step_h") for run in _TIMED),
+    *((run, {"step_h": -0.1}, "step_h") for run in _TIMED),
+    *((run, {"t_end": -1.0}, "t_end") for run in _TIMED),
+    *((run, {"t_end": float("inf")}, "t_end") for run in _TIMED),
+    *((run, {"record_every": 0}, "record_every") for run in (*_TIMED, "dt")),
+    # zero steps
+    *((run, {"step_h": 0.01, "t_end": 0.001}, "t_end") for run in _TIMED),
+    ("dt", {"max_steps": 0}, "max_steps"),
+    # more than 10^8 steps, more than 10^6 samples
+    *((run, {"step_h": 1e-9, "t_end": 1.0, "record_every": 1000}, "t_end") for run in _TIMED),
+    *((run, {"step_h": 1e-3, "t_end": 2000.0, "record_every": 1}, "t_end") for run in _TIMED),
+    ("dt", {"max_steps": 10**8 + 1, "record_every": 1000}, "max_steps"),
+    ("dt", {"max_steps": 10**6, "record_every": 1}, "max_steps"),
+    ("dt", {"max_steps": 10**6 - 1, "record_every": 1}, None),
+    # t_end off the step grid, or not a whole number of periods
+    *((run, {"step_h": 0.3, "t_end": 1.0}, "t_end") for run in ("ct", "damped")),
+    ("switching", {"step_h": 0.01, "t_end": 2.5}, "t_end"),
+    # a period off the step grid
+    ("switching", {"step_h": 0.3, "t_end": 2.0}, "period_T"),
+]
+
+
+@pytest.mark.parametrize("run, values, key", RUN_LENGTH_CASES, ids=[
+    f"{run}-{','.join(f'{k}={v}' for k, v in values.items())}"
+    for run, values, _ in RUN_LENGTH_CASES])
+def test_config_and_library_agree_on_run_length(monkeypatch, run, values, key):
+    # a config is a violation on the key exactly when the library
+    # simulator raises ValueError before its first step
+    data = {"mode": _RUNS[run], "problem": CHAIN_PROBLEM, "x0": [0] * 8, **values}
+    if run == "switching":
+        data["switching"] = {"period_T": 1.0, "graphs": [CHAIN_GRAPH]}
+    else:
+        data["graph"] = CHAIN_GRAPH
+    data.update({"damped": {"alpha": 1.0}, "dt": {"epsilon": 0.01}}.get(run, {}))
+    if key is None:
+        parse(data)
+    else:
+        assert paths_of(data) == [key]
+
+    class Started(Exception):
+        pass
+
+    def started(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(lf.simulate, "_propagate", started)
+    v = {"step_h": 0.005, "t_end": 200.0, "record_every": 10, "max_steps": 40000, **values}
+    problem = lf.NetworkLinearEquation(np.array(CHAIN_PROBLEM["H"], dtype=float),
+                                       np.array(CHAIN_PROBLEM["z"], dtype=float))
+    graph = lf.graph_from_dict(CHAIN_GRAPH)
+    flow = lf.assemble(problem, graph)
+    zeros = np.zeros(8)
+    timed = (zeros, zeros, v["step_h"], v["t_end"], v["record_every"])
+    calls = {
+        "ct": lambda: lf.simulate_ct(flow, *timed),
+        "damped": lambda: lf.simulate_damped(flow, 1.0, *timed),
+        "dt": lambda: lf.simulate_dt(flow, zeros, zeros, lf.DiscreteConfig(
+            epsilon=0.01, max_steps=v["max_steps"], record_every=v["record_every"])),
+        "switching": lambda: lf.simulate_switching(problem, lf.SwitchingSignal(1.0, (graph,)),
+                                                   *timed),
+    }
+    with pytest.raises(ValueError if key else Started):
+        calls[run]()
+
+
 class TestCrossChecks:
     BASE = {"mode": "simulate-ct", "problem": CHAIN_PROBLEM, "graph": CHAIN_GRAPH}
 
@@ -248,9 +320,11 @@ class TestCrossChecks:
                               "graphs": [{"type": "ring", "n": 5}]}}
         assert "switching" in paths_of(data)
 
-    @pytest.mark.parametrize("section", ["graph", "switching"])
+    @pytest.mark.parametrize("section", ["graph", "switching", "problem-invalid",
+                                         "problem-missing"])
     def test_node_count_checked_before_the_graph_is_built(self, monkeypatch, section):
-        # a complete graph of 1000 nodes takes about a second to build
+        # a complete graph of 1000 nodes takes about a second to build;
+        # without a valid problem its size cannot be judged, so it is not built
         def make_family(kind, n):
             raise AssertionError(f"built a {kind} graph of {n} nodes")
 
@@ -260,11 +334,42 @@ class TestCrossChecks:
         if section == "graph":
             data["graph"] = big
             expected = ("graph", "has 1000 nodes, problem has 4")
-        else:
+        elif section == "switching":
             data.update(mode="simulate-switching",
                         switching={"period_T": 1.0, "graphs": [CHAIN_GRAPH, big]})
             expected = ("switching", "graphs[1] has 1000 nodes, problem has 4")
-        assert expected in violations_of(data)
+        elif section == "problem-invalid":
+            data.update(mode="analyze", graph=big, problem={"H": [[1, 0], [0, 1]], "z": [1]})
+            expected = ("problem", "obs has shape (1,), expected (2,)")
+        else:
+            del data["problem"]
+            data.update(mode="analyze", graph=big)
+            expected = ("problem", "required")
+        assert violations_of(data) == [expected]
+
+    @pytest.mark.parametrize("problem", [None, {"H": [[1, 0], [0, 1]], "z": [1]}])
+    def test_graph_shape_checked_without_a_problem(self, problem):
+        # the same pass that reports the problem reports the graph's
+        # type, n and edges, though the graph is not built
+        data = {"mode": "analyze"} if problem is None else {"mode": "analyze", "problem": problem}
+        cases = (
+            ({"type": "moebius", "n": 4}, "graph type must be one of"),
+            ({"type": "path", "n": 4.5}, "needs an integer 'n'"),
+            ({"type": "custom", "n": 4}, "'edges' list"),
+            ({"type": "custom", "n": 4, "edges": [[1, 2], [3]]}, "integer pairs"),
+            ([1, 2], "must be an object"),
+        )
+        for graph, reason in cases:
+            paths = dict(violations_of({**data, "graph": graph}))
+            assert "problem" in paths and reason in paths["graph"], graph
+
+    @pytest.mark.parametrize("edges", [[[None, 2]], [1, 2], [[1.5, 2]], [[True, 2]],
+                                       [["1", 2]], [[1, 2, 3]]])
+    def test_custom_edges_must_be_integer_pairs(self, edges):
+        graph = {"type": "custom", "n": 4, "edges": edges}
+        viol = dict(violations_of({**self.BASE, "x0": [0] * 8, "graph": graph}))
+        assert viol == {"graph": "custom graph spec needs an 'edges' list of [i, j] "
+                                 "integer pairs"}
 
 
 class TestSwitchingSection:

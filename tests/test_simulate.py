@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import lsqflow as lf
-from lsqflow import simulate, switching
+from lsqflow import simulate
 from lsqflow.simulate import (
     BLOCK_DOUBLES,
     BLOCK_STEPS,
@@ -668,8 +668,7 @@ def test_non_finite_parameters_rejected_before_any_step(chain_flow, monkeypatch,
     def no_step(*args, **kwargs):
         raise AssertionError("a step ran")
 
-    monkeypatch.setattr(simulate, "_propagate", no_step)
-    monkeypatch.setattr(switching, "_propagate", no_step)
+    monkeypatch.setattr(simulate, "_propagate", no_step)   # every simulator runs through it
     with pytest.raises(ValueError):
         call(chain_flow)
 

@@ -169,6 +169,13 @@ class TestOscillationPeriod:
         with pytest.raises(ValueError):
             lf.oscillation_period(stub_trajectory(t, np.ones(100)), 1.0, 50.0)
 
+    @pytest.mark.parametrize("lag_min, lag_max", [(5.0, 1.0), (0.0, 0.0)])
+    def test_empty_lag_window_rejected(self, chain_flow, lag_min, lag_max):
+        # 0.01 apart, no lag of at least 2 samples lies in the window
+        traj = lf.simulate_ct(chain_flow, np.ones(8), np.zeros(8), 0.01, 20.0, record_every=1)
+        with pytest.raises(ValueError, match="no lag of at least 2 samples"):
+            lf.oscillation_period(traj, lag_min, lag_max)
+
     def test_switched_error_oscillates_at_full_cycle(self, switch2_trajs):
         traj = switch2_trajs[1.0]
         period = lf.oscillation_period(traj, 1.0, 3.0)

@@ -4,10 +4,15 @@ Reproduces the full set of shipped experiments in one shot: analysis
 reports, least-squares solutions, the feasibility table, continuous and
 discrete trajectories, and the switching sweeps. Divergent runs are
 expected for the large-step fixtures and are reported, not fatal.
+
+After one line per fixture it prints one ``sha256  name`` line per file
+in ``--out``, sorted by name: two source trees wrote the same artifacts
+when ``diff`` finds no difference between their digest lines.
 """
 
 import argparse
 import glob
+import hashlib
 import os
 import sys
 import time
@@ -38,6 +43,11 @@ def main() -> int:
         print(f"{name:32s} {tag:9s} {dt:7.2f}s")
         if status not in (0, 2):
             failures += 1
+    for name in sorted(os.listdir(args.out)):
+        path = os.path.join(args.out, name)
+        if os.path.isfile(path):
+            with open(path, "rb") as fh:
+                print(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
     return 1 if failures else 0
 
 

@@ -10,6 +10,7 @@ basis would miss.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,11 +62,25 @@ class Graph:
         return f"Graph({name}, {len(self.edges)} edges)"
 
 
+def _node_index(value, what: str = "node index") -> int:
+    """``value`` as an int; anything but an integer (bool included) raises
+    :class:`InvalidNodeError` instead of being truncated."""
+    if type(value) is int:              # the common case, without the ABC check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidNodeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def make_graph(n_nodes: int, edges, label: str = "") -> Graph:
-    """Build a graph from arbitrary (i, j) pairs, normalizing i < j."""
+    """Build a graph from arbitrary (i, j) pairs, normalizing i < j.
+
+    The node count and indices must be integers (numpy integers too).
+    """
+    n_nodes = _node_index(n_nodes, "node count")
     normalized = []
     for i, j in edges:
-        i, j = int(i), int(j)
+        i, j = _node_index(i), _node_index(j)
         if i == j:
             raise ValueError(f"self-loop at node {i}")
         normalized.append((min(i, j), max(i, j)))

@@ -415,155 +415,244 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             fh.write(_format_17g(np.column_stack([col[rows] for col in columns])))
 
 
-# The CSV encoder. A value v with |v| in [1e-6, 1e17) has a decade e in
-# [-6, 16], so v * 10^(16-e) scales by an exact power of ten (10^0..10^22
-# are doubles) and Dekker's two-product gives it exactly as p + err. With
-# p >= 1e16 an even integer, D = p + rint(err) is the correctly rounded
-# 17-digit integer, ties to even, as '%.17g' rounds. Each value is laid
-# out in _CSV_SLOTS byte slots: sign, the "0.000" of a fixed-notation
-# value below 1, 17 digits with room for one decimal point, an "e-0k"
-# exponent, the separator. Its layout class (decade, digits left after
-# stripping trailing zeros, sign) selects from one table which slots keep
-# a digit, a digit shifted right past the point, or a constant; the rest
-# hold _CSV_DROP and are compressed out. Values it cannot lay out (zeros,
-# nan, inf, |v| outside the range, a decade that log10 got wrong, or
-# rounding up to 10^17) keep a NUL slot that '%.17g' fills in.
+# The CSV encoder. A value v with |v| in [1e-290, 1e291) has a decade e
+# in [-290, 290], found exactly: the binary exponent of |v| leaves two
+# candidates, and one comparison with the least double >= 10^(e+1)
+# decides. Then x = |v| 10^(16-e) lies in [1e16, 1e17). For e in [-6, 16]
+# the scale is a double and Dekker's two-product gives x exactly as
+# p + err; elsewhere the scale is a double-double hi + lo (exact integer
+# arithmetic builds it, hi stored pre-split so that no product
+# overflows), and p + err + |v| lo has x to about 5e-15. With p > 2^53
+# an even integer, D = p + rint(err) is the correctly rounded 17-digit
+# integer, ties to even, as '%.17g' rounds, unless an inexact scale
+# leaves the fraction within _NEAR_TIE of a tie; D = 10^17 carries into
+# the next decade. Each value is laid out in _CSV_SLOTS byte slots: sign,
+# the "0.000" of a fixed-notation value below 1, 17 digits with room for
+# one decimal point, the exponent, the separator. Its layout class (fixed
+# decade or scientific, digits left after stripping trailing zeros, sign)
+# selects from three tables which slots keep a digit, a digit shifted
+# right past the point, or a constant; the decade's exponent word
+# ("e-07", "e+123") fills the exponent slots. The rest hold _CSV_DROP and
+# are deleted. Values it cannot lay out (zeros, subnormals, nan, inf, |v|
+# outside the range, and an inexact scale's near-ties) keep a NUL slot
+# that _format_each fills in.
 _CSV_SLOTS = 32
 _CSV_BODY = 7            # slot of the first digit; the body holds 18 slots
-_CSV_EXP = 25            # "e-0k" for the decades -5 and -6
-_CSV_SEP = 29
+_CSV_EXP = 25            # the exponent, at most "e-123"
+_CSV_SEP = 31
 _CSV_DROP = 0xFF
-_E_MIN, _E_MAX = -6, 16
-_POW10 = np.array([float(10 ** k) for k in range(_E_MAX - _E_MIN + 1)])
+_E_MIN, _E_MAX = -290, 290
+_FIXED = (-4, 16)        # the decades '%.17g' writes without an exponent
+_LAYOUTS = _FIXED[1] - _FIXED[0] + 1
+_NEAR_TIE = 1e-6
 _SPLIT = float(2 ** 27 + 1)
 
 
-# entries of the word table after the 10^4 digit groups
-_W_ZERO, _W_LEAD, _W_COMMA, _W_NEWLINE = 10000, 10001, 10011, 10012
+def _veltkamp(x: float) -> tuple:
+    """Veltkamp's split of x into hi + lo, 26 bits each, made on the
+    mantissa of x, so that no product overflows near 1e306."""
+    m, q = math.frexp(x)
+    t = m * _SPLIT
+    m_hi = t - (t - m)
+    return math.ldexp(m_hi, q), math.ldexp(m - m_hi, q)
+
+
+def _least_double_at_least(e: int) -> float:
+    """The least double >= 10^e."""
+    if e >= 0:
+        t = float(10 ** e)
+        return t if int(t) >= 10 ** e else math.nextafter(t, math.inf)
+    t = 1 / 10 ** -e
+    num, den = t.as_integer_ratio()
+    return t if num * 10 ** -e >= den else math.nextafter(t, math.inf)
+
+
+def _csv_decades():
+    """Per decade index d (d = e - _E_MIN + 1 for the decades e of the
+    table and for the carry past the last one, d = 0 for the fallback):
+    the scale 10^(16-e) as the split hi_hi + hi_lo of its double hi, and
+    lo = 10^(16-e) - hi; the largest |rint(f) - f| of a fraction f that
+    is not a near-tie; the class before the decade's first; and the word
+    of slots 24-31 with the exponent and a comma."""
+    count = _E_MAX - _E_MIN + 3
+    scale = np.zeros((3, count))
+    half = np.full(count, 0.5)
+    base = np.full(count, _LAYOUTS * 34 - 2, np.intp)
+    exp_word = np.zeros((count, 8), np.uint8)
+    exp_word[:, 1:7] = _CSV_DROP
+    exp_word[:, 7] = ord(",")
+    for d in range(1, count):
+        e = d - 1 + _E_MIN
+        k = 16 - e
+        if k >= 0:
+            hi = float(10 ** k)
+            lo = float(10 ** k - int(hi))
+        else:
+            hi = 1 / 10 ** -k
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * 10 ** -k) / (den * 10 ** -k)
+        scale[:, d] = [*_veltkamp(hi), lo]
+        if lo != 0.0:
+            half[d] = 0.5 - _NEAR_TIE
+        fixed = _FIXED[0] <= e <= _FIXED[1]
+        base[d] = ((e if fixed else 0) - _FIXED[0]) * 34 - 2
+        if not fixed:
+            text = b"e%+03d" % e
+            exp_word[d, 1:1 + len(text)] = np.frombuffer(text, np.uint8)
+    return scale, half, base, exp_word.view(np.uint64).reshape(-1)
+
+
+def _csv_binades():
+    """The least doubles >= 10^_E_MIN and >= 10^(_E_MAX + 1), the ends of
+    the table's range; and per biased binary exponent, the decade index
+    of its binade's low end and the least double >= 10^(that decade + 1).
+    A binade spans less than a decade, so a value's decade index is the
+    first plus (value >= the second)."""
+    edges = np.array([_least_double_at_least(e) for e in range(_E_MIN, _E_MAX + 2)])
+    low = np.ldexp(1.0, np.arange(-1023, 1025).clip(max=1023))
+    first = np.clip(np.searchsorted(edges, low, side="right"), 1, len(edges) - 1)
+    return edges[0], edges[-1], first, edges[first]
 
 
 def _csv_words():
-    """Content words of 4 slots: entry g < 10^4 holds the four digits of
-    g; then a zero word, the leading digits 0-9 at slot _CSV_BODY and the
-    two separators at slot _CSV_SEP, each at its place in its word."""
-    words = np.zeros((_W_NEWLINE + 1, 4), np.uint8)
+    """Words of 8 slots: the 4-digit groups g < 10^4 in the low and in the
+    high four slots, and the leading digits at slot _CSV_BODY."""
     g = np.arange(10000, dtype=np.int16)[:, None]
-    words[:_W_ZERO] = g // np.array([1000, 100, 10, 1], np.int16) % 10 + 48
-    words[_W_LEAD:_W_COMMA, _CSV_BODY % 4] = np.arange(48, 58)
-    words[_W_COMMA:, _CSV_SEP % 4] = [ord(","), ord("\n")]
-    return words.view(np.uint32).reshape(-1)
+    digits = g // np.array([1000, 100, 10, 1], np.int16) % 10 + 48
+    words = np.zeros((3, 10000, 8), np.uint8)
+    words[0, :, :4] = digits
+    words[1, :, 4:] = digits
+    words[2, :10, _CSV_BODY] = np.arange(48, 58)
+    return tuple(words.view(np.uint64).reshape(3, -1))
 
 
 def _csv_last_digit():
-    """Row i, entry g: the 1-based place among the 17 digits of the last
-    nonzero digit of g as group i (digits 2+4i .. 5+4i); 0 for g = 0."""
+    """Row i, entry g: twice the 1-based place among the 17 digits of the
+    last nonzero digit of g as group i (digits 2+4i .. 5+4i), 0 for g = 0,
+    but 2 in row 0: the leading digit is never zero."""
     g = np.arange(10000, dtype=np.int16)
     zeros = sum((g % d == 0).astype(np.int8) for d in (10, 100, 1000))
-    return np.where(g == 0, 0, 5 + 4 * np.arange(4, dtype=np.int8)[:, None] - zeros)
+    place = np.where(g == 0, 0, 5 + 4 * np.arange(4, dtype=np.int8)[:, None] - zeros)
+    place[0, 0] = 1
+    return (2 * place).astype(np.int8)
 
 
 def _csv_classes():
-    """Per layout class, three rows of _CSV_SLOTS bytes side by side: the
-    mask of the digits, the mask of the digits shifted one slot right,
-    past the decimal point, and the constant text, _CSV_DROP where the
-    slot is empty. The last class is the fallback: a NUL and the
-    separator."""
-    c = np.arange((_E_MAX - _E_MIN + 1) * 17 * 2)
-    e = c // 34 + _E_MIN
+    """Per layout class (34 per layout: 17 digit counts, two signs) three
+    tables of _CSV_SLOTS bytes: the mask of the digits, the mask of the
+    digits shifted one slot right, past the decimal point, and the
+    constant text, _CSV_DROP where the slot is empty. The mask keeps the
+    exponent word and the separator. The last 34 classes are the
+    fallback: a NUL, the exponent word and the separator."""
+    c = np.arange(_LAYOUTS * 34)
+    e = c // 34 + _FIXED[0]
     nd = c % 34 // 2 + 1
-    below_one = (e >= -4) & (e < 0)                # "0.000ddd", no point in the body
-    before = np.where(e >= 0, e + 1, np.where(below_one, nd, 1))
+    below_one = e < 0                              # "0.000ddd", no point in the body
+    before = np.where(below_one, nd, e + 1)
     point = ~below_one & (nd > before)
     end = np.maximum(nd, before) + point
     k = np.arange(_CSV_SLOTS) - _CSV_BODY
     unshifted = (k >= 0) & (k < np.where(point, before, end)[:, None])
     shifted = (k > before[:, None]) & (k < end[:, None])
-    tables = np.zeros((3, len(c) + 1, _CSV_SLOTS), np.uint8)
-    tables[0, :-1][unshifted] = 0xFF
-    tables[1, :-1][shifted] = 0xFF
-    tables[0, :, _CSV_SEP] = 0xFF
-    text = tables[2]
+    tables = np.zeros((3, len(c) + 34, _CSV_SLOTS), np.uint8)
+    mask, smask, text = tables
+    mask[:-34][unshifted] = 0xFF
+    mask[:, _CSV_EXP:] = 0xFF
+    smask[:-34][shifted] = 0xFF
     text[:] = _CSV_DROP
-    text[:-1][unshifted | shifted] = 0
+    text[:-34][unshifted | shifted] = 0
     text[np.flatnonzero(point), _CSV_BODY + before[point]] = ord(".")
-    text[:-1][c % 2 == 1, 0] = ord("-")
-    for decade in range(-4, 0):
-        text[:-1][e == decade, 1:2 - decade] = np.frombuffer(b"0.000"[:1 - decade], np.uint8)
-    for decade in (-5, -6):
-        text[:-1][e == decade, _CSV_EXP:_CSV_EXP + 4] = np.frombuffer(
-            b"e-0" + bytes([48 - decade]), np.uint8)
-    text[:, _CSV_SEP] = 0
-    text[-1, 0] = 0
-    return np.concatenate(tables, axis=1).view(np.uint64)
+    text[:-34][c % 2 == 1, 0] = ord("-")
+    for decade in range(_FIXED[0], 0):
+        text[:-34][e == decade, 1:2 - decade] = np.frombuffer(b"0.000"[:1 - decade], np.uint8)
+    text[:, _CSV_EXP:] = 0
+    text[-34:, 0] = 0
+    return tuple(tables.view(np.uint64))
 
 
 @functools.cache
 def _csv_tables():
     """Built on the first CSV written, so other runs do not hold them."""
-    return _csv_words(), _csv_classes(), _csv_last_digit()
+    return (*_csv_decades(), *_csv_binades(), *_csv_words(), _csv_last_digit(),
+            *_csv_classes())
+
+
+def _format_each(values: np.ndarray) -> list:
+    """The per-value path: ``'%.17g' % v`` for each value."""
+    return [b"%.17g" % x for x in values.tolist()]
 
 
 def _format_17g(values: np.ndarray) -> bytes:
     """Rows of ``values`` as CSV lines, each value exactly ``'%.17g' % v``."""
-    word_table, class_table, last_digit = _csv_tables()
+    (scale, half, base, exp_word, least, beyond, binade_first, binade_edge,
+     low_word, high_word, lead_word, last_digit, mask, smask, text) = _csv_tables()
     cols = values.shape[1]
     v = np.asarray(values, dtype=float).reshape(-1)
     n = len(v)
     a = np.abs(v)
-    ok = (a >= 1e-6) & (a < 1e17)
-    a[~ok] = 1.0
-    e = np.clip(np.floor(np.log10(a)), _E_MIN, _E_MAX).astype(np.intp)
-    # Dekker's two-product: a * b == p + err exactly
-    b = _POW10[16 - e]
-    p = a * b
+    ok = (a >= least) & (a < beyond)
+    a = np.where(ok, a, 1.0)
+    # the decade index, from the binary exponent and one comparison
+    biased = a.view(np.int64) >> 52
+    d = binade_first.take(biased)
+    d += a >= binade_edge.take(biased)
+    # Dekker's two-product against the pre-split hi: a * hi == p + err
+    # exactly; then err += a * lo, the part of the scale beyond hi
+    b_hi = scale[0].take(d)
+    b_lo = scale[1].take(d)
+    p = a * (b_hi + b_lo)
     t = a * _SPLIT
     a_hi = t - (t - a)
     a_lo = a - a_hi
-    t = b * _SPLIT
-    b_hi = t - (t - b)
-    b_lo = b - b_hi
     err = a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
-    D = p.astype(np.int64) + np.rint(err).astype(np.int64)
-    # the decade was right: 1e16 <= p + err and D < 1e17
-    ok &= ((p > 1e16) | ((p == 1e16) & (err >= 0))) & (D < 10 ** 17)
+    err += a * scale[2].take(d)
+    r = np.rint(err)
+    D = p.astype(np.int64) + r.astype(np.int64)
+    r -= err
+    bad = np.abs(r) > half.take(d)
+    bad |= ~ok
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    d += carry
+    d[bad] = 0
 
-    # content: zero, leading digit, four 4-digit groups, zero, separator
+    # the leading digit and four 4-digit groups
     hi = D // 10 ** 8
-    lo = (D - hi * 10 ** 8).astype(np.int32)
-    hi = hi.astype(np.int32)
+    lo = D - hi * 10 ** 8
     lead = hi // 10 ** 8
     mid = hi - lead * 10 ** 8
-    index = np.empty((n, _CSV_SLOTS // 4), np.int32)
-    index[:, 0] = index[:, 6] = _W_ZERO
-    index[:, 1] = lead + _W_LEAD
-    groups = index[:, 2:6]
-    groups[:, 0] = mid // 10000
-    groups[:, 1] = mid - groups[:, 0] * 10000
-    groups[:, 2] = lo // 10000
-    groups[:, 3] = lo - groups[:, 2] * 10000
-    index[:, 7] = _W_COMMA
-    index[cols - 1::cols, 7] = _W_NEWLINE
-    words = word_table.take(index).view(np.uint64)
-    shifted = np.empty_like(words)
-    shifted.view(np.uint8).reshape(-1)[1:] = words.view(np.uint8).reshape(-1)[:-1]
+    g0 = mid // 10000
+    g1 = mid - g0 * 10000
+    g2 = lo // 10000
+    g3 = lo - g2 * 10000
+    digits = last_digit[0].take(g0)
+    np.maximum(digits, last_digit[1].take(g1), out=digits)
+    np.maximum(digits, last_digit[2].take(g2), out=digits)
+    np.maximum(digits, last_digit[3].take(g3), out=digits)
+    cls = base.take(d)
+    cls += digits
+    cls += v < 0
 
-    digits = last_digit[0].take(groups[:, 0])
-    for i in (1, 2, 3):
-        np.maximum(digits, last_digit[i].take(groups[:, i]), out=digits)
-    np.maximum(digits, 1, out=digits)
-    cls = (e - _E_MIN) * 34 + digits * 2 - 2 + (v < 0)
-    cls[~ok] = len(class_table) - 1
-    table = class_table.take(cls, axis=0)
-    w = _CSV_SLOTS // 8
-    words &= table[:, :w]
-    words |= shifted & table[:, w:2 * w]
-    words |= table[:, 2 * w:]
-    slots = words.view(np.uint8).reshape(-1)
-    text = slots[slots != _CSV_DROP].tobytes()
-    if ok.all():
-        return text
-    pieces = text.split(b"\0")
+    # 8-slot words: the leading digit, two words of digit groups and the
+    # exponent word; a copy shifted one slot right supplies the digits
+    # past the decimal point
+    frame = np.empty((n, _CSV_SLOTS // 8), np.uint64)
+    lead_word.take(lead, out=frame[:, 0], mode="clip")
+    np.bitwise_or(low_word.take(g0), high_word.take(g1), out=frame[:, 1])
+    np.bitwise_or(low_word.take(g2), high_word.take(g3), out=frame[:, 2])
+    exp_word.take(d, out=frame[:, 3], mode="clip")
+    shifted = np.empty_like(frame)
+    shifted.view(np.uint8).reshape(-1)[1:] = frame.view(np.uint8).reshape(-1)[:-1]
+    frame &= mask.take(cls, axis=0)
+    shifted &= smask.take(cls, axis=0)
+    frame |= shifted
+    frame |= text.take(cls, axis=0)
+    frame.view(np.uint8)[cols - 1::cols, _CSV_SEP] = ord("\n")
+    out = frame.tobytes().translate(None, bytes([_CSV_DROP]))
+    if not bad.any():
+        return out
+    pieces = out.split(b"\0")
     joined = [b""] * (2 * len(pieces) - 1)
     joined[::2] = pieces
-    joined[1::2] = [b"%.17g" % x for x in v[~ok].tolist()]
+    joined[1::2] = _format_each(v[bad])
     return b"".join(joined)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, FingerprintMismatchError
-from .graphs import Graph, graph_from_dict, laplacian, spectrum, support_report
+from .graphs import Graph, _node_index, graph_from_dict, laplacian, spectrum, support_report
 from .problem import NetworkLinearEquation
 from .simulate import Trajectory, _run, _run_length
 from .spectral import assemble, equilibrium_dual, zero_space_projector
@@ -165,7 +165,7 @@ def check_support_fingerprint(graph: Graph, allowed_supports) -> None:
             f"{graph!r}: repeated Laplacian eigenvalues, supports are basis-dependent"
         )
     found = set(report.supports)
-    wanted = {frozenset(int(i) for i in s) for s in allowed_supports}
+    wanted = {frozenset(map(_node_index, s)) for s in allowed_supports}
     if found != wanted:
         raise FingerprintMismatchError(
             f"{graph!r}: eigenvector supports {sorted(map(sorted, found))} "

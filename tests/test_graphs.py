@@ -88,6 +88,22 @@ class TestConstruction:
         with pytest.raises(lf.InvalidNodeError):
             lf.make_graph(3, [(1, 4)])
 
+    @pytest.mark.parametrize("n_nodes, edges", [
+        (4, [(1.5, 2)]), (4, [("1", 2)]), (4, [(True, 2)]), (4, [(1, 2.0)]),
+        (4.0, [(1, 2)]), (True, []), ("4", [(1, 2)]),
+    ])
+    def test_non_integer_nodes_rejected(self, n_nodes, edges):
+        # no silent truncation: (1.5, 2) must not become the edge (1, 2)
+        with pytest.raises(lf.InvalidNodeError):
+            lf.make_graph(n_nodes, edges)
+
+    def test_numpy_integer_nodes_accepted(self):
+        g = lf.make_graph(np.int64(4), [(np.int64(2), np.int32(1)), (np.uint8(3), 4)])
+        assert g == lf.make_graph(4, [(1, 2), (3, 4)])
+        assert type(g.n_nodes) is int
+        assert all(type(i) is int for e in g.edges for i in e)
+        assert repr(g) == "Graph(custom-4, 2 edges)"
+
     def test_connectivity(self):
         assert lf.is_connected(lf.make_family("path", 6))
         assert not lf.is_connected(lf.make_graph(4, [(1, 2), (3, 4)]))

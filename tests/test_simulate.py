@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,34 @@ def adversarial_values() -> np.ndarray:
     scaled = rng.standard_normal(100_000) * 10.0 ** rng.integers(-9, 19, 100_000)
     values = np.concatenate([near, carries, ties, subnormal, special, big, bits, scaled])
     return np.concatenate([values, -values])
+
+
+def spy_on_per_value_path(monkeypatch) -> list:
+    """Collect every value that reaches the encoder's per-value path."""
+    seen = []
+    each = simulate._format_each
+
+    def spy(values):
+        seen.extend(values.tolist())
+        return each(values)
+
+    monkeypatch.setattr(simulate, "_format_each", spy)
+    return seen
+
+
+def takes_per_value_path(value: float) -> bool:
+    """The documented classes of the per-value path: 0, -0, nan, inf,
+    subnormals and |v| beyond [10^-290, 10^291), or a near-tie: a 17-digit
+    rounding that 2e-6 decides (the encoder flags 1e-6 at inexact scales)."""
+    if not np.isfinite(value):
+        return True
+    a = Fraction(abs(value))
+    if not Fraction(1, 10 ** 290) <= a < 10 ** 291:
+        return True
+    e = math.floor(math.log10(abs(value)))
+    e += (a >= Fraction(10) ** (e + 1)) - (a < Fraction(10) ** e)
+    x = a * Fraction(10) ** (16 - e)
+    return abs(x - math.floor(x) - Fraction(1, 2)) < 2e-6
 
 
 def synthetic_trajectory(series):
@@ -760,16 +790,58 @@ class TestCsv:
             chunk = values[start:start + 1024]
             assert _format_17g(chunk) == per_value_csv(chunk)
 
-    @pytest.mark.parametrize("shift", [-1e-3, 1e-3])
-    def test_encoder_checks_the_decade_log10_gives(self, monkeypatch, shift):
-        # a log10 that errs by a decade near the powers of ten must only
-        # send those values to the per-value fallback
-        log10 = np.log10
-        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
-        decades = np.array([float(f"1e{k}") for k in range(-8, 19)])
-        values = decades[:, None] * (1 + np.linspace(-5e-3, 5e-3, 1001))
-        values = np.concatenate([values.reshape(-1), np.nextafter(decades, 0)]).reshape(-1, 1)
-        assert _format_17g(values) == per_value_csv(values)
+    @pytest.mark.parametrize("toward", [0.0, np.inf])
+    def test_encoder_finds_the_decade_at_every_power_of_ten(self, toward):
+        # the decade comes from the binary exponent and one comparison with
+        # the least double >= 10^(e+1): every power of ten of the table, one
+        # past each end, values around each and the doubles next to each
+        decades = np.array([float(f"1e{k}") for k in range(-292, 293)])
+        near = [decades]
+        for _ in range(4):
+            near.append(np.nextafter(near[-1], toward))
+        around = decades[:, None] * (1 + np.linspace(-5e-3, 5e-3, 201))
+        values = np.concatenate([around.reshape(-1), *near]).reshape(-1, 5)
+        for start in range(0, len(values), 1024):
+            chunk = values[start:start + 1024]
+            assert _format_17g(chunk) == per_value_csv(chunk)
+
+    def test_encoder_table_ends(self, monkeypatch):
+        # 1e-290 and 1e291 are the least doubles >= 10^-290 and the largest
+        # below 10^291, the ends of the table; the doubles past them, and
+        # the exact tie 3 * 2^-24 = 1.78813934326171875e-07 at an inexact
+        # scale, take the per-value path
+        seen = spy_on_per_value_path(monkeypatch)
+        least, largest = 1e-290, 1e291
+        inside = [least, np.nextafter(largest, 0), largest, -1.5e-123, 2.5e123, 1.25e-123,
+                  -9.87654321e123, 1e-100, 1e100, 5e-7, 1.0000000000000002e17]
+        outside = [np.nextafter(least, 0), np.nextafter(largest, np.inf), -1e-291, 1e300,
+                   3 * 2.0 ** -24]
+        values = np.array([inside + outside])
+        text = _format_17g(values)
+        assert text == per_value_csv(values)
+        assert seen == outside
+        fields = text.decode().split(",")
+        assert fields[3].endswith("e-123") and fields[4].endswith("e+123")
+        assert fields[:3] == ["1.0000000000000001e-290", "9.9999999999999982e+290",
+                              "9.9999999999999996e+290"]
+
+    def test_only_documented_values_take_the_per_value_path(self, monkeypatch, tmp_path):
+        from conftest import load_fixture
+        seen = spy_on_per_value_path(monkeypatch)
+        config = load_fixture("chain4_dt_step003.json")
+        assert lf.run(config, out_dir=str(tmp_path)) == 0
+        assert len(seen) > 0
+        assert all(map(takes_per_value_path, seen))
+
+        rng = np.random.default_rng(290)
+        values = rng.standard_normal((2000, 50)) * 10.0 ** rng.integers(-290, 291, (2000, 50))
+        values[rng.random(values.shape) < 0.01] = 0.0
+        seen.clear()
+        for start in range(0, len(values), 160):
+            chunk = values[start:start + 160]
+            assert _format_17g(chunk) == per_value_csv(chunk)
+        assert all(map(takes_per_value_path, seen))
+        assert 0.005 * values.size < len(seen) < 0.02 * values.size
 
     @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
                       elements=st.floats()))

@@ -194,6 +194,14 @@ class TestFingerprints:
         with pytest.raises(lf.FingerprintMismatchError):
             lf.check_support_fingerprint(switch_pair[0], [[1, 2]])
 
+    def test_declared_supports_take_integers_only(self, switch_pair):
+        # [1.5, 2] used to be truncated to the support {1, 2} and pass
+        for bad in ([[1.5, 2], [1, 2, 3, 4, 5]], [[True, 2], [1, 2, 3, 4, 5]],
+                    [["1", 2], [1, 2, 3, 4, 5]]):
+            with pytest.raises(lf.InvalidNodeError):
+                lf.check_support_fingerprint(switch_pair[0], bad)
+        lf.check_support_fingerprint(switch_pair[0], [np.array([1, 2]), [1, 2, 3, 4, 5]])
+
     def test_repeated_spectrum_rejected(self, star_graph):
         with pytest.raises(lf.FingerprintMismatchError) as excinfo:
             lf.check_support_fingerprint(star_graph, [[1, 2, 3, 4]])

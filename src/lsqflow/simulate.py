@@ -519,11 +519,13 @@ def _csv_words():
     high four slots, and the leading digits at slot _CSV_BODY."""
     g = np.arange(10000, dtype=np.int16)[:, None]
     digits = g // np.array([1000, 100, 10, 1], np.int16) % 10 + 48
-    words = np.zeros((3, 10000, 8), np.uint8)
+    words = np.zeros((2, 10000, 8), np.uint8)
     words[0, :, :4] = digits
     words[1, :, 4:] = digits
-    words[2, :10, _CSV_BODY] = np.arange(48, 58)
-    return tuple(words.view(np.uint64).reshape(3, -1))
+    lead = np.zeros((10, 8), np.uint8)
+    lead[:, _CSV_BODY] = np.arange(48, 58)
+    low, high = words.view(np.uint64).reshape(2, -1)
+    return low, high, lead.view(np.uint64).reshape(-1)
 
 
 def _csv_last_digit():

@@ -10,6 +10,8 @@ default), with seeded generic rows (m = 2), it times:
   eigen-solve and the rank pass over its eigenspaces included;
 - ``analyze``: the whole ``build_spectral_report`` (eigen-solve, verdict,
   threshold and projector);
+- ``payload``: the analyze mode's JSON text of that report (its
+  eigenvalue pairs and, where the condition holds, the projector W);
 - ``support_report``: the minimum-support search of ``graph-feasibility``;
 - ``dt_step_us`` and ``ct_step_us``: the cost per step, in microseconds,
   of a 3000-step ``simulate_dt`` run at 0.9 epsilon* and a 3000-step
@@ -47,9 +49,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 
 import lsqflow as lf
+from lsqflow.cli import _analyze_payload, _json_text
 from lsqflow.spectral import _nonzero_split, _rank_pass, _verdict
 
-STAGES = ("assemble", "eigvals", "verdict", "analyze", "support_report", "csv_ns_per_cell")
+STAGES = ("assemble", "eigvals", "verdict", "analyze", "payload", "support_report",
+          "csv_ns_per_cell")
 SIM_STAGES = ("dt_step_us", "ct_step_us", "sw_step_us")
 SIM_STEPS = 3000
 SW_DWELL = 50
@@ -98,6 +102,7 @@ def sweep(family: str, n: int, repeats: int) -> dict:
     graph = lf.make_family(family, n)
     flow = lf.assemble(problem, graph)
     eigs = lf.m_spectrum(flow)
+    report = lf.build_spectral_report(flow)
 
     def verdict():
         spect = lf.spectrum(lf.laplacian(graph))
@@ -113,6 +118,7 @@ def sweep(family: str, n: int, repeats: int) -> dict:
         "eigvals": best_ms(lambda: lf.m_spectrum(flow), repeats),
         "verdict": best_ms(verdict, repeats),
         "analyze": best_ms(lambda: lf.build_spectral_report(flow), repeats),
+        "payload": best_ms(lambda: _json_text(_analyze_payload(report)), repeats),
         "support_report": best_ms(support, repeats),
     }
     eps = lf.epsilon_star_from_eigenvalues(eigs, verdict())

@@ -10,11 +10,11 @@ envelope on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from array import array
 
 import numpy as np
 
@@ -37,38 +37,41 @@ def _resolve(path: str, out_dir) -> str:
     return os.path.join(out_dir, path)
 
 
-def _complex_pairs(values) -> list:
-    return [[float(v.real), float(v.imag)] for v in np.asarray(values)]
+def _bracketed(items, indent: str, brackets: str = "[]") -> str:
+    inner = indent + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
-def _json_text(value, indent: str = "", rendered=None) -> str:
+def _json_text(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for payloads of
-    string-keyed dicts, lists and scalars. ``indent`` selects the
-    pure-Python encoder, which is slow on the (n m)^2 floats of
-    ``projector_W``, so a list of finite floats is rendered here with
-    ``float.__repr__``, as that encoder does. Such lists that are items of
-    one list are rendered once per distinct row, keyed in ``rendered`` by
-    their exact float64 bits (so 0.0 and -0.0 stay apart): W has only m
+    string-keyed dicts, lists, scalars and arrays (as their ``tolist()``).
+    ``indent`` selects the pure-Python encoder, which is slow on the
+    (n m)^2 floats of ``projector_W``, so finite floats are rendered here
+    with ``float.__repr__``, as that encoder does. A finite 2-D float64
+    array is checked once as a whole and rendered once per distinct row,
+    keyed by its exact bits (so 0.0 and -0.0 stay apart): W has only m
     distinct rows.
     """
     inner = indent + "  "
+    if isinstance(value, np.ndarray):
+        if not (value.ndim == 2 and value.size and value.dtype == np.float64
+                and np.isfinite(value).all()):
+            return _json_text(value.tolist(), indent)
+        value = np.ascontiguousarray(value)
+        keys = value.view(np.dtype((np.void, value.itemsize * value.shape[1]))).ravel().tolist()
+        rendered = {}
+        for k, key in enumerate(keys):
+            if key not in rendered:
+                rendered[key] = _bracketed(map(float.__repr__, value[k].tolist()), inner)
+        return _bracketed(map(rendered.__getitem__, keys), indent)
     if isinstance(value, dict) and value:
-        items = (f"{json.dumps(key)}: {_json_text(value[key], inner)}" for key in sorted(value))
-    elif isinstance(value, (list, tuple)) and value:
+        return _bracketed((f"{json.dumps(key)}: {_json_text(value[key], inner)}"
+                           for key in sorted(value)), indent, "{}")
+    if isinstance(value, (list, tuple)) and value:
         if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
-            if rendered is not None:
-                key = array("d", value).tobytes()
-                if key not in rendered:
-                    rendered[key] = _json_text(value, indent)
-                return rendered[key]
-            items = map(float.__repr__, value)
-        else:
-            rows = {}
-            items = (_json_text(v, inner, rows) for v in value)
-    else:
-        return json.dumps(value)
-    brackets = "{}" if isinstance(value, dict) else "[]"
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+            return _bracketed(map(float.__repr__, value), indent)
+        return _bracketed((_json_text(v, inner) for v in value), indent)
+    return json.dumps(value)
 
 
 def _json_out(payload: dict, config: RunConfig, out_dir, stdout) -> None:
@@ -98,19 +101,24 @@ def _verdict_payload(verdict) -> dict:
     }
 
 
-def _run_analyze(config: RunConfig, out_dir, stdout) -> int:
-    report = build_spectral_report(assemble(config.problem, config.graph))
-    payload = {
+def _analyze_payload(report) -> dict:
+    """The analyze payload of a spectral report; its arrays stay arrays
+    for :func:`_json_text`."""
+    return {
         "condition": _verdict_payload(report.condition),
         "spectral": {
-            "m_eigenvalues": _complex_pairs(report.m_eigenvalues),
+            "m_eigenvalues": np.column_stack([report.m_eigenvalues.real,
+                                              report.m_eigenvalues.imag]),
             "epsilon_star": report.epsilon_star,
             "zero_space_dim": report.zero_space_dim,
-            "projector_W": (None if report.projector_W is None
-                            else report.projector_W.tolist()),
+            "projector_W": report.projector_W,
         },
     }
-    _json_out(payload, config, out_dir, stdout)
+
+
+def _run_analyze(config: RunConfig, out_dir, stdout) -> int:
+    report = build_spectral_report(assemble(config.problem, config.graph))
+    _json_out(_analyze_payload(report), config, out_dir, stdout)
     return 0
 
 
@@ -268,8 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with open(args.config) as fh:
             text = fh.read()

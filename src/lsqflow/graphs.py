@@ -39,19 +39,15 @@ class Graph:
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if self.n_nodes < 1:
+        n = _node_index(self.n_nodes, "node count")
+        if n < 1:
             raise TooSmallError("graph needs at least one node")
         seen = set()
         for e in self.edges:
             i, j = e
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if not (1 <= i <= self.n_nodes and 1 <= j <= self.n_nodes):
-                raise InvalidNodeError(f"edge {e} outside 1..{self.n_nodes}")
-            if i > j:
-                raise ValueError(f"edge {e} not normalized; use make_graph")
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
+            # one chained test passes a new edge (i, j) of plain ints, 1 <= i < j <= n
+            if type(i) is not int or type(j) is not int or not 1 <= i < j <= n or e in seen:
+                _check_edge(e, n, seen)
             seen.add(e)
 
     def sorted_edges(self):
@@ -70,6 +66,21 @@ def _node_index(value, what: str = "node index") -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidNodeError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_edge(e, n: int, seen) -> None:
+    """Raise for the first fault of edge ``e`` of a graph on n nodes
+    that already has the edges ``seen``; an edge of integers (numpy
+    integers too) with ``1 <= i < j <= n`` passes."""
+    i, j = (_node_index(v) for v in e)
+    if i == j:
+        raise ValueError(f"self-loop at node {i}")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise InvalidNodeError(f"edge {e} outside 1..{n}")
+    if i > j:
+        raise ValueError(f"edge {e} not normalized; use make_graph")
+    if e in seen:
+        raise ValueError(f"duplicate edge {e}")
 
 
 def make_graph(n_nodes: int, edges, label: str = "") -> Graph:
@@ -194,11 +205,12 @@ def _support_of(vec: np.ndarray) -> frozenset:
     return frozenset((np.flatnonzero(_support_mask(vec[None])) + 1).tolist())
 
 
-def _pair_members(basis: np.ndarray):
+def _pair_members(basis: np.ndarray, pairs=None):
     """Members of the eigenspace spanned by the orthonormal columns of
     ``basis`` supported on two nodes: yields ``(i, j, members)`` per chunk
     of at most n node pairs ``i < j`` (0-based, in (i, j) order), with the
-    members as rows.
+    members as rows. An n x n boolean ``pairs`` keeps only the node pairs
+    it marks.
 
     Such a member is a null vector of the orthogonal projector
     ``C = I - B B^T`` restricted to columns i and j. The smallest
@@ -210,18 +222,21 @@ def _pair_members(basis: np.ndarray):
     complement = np.eye(n) - basis @ basis.T
     diag = np.diag(complement)
     smallest = 0.5 * (diag[:, None] + diag) - np.hypot(0.5 * (diag[:, None] - diag), complement)
-    rows, cols = np.nonzero(np.triu(smallest <= 1e-10, k=1))
+    candidates = smallest <= 1e-10
+    if pairs is not None:
+        candidates &= pairs
+    rows, cols = np.nonzero(np.triu(candidates, k=1))
     for start in range(0, rows.size, n):
         i, j = rows[start:start + n], cols[start:start + n]
-        pairs = np.stack([complement[:, i].T, complement[:, j].T], axis=-1)
-        _, sv, vt = np.linalg.svd(pairs, full_matrices=False)
+        stack = np.stack([complement[:, i].T, complement[:, j].T], axis=-1)
+        _, sv, vt = np.linalg.svd(stack, full_matrices=False)
         keep = sv[:, 1] <= 1e-9
         members = np.zeros((np.count_nonzero(keep), n))
         np.put_along_axis(members, np.stack([i[keep], j[keep]], axis=1), vt[keep, 1], axis=1)
         yield i[keep], j[keep], members
 
 
-def _eigenspace_members(basis: np.ndarray):
+def _eigenspace_members(basis: np.ndarray, pairs=None):
     """Members of the eigenspace spanned by the orthonormal columns of
     ``basis``, sparsest candidates first, as blocks of rows.
 
@@ -230,8 +245,9 @@ def _eigenspace_members(basis: np.ndarray):
     ordered by (support size, sorted support); any other member's support
     contains all of theirs, so the list is exact for the smallest support
     and for the first rank-deficient one. Three or more: the members
-    supported on two nodes in (i, j) order, one block per chunk, then the
-    basis vectors. Consumers stop at the first block that settles them.
+    supported on two nodes in (i, j) order, one block per chunk (only on
+    the node pairs that ``pairs`` marks, if given), then the basis
+    vectors. Consumers stop at the first block that settles them.
     """
     d = basis.shape[1]
     if d == 1:
@@ -247,7 +263,7 @@ def _eigenspace_members(basis: np.ndarray):
         supports = {k: np.flatnonzero(masks[k]).tolist() for k in first.values()}
         yield members[sorted(supports, key=lambda k: (len(supports[k]), supports[k]))]
         return
-    for _, _, members in _pair_members(basis):
+    for _, _, members in _pair_members(basis, pairs):
         yield members
     yield basis.T
 

@@ -408,11 +408,12 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     header = "t," + ",".join(names) + ",error,cost\n"
     columns = (traj.t_or_k, traj.x, traj.v, traj.error, traj.cost)
     chunk_rows = max(1, CSV_CHUNK_CELLS // (len(names) + 3))
+    work = _csv_work(chunk_rows * (len(names) + 3))
     with open(path, "wb") as fh:
         fh.write(header.encode())
         for start in range(0, len(traj.t_or_k), chunk_rows):
             rows = slice(start, start + chunk_rows)
-            fh.write(_format_17g(np.column_stack([col[rows] for col in columns])))
+            fh.write(_format_17g(np.column_stack([col[rows] for col in columns]), work))
 
 
 # The CSV encoder. A value v with |v| in [1e-290, 1e291) has a decade e
@@ -584,8 +585,16 @@ def _format_each(values: np.ndarray) -> list:
     return [b"%.17g" % x for x in values.tolist()]
 
 
-def _format_17g(values: np.ndarray) -> bytes:
-    """Rows of ``values`` as CSV lines, each value exactly ``'%.17g' % v``."""
+def _csv_work(cells: int) -> np.ndarray:
+    """Work space of :func:`_format_17g` for up to ``cells`` values: the
+    frame, its shifted copy and one row gather. One per CSV file, so that
+    no chunk allocates (and page-faults in) its own."""
+    return np.empty((3, cells, _CSV_SLOTS // 8), np.uint64)
+
+
+def _format_17g(values: np.ndarray, work=None) -> bytes:
+    """Rows of ``values`` as CSV lines, each value exactly ``'%.17g' % v``;
+    ``work`` from :func:`_csv_work`, or a new one."""
     (scale, half, base, exp_word, least, beyond, binade_first, binade_edge,
      low_word, high_word, lead_word, last_digit, mask, smask, text) = _csv_tables()
     cols = values.shape[1]
@@ -638,17 +647,18 @@ def _format_17g(values: np.ndarray) -> bytes:
     # 8-slot words: the leading digit, two words of digit groups and the
     # exponent word; a copy shifted one slot right supplies the digits
     # past the decimal point
-    frame = np.empty((n, _CSV_SLOTS // 8), np.uint64)
+    if work is None:
+        work = _csv_work(n)
+    frame, shifted, gather = work[:, :n]
     lead_word.take(lead, out=frame[:, 0], mode="clip")
     np.bitwise_or(low_word.take(g0), high_word.take(g1), out=frame[:, 1])
     np.bitwise_or(low_word.take(g2), high_word.take(g3), out=frame[:, 2])
     exp_word.take(d, out=frame[:, 3], mode="clip")
-    shifted = np.empty_like(frame)
     shifted.view(np.uint8).reshape(-1)[1:] = frame.view(np.uint8).reshape(-1)[:-1]
-    frame &= mask.take(cls, axis=0)
-    shifted &= smask.take(cls, axis=0)
+    frame &= mask.take(cls, axis=0, out=gather, mode="clip")
+    shifted &= smask.take(cls, axis=0, out=gather, mode="clip")
     frame |= shifted
-    frame |= text.take(cls, axis=0)
+    frame |= text.take(cls, axis=0, out=gather, mode="clip")
     frame.view(np.uint8)[cols - 1::cols, _CSV_SEP] = ord("\n")
     out = frame.tobytes().translate(None, bytes([_CSV_DROP]))
     if not bad.any():

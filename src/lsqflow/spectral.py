@@ -92,17 +92,17 @@ def assemble(problem: NetworkLinearEquation, graph: Graph) -> AssembledFlow:
             f"problem has {problem.n_nodes} nodes, graph has {graph.n_nodes}"
         )
     n, m = problem.n_nodes, problem.dim
-    H_tilde = np.zeros((n * m, n * m))
-    for i in range(n):
-        h = problem.rows[i]
-        H_tilde[i * m:(i + 1) * m, i * m:(i + 1) * m] = np.outer(h, h)
-    z_H = (problem.obs[:, None] * problem.rows).reshape(-1)
+    nm, nodes, rows = n * m, np.arange(n), problem.rows
+    H_tilde = np.zeros((nm, nm))
+    H_tilde.reshape(n, m, n, m)[nodes, :, nodes] = rows[:, :, None] * rows[:, None, :]
+    z_H = (problem.obs[:, None] * rows).reshape(-1)
     L = laplacian(graph)
     L_kron = np.kron(L, np.eye(m))
-    M = np.block([
-        [-H_tilde, -L_kron],
-        [L_kron, np.zeros((n * m, n * m))],
-    ])
+    # the quadrants in place, each value and signed zero as np.block would copy it
+    M = np.zeros((2 * nm, 2 * nm))
+    np.negative(H_tilde, out=M[:nm, :nm])
+    np.negative(L_kron, out=M[:nm, nm:])
+    M[nm:, :nm] = L_kron
     try:
         y_ref = solve_least_squares(problem).y_star
     except RankDeficientError:
@@ -201,6 +201,23 @@ def _rank_pass(problem, spect: LaplacianSpectrum, groups) -> tuple:
     return k, failing
 
 
+def _deficient_pairs(rows: np.ndarray):
+    """n x n mask of the node pairs whose two rows may fail to span the
+    unknown space, or None where every pair may.
+
+    Two rows cannot span R^m for m >= 3, and with m = 1 no pair is
+    dropped. For m = 2 a pair is kept when ``|det [h_i; h_j]| <= 1e-6
+    (|h_i|^2 + |h_j|^2)``: a rank-deficient pair at ``RANK_RTOL`` has
+    ``|det| = sigma_1 sigma_2 <= 2e-12 sigma_1^2``, far inside the bound,
+    so the mask is a superset of the exact test, which still decides.
+    """
+    if rows.shape[1] != 2:
+        return None
+    det = rows[:, None, 0] * rows[:, 1] - rows[:, None, 1] * rows[:, 0]
+    norms = np.einsum("ij,ij->i", rows, rows)
+    return np.abs(det) <= 1e-6 * (norms[:, None] + norms)
+
+
 def _witness(problem, spect: LaplacianSpectrum, groups) -> tuple:
     """(witness, support) of the first member of the eigenspaces
     ``groups`` whose support rows do not span the unknown space; (None,
@@ -210,9 +227,12 @@ def _witness(problem, spect: LaplacianSpectrum, groups) -> tuple:
     ``c (x) eta`` a null vector of K, so only the eigenspaces that
     :func:`_rank_pass` finds failing can hold one. The support rows of a
     block of members are tested together, one stacked SVD per support
-    size."""
+    size. On a connected graph (the only kind searched) no eigenvector
+    is supported on one node, so a two-node member's support is its pair,
+    and the pairs :func:`_deficient_pairs` rules out are not confirmed."""
+    pairs = _deficient_pairs(problem.rows)
     for group in groups:
-        for block in _eigenspace_members(spect.eigenvectors[:, list(group)]):
+        for block in _eigenspace_members(spect.eigenvectors[:, list(group)], pairs):
             masks = _support_mask(block)
             sizes = masks.sum(axis=1)
             failing = {}  # member index -> eta

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import lsqflow as lf
+from lsqflow import cli as cli_module
 from lsqflow.cli import _json_text, build_parser, error_envelope, run
 
 from _helpers import pattern_rows
@@ -89,6 +90,24 @@ class TestJsonText:
                 (0.0, 1.0), [0.0, float("nan")], [0.0, 1.0, 2.0]]
         payload = {"W": rows, "nested": [rows, [[0.0, 1.0]]]}
         assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    def test_arrays_render_as_their_lists(self):
+        # finite 2-D float64 arrays take the per-row path: 0.0 and -0.0
+        # apart, repeated rows, extreme and subnormal values, strided views;
+        # a nan row, other shapes and dtypes fall back to tolist()
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [1e300, 5e-324],
+                         [-0.0, 1.0], [0.1, -2.5], [-1e-300, 1.7976931348623157e308]])
+        arrays = [rows, rows.T, rows[::2], rows[:, :1], rows[0],
+                  np.kron(np.full((3, 3), 1.0 / 3), np.eye(2)),
+                  np.vstack([rows, [[np.nan, 1.0]]]), np.vstack([rows, [[-np.inf, 0.0]]]),
+                  np.array([[0.1, -0.0], [3.0, 0.1]], np.float32),
+                  np.zeros((0, 2)), np.zeros((2, 0)),
+                  np.arange(6).reshape(3, 2)]
+        for a in arrays:
+            assert _json_text(a) == json.dumps(a.tolist(), indent=2, sort_keys=True)
+        payload = {"b": arrays[0], "a": [arrays[2], {"c": arrays[5]}]}
+        expected = {"b": arrays[0].tolist(), "a": [arrays[2].tolist(), {"c": arrays[5].tolist()}]}
+        assert _json_text(payload) == json.dumps(expected, indent=2, sort_keys=True)
 
 
 class TestOneEigenSolve:
@@ -280,6 +299,21 @@ class TestCommandLine:
         for mode in lf.MODES:
             ns = parser.parse_args([mode, "--config", "c.json"])
             assert ns.mode == mode
+
+    def test_main_builds_the_parser_once(self, monkeypatch, tmp_path, capsys):
+        built = []
+        monkeypatch.setattr(cli_module, "build_parser", lambda: built.append(1) or build_parser())
+        cli_module._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert cli_module.main(["solve-lsq", "--config",
+                                        str(fixture_path("chain4_lsq.json")),
+                                        "--out", str(tmp_path)]) == 0
+        finally:
+            cli_module._parser.cache_clear()
+        assert len(built) == 1
+        outputs = capsys.readouterr().out.split("}\n")
+        assert len(outputs) == 4 and len(set(outputs[:3])) == 1
 
     def test_end_to_end_solve(self, tmp_path):
         res = cli("solve-lsq", "--config", str(fixture_path("chain4_lsq.json")),

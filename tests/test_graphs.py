@@ -104,6 +104,30 @@ class TestConstruction:
         assert all(type(i) is int for e in g.edges for i in e)
         assert repr(g) == "Graph(custom-4, 2 edges)"
 
+    @pytest.mark.parametrize("n_nodes, edges", [
+        (4.5, {(1.5, 2), (2, 3)}), (4, {(1.5, 2)}), (4, {(1, 2.0)}), (4, {(True, 2)}),
+        (4, {(1, np.float64(2))}), (4.0, {(1, 2)}), (np.float64(4), set()), (True, set()),
+        (4, {(np.bool_(True), 2)}),
+    ])
+    def test_graph_rejects_non_integer_nodes(self, n_nodes, edges):
+        # the dataclass itself checks types, not only make_graph
+        with pytest.raises(lf.InvalidNodeError):
+            lf.Graph(n_nodes=n_nodes, edges=frozenset(edges))
+
+    def test_graph_accepts_numpy_integer_nodes(self):
+        edges = frozenset({(np.int64(1), np.int32(2)), (np.uint8(3), 4)})
+        g = lf.Graph(n_nodes=np.int64(4), edges=edges)
+        plain = lf.make_graph(4, [(1, 2), (3, 4)])
+        assert g == plain
+        assert np.array_equal(lf.laplacian(g), lf.laplacian(plain))
+        # ranges, order and self-loops are still checked on numpy integers
+        with pytest.raises(lf.InvalidNodeError):
+            lf.Graph(n_nodes=4, edges=frozenset({(np.int64(0), 1)}))
+        with pytest.raises(ValueError, match="not normalized"):
+            lf.Graph(n_nodes=4, edges=frozenset({(np.int64(2), 1)}))
+        with pytest.raises(ValueError, match="self-loop"):
+            lf.Graph(n_nodes=4, edges=frozenset({(np.int16(2), 2)}))
+
     def test_connectivity(self):
         assert lf.is_connected(lf.make_family("path", 6))
         assert not lf.is_connected(lf.make_graph(4, [(1, 2), (3, 4)]))

@@ -849,6 +849,17 @@ class TestCsv:
     def test_encoder_matches_per_value_format_on_any_doubles(self, values):
         assert _format_17g(values) == per_value_csv(values)
 
+    def test_reused_work_space_keeps_the_bytes(self):
+        # one work space serves every chunk of a file: stale bytes from a
+        # larger chunk, or garbage, must not reach the text
+        rng = np.random.default_rng(17)
+        work = simulate._csv_work(600)
+        work.fill(np.uint64(2 ** 64 - 1))
+        for rows in (100, 37, 1):
+            values = rng.standard_normal((rows, 6)) * 10.0 ** rng.integers(-300, 300, (rows, 6))
+            values[::4, ::2] = -0.0
+            assert _format_17g(values, work) == per_value_csv(values)
+
     @pytest.mark.parametrize("n_nodes, dim, n_rows, chunk_cells", [
         (4, 2, 3 * simulate.CSV_CHUNK_CELLS // 19 + 5, simulate.CSV_CHUNK_CELLS),
         (200, 2, 25, simulate.CSV_CHUNK_CELLS),     # 803 columns, 10 rows a chunk

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from lsqflow.spectral import (
     epsilon_star_from_eigenvalues,
 )
 
-from _helpers import (ROW_PATTERNS, pattern_rows, random_problem,
+from _helpers import (ROW_PATTERNS, pattern_rows, random_connected_graph, random_problem,
                       random_simple_spectrum_graph, simple_spectrum_verdict, witness_by_loop)
 
 
@@ -50,6 +51,26 @@ class TestAssemble:
     def test_matrices_read_only(self, chain_flow):
         with pytest.raises(ValueError):
             chain_flow.M[0, 0] = 1.0
+
+    def test_matrices_keep_every_bit_of_the_block_construction(self):
+        # M is built in place; each value and each signed zero must be the
+        # one np.block copies from -H_tilde, -L_kron, L_kron and zeros
+        rng = np.random.default_rng(5)
+        for family in ("path", "star", "complete"):
+            for n, m in ((4, 1), (7, 2), (9, 3)):
+                H = rng.standard_normal((n, m))
+                H[::3, 0] = 0.0
+                H[1::4, -1] = -0.0
+                problem = lf.NetworkLinearEquation(H, rng.standard_normal(n))
+                graph = lf.make_family(family, n)
+                flow = lf.assemble(problem, graph)
+                H_tilde = np.zeros((n * m, n * m))
+                for i in range(n):
+                    H_tilde[i * m:(i + 1) * m, i * m:(i + 1) * m] = np.outer(H[i], H[i])
+                L_kron = np.kron(lf.laplacian(graph), np.eye(m))
+                M = np.block([[-H_tilde, -L_kron], [L_kron, np.zeros((n * m, n * m))]])
+                for got, want in ((flow.H_tilde, H_tilde), (flow.L_kron, L_kron), (flow.M, M)):
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestCostAndGradient:
@@ -355,27 +376,85 @@ class TestCompleteGraphWitness:
         assert np.abs(problem.rows[[0, 2]] @ eta).max() < 1e-12
 
 
+def witness_rows(n):
+    """Row sets for the witness search on n nodes: the structural
+    patterns, m = 1 with every third row zero, generic m = 3, and m = 2
+    with rows 2 and n near-parallel, ``h_n = 1.3 h_2 + delta |h_2| e`` for
+    e the unit normal of h_2, at delta = 0, 1e-14 (rank-deficient at
+    RANK_RTOL), 1e-10 and 1e-6 (spanning, but inside the pair pre-filter)."""
+    rng = np.random.default_rng([n, 15])
+    yield from (pattern_rows(pattern, n) for pattern in ROW_PATTERNS)
+    ones = rng.standard_normal((n, 1))
+    ones[::3] = 0.0
+    yield ones
+    yield rng.standard_normal((n, 3))
+    for delta in (0.0, 1e-14, 1e-10, 1e-6):
+        H = rng.standard_normal((n, 2))
+        normal = np.array([-H[1, 1], H[1, 0]])
+        H[-1] = 1.3 * H[1] + delta * normal
+        yield H
+
+
 class TestBatchedWitness:
     def test_matches_per_member_loop(self):
         # the batched search walks only the eigenspaces that the rank pass
-        # finds failing; the loop walks every eigenspace with r > 0
-        found = 0
-        for family in ("star", "complete"):
-            for n in range(4, 13):
-                spect = lf.spectrum(lf.laplacian(lf.make_family(family, n)))
-                for pattern in ("pair", "blind3", "blind2"):
-                    problem = lf.NetworkLinearEquation(pattern_rows(pattern, n), np.ones(n))
-                    failing = _rank_pass(problem, spect, spect.eigenspace_groups)[1]
-                    got = _witness(problem, spect, sorted(failing))
-                    want = witness_by_loop(problem, spect, spect.eigenspace_groups[1:])
-                    if want[0] is None:
-                        assert got == (None, None)
-                        continue
-                    found += 1
-                    assert got[0][0] == want[0][0]
-                    assert np.array_equal(got[0][1], want[0][1])
-                    assert got[1] == want[1]
-        assert found >= 20
+        # finds failing, and with m = 2 confirms only the node pairs whose
+        # rows may be parallel; the loop walks every member of every
+        # eigenspace with r > 0
+        core = random_connected_graph(np.random.default_rng(15), 6)
+        wide = lf.make_graph(10, sorted(core.edges) + [(1, k) for k in range(7, 11)])
+        graphs = [lf.make_family(family, n) for family in ("star", "complete")
+                  for n in range(4, 25)]
+        found = {}
+        for graph in graphs + [wide]:
+            n = graph.n_nodes
+            spect = lf.spectrum(lf.laplacian(graph))
+            for rows in witness_rows(n):
+                problem = lf.NetworkLinearEquation(rows, np.ones(n))
+                failing = _rank_pass(problem, spect, spect.eigenspace_groups)[1]
+                got = _witness(problem, spect, sorted(failing))
+                want = witness_by_loop(problem, spect, spect.eigenspace_groups[1:])
+                if want[0] is None:
+                    assert got == (None, None)
+                    continue
+                found[problem.dim] = found.get(problem.dim, 0) + 1
+                assert got[0][0] == want[0][0]
+                assert np.array_equal(got[0][1], want[0][1])
+                assert got[1] == want[1]
+        # four leaves on node 1: an eigenvalue-1 eigenspace of dimension >= 3
+        assert max(map(len, lf.spectrum(lf.laplacian(wide)).eigenspace_groups)) >= 3
+        assert min(found.get(m, 0) for m in (1, 2, 3)) >= 20
+
+    @staticmethod
+    def pair_confirmations(monkeypatch) -> list:
+        """Shapes of the stacked SVDs that confirm two-node members."""
+        calls, svd = [], np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "_pair_members":
+                calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        return calls
+
+    @pytest.mark.parametrize("family", ["complete", "star"])
+    def test_spanning_pairs_are_not_confirmed(self, monkeypatch, family):
+        # generic m = 2 rows: every pair spans the plane, so analyze
+        # confirms no two-node member and reports the null block
+        calls = self.pair_confirmations(monkeypatch)
+        n = 48
+        problem = lf.NetworkLinearEquation(pattern_rows("generic", n), np.ones(n))
+        config = lf.RunConfig(mode="analyze", problem=problem, graph=lf.make_family(family, n))
+        out = io.StringIO()
+        assert lf.run(config, stdout=out, stderr=io.StringIO()) == 0
+        condition = json.loads(out.getvalue())["condition"]
+        assert condition["holds"] is False and condition["witness"] is None
+        assert calls == []
+        # the spy does see confirmations: two rows never span R^3
+        problem = lf.NetworkLinearEquation(pattern_rows("blind3", 8), np.ones(8))
+        assert lf.check_condition(problem, lf.make_family(family, 8)).witness is not None
+        assert calls
 
 
 class TestLaplacianChecker:

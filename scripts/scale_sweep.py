@@ -107,7 +107,7 @@ def sweep(family: str, n: int, repeats: int) -> dict:
     def verdict():
         spect = lf.spectrum(lf.laplacian(graph))
         kernel_dim, failing = _rank_pass(problem, spect, spect.eigenspace_groups)
-        _verdict(problem, graph, spect, _nonzero_split(eigs, kernel_dim)[0], failing)
+        _verdict(problem, spect, _nonzero_split(eigs, kernel_dim)[0], failing)
         return kernel_dim
 
     def support():

@@ -34,7 +34,6 @@ from .graphs import (
     SupportReport,
     family_min_support,
     graph_from_dict,
-    is_connected,
     laplacian,
     make_family,
     make_graph,
@@ -55,7 +54,6 @@ from .spectral import (
     flow_gradient,
     m_spectrum,
     predict_v_limit,
-    zero_space_projector,
 )
 from .simulate import (
     DiscreteConfig,
@@ -69,12 +67,8 @@ from .simulate import (
     write_trajectory_csv,
 )
 from .switching import (
-    IntersectionResult,
-    LimitSet,
     SwitchingSignal,
     check_support_fingerprint,
-    limit_set,
-    limit_sets_intersect,
     load_graph_pair,
     oscillation_period,
     simulate_switching,

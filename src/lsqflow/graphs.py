@@ -102,6 +102,7 @@ def make_graph(n_nodes: int, edges, label: str = "") -> Graph:
 
 def make_family(family: str, n: int) -> Graph:
     """One of the four fundamental families; star's hub is node 1."""
+    n = _node_index(n, "node count")
     if n < 3:
         raise TooSmallError(f"family graphs need n >= 3, got {n}")
     if family == "path":
@@ -115,23 +116,6 @@ def make_family(family: str, n: int) -> Graph:
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     return make_graph(n, edges, label=f"{family}-{n}")
-
-
-def is_connected(graph: Graph) -> bool:
-    if graph.n_nodes == 1:
-        return True
-    adj = {i: [] for i in range(1, graph.n_nodes + 1)}
-    for i, j in graph.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {1}
-    stack = [1]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == graph.n_nodes
 
 
 def laplacian(graph: Graph) -> np.ndarray:
@@ -362,6 +346,7 @@ def family_min_support(family: str, n: int) -> int:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    n = _node_index(n, "node count")
     if n < 3:
         raise TooSmallError(f"family graphs need n >= 3, got {n}")
     if family == "star" or family == "complete":

@@ -23,7 +23,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import DimensionMismatchError, DivergedError, StepAlignmentError
-from .spectral import AssembledFlow
+from .spectral import AssembledFlow, _costs
 
 DIVERGE_LIMIT = 1e9
 # Block engine: at most BLOCK_STEPS steps per block, at most BLOCK_DOUBLES
@@ -221,11 +221,8 @@ def _finish_trajectory(flow, u, steps, time_of, metadata):
     v = np.ascontiguousarray(u[:, nm:])
     diff = x - np.tile(flow.y_ref, flow.problem.n_nodes)
     error = np.einsum("ij,ij->i", diff, diff)
-    nodes = x.reshape(len(x), flow.problem.n_nodes, flow.problem.dim)
-    r = np.einsum("kj,ikj->ik", flow.problem.rows, nodes) - flow.problem.obs
-    cost = 0.5 * np.einsum("ik,ik->i", r, r)
     return Trajectory(
-        t_or_k=time_of(steps), x=x, v=v, error=error, cost=cost,
+        t_or_k=time_of(steps), x=x, v=v, error=error, cost=_costs(flow.problem, x),
         y_ref=np.array(flow.y_ref), metadata=metadata,
     )
 

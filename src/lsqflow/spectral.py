@@ -30,7 +30,7 @@ from .errors import (
     NumericalFailureError,
     RankDeficientError,
 )
-from .graphs import (Graph, LaplacianSpectrum, is_connected, laplacian, spectrum,
+from .graphs import (Graph, LaplacianSpectrum, laplacian, spectrum,
                      _eigenspace_members, _support_mask, _support_of)
 from .problem import (
     RANK_RTOL,
@@ -40,8 +40,8 @@ from .problem import (
 
 # |Re(lambda)| <= TAU_IM * |lambda| classifies an eigenvalue as purely
 # imaginary. The kernel of M holds its k smallest eigenvalues in modulus,
-# k from the Laplacian side; the (k+1)-th must exceed them by a factor
-# 1 / TAU_GAP.
+# k from the Laplacian side; the (k+1)-th, like the Laplacian's first
+# nonzero eigenvalue over its zero eigenspace, must exceed them by 1 / TAU_GAP.
 TAU_IM = 1e-7
 TAU_GAP = 1e-3
 
@@ -115,15 +115,21 @@ def assemble(problem: NetworkLinearEquation, graph: Graph) -> AssembledFlow:
     )
 
 
+def _costs(problem: NetworkLinearEquation, x) -> np.ndarray:
+    """Half the sum of squared per-node measurement mismatches
+    ``h_i^T x_i - z_i``, one value per row of the states x."""
+    nodes = np.asarray(x, dtype=float).reshape(-1, problem.n_nodes, problem.dim)
+    r = np.einsum("kj,ikj->ik", problem.rows, nodes) - problem.obs
+    return 0.5 * np.einsum("ik,ik->i", r, r)
+
+
 def flow_cost(flow: AssembledFlow, x) -> float:
     """Half the sum of squared per-node measurement mismatches.
 
     The one-half factor makes the analytic gradient exactly
     ``H_tilde x - z_H``.
     """
-    x = np.asarray(x, dtype=float).reshape(flow.problem.n_nodes, flow.problem.dim)
-    r = np.einsum("ij,ij->i", flow.problem.rows, x) - flow.problem.obs
-    return 0.5 * float(r @ r)
+    return float(_costs(flow.problem, np.reshape(x, (1, flow.state_dim)))[0])
 
 
 def flow_gradient(flow: AssembledFlow, x) -> np.ndarray:
@@ -177,7 +183,9 @@ def _rank_pass(problem, spect: LaplacianSpectrum, groups) -> tuple:
 
     For an eigenvalue r with orthonormal eigenbasis B (n x d), K is the
     n x (d m) matrix with rows ``B_i (x) h_i``. At r = 0, B spans the
-    indicators of the c components, and a kernel vector of M has v
+    indicators of the c components; c counts only where the largest
+    ``|r|`` there is below ``TAU_GAP`` times the next Laplacian eigenvalue,
+    else :class:`InternalInconsistencyError`. A kernel vector of M has v
     constant per component and x = B C with ``h_i^T x_i = 0``, a null
     vector vec(C) of K: k = dim ker M = c m + nullity(K). For r > 0, M
     has the eigenvalue ``i r`` iff K is rank-deficient: ``failing`` maps
@@ -186,18 +194,22 @@ def _rank_pass(problem, spect: LaplacianSpectrum, groups) -> tuple:
     eigenvector of M at ``i r``.
     """
     m = problem.dim
-    zero = spect.eigenspace_groups[0]
-    k, failing = len(zero) * m, {}
+    zero, w = spect.eigenspace_groups[0], spect.eigenvalues
+    c, largest = len(zero), np.abs(w[:len(zero)]).max()
+    if c < w.size and largest >= TAU_GAP * w[c]:
+        raise InternalInconsistencyError(f"{c} components, but Laplacian eigenvalues "
+                                         f"{largest:.3e} and {w[c]:.3e} are not apart")
+    k, failing = c * m, {}
     for d in {len(g) for g in groups}:
         same = [g for g in groups if len(g) == d]
         bases = np.stack([spect.eigenvectors[:, list(g)] for g in same])
         K = bases[..., None] * problem.rows[:, None, :]  # rows B_i (x) h_i
         ranks, nulls = _stacked_rank(K.reshape(len(same), -1, d * m))
-        for g, B, rank, c in zip(same, bases, ranks, nulls):
+        for g, B, rank, null in zip(same, bases, ranks, nulls):
             if g == zero:
                 k += d * m - int(rank)
             elif rank < d * m:
-                failing[g] = float(spect.eigenvalues[g[0]]), B @ c.reshape(d, m)
+                failing[g] = float(w[g[0]]), B @ null.reshape(d, m)
     return k, failing
 
 
@@ -248,7 +260,7 @@ def _witness(problem, spect: LaplacianSpectrum, groups) -> tuple:
     return None, None
 
 
-def _verdict(problem, graph, spect: LaplacianSpectrum, imaginary, failing) -> ConditionVerdict:
+def _verdict(problem, spect: LaplacianSpectrum, imaginary, failing) -> ConditionVerdict:
     """The condition verdict from M's purely imaginary eigenvalues and the
     failing eigenspaces of :func:`_rank_pass`.
 
@@ -257,14 +269,15 @@ def _verdict(problem, graph, spect: LaplacianSpectrum, imaginary, failing) -> Co
     raising :class:`InternalInconsistencyError` on disagreement. The
     member witness search runs only when the condition fails, on the
     failing eigenspaces; where no member witnesses the failure, the
-    verdict carries the null block of the smallest failing r instead. On
-    a disconnected graph no direction mixes across components, so the
-    witness is the first unit vector at eigenvalue 0, backed by node 1's
-    component: the support of the zero-eigenspace projection of the first
-    node's indicator.
+    verdict carries the null block of the smallest failing r instead. A
+    graph is disconnected when eigenspace 0, as :func:`_rank_pass` checks
+    it, has more than one dimension. Then no direction mixes across
+    components, so the witness is the first unit vector at eigenvalue 0,
+    backed by node 1's component: the support of the zero-eigenspace
+    projection of the first node's indicator.
     """
-    if not is_connected(graph):
-        zero = spect.eigenvectors[:, list(spect.eigenspace_groups[0])]
+    zero = spect.eigenvectors[:, list(spect.eigenspace_groups[0])]
+    if zero.shape[1] > 1:
         return ConditionVerdict(False, (0.0, np.eye(problem.dim)[0]),
                                 _support_of(zero @ zero[0]))
     holds = imaginary.size == 0
@@ -311,25 +324,6 @@ def epsilon_star(flow: AssembledFlow) -> float:
     return epsilon_star_from_eigenvalues(m_spectrum(flow), kernel_dim)
 
 
-def zero_space_projector(flow: AssembledFlow) -> tuple:
-    """(zero_space_dim, W) of :func:`build_spectral_report`: the spectral
-    projector onto the zero eigenspace, restricted to the v-block.
-
-    Requires the spanning condition, and raises
-    :class:`ConditionViolatedError` where the report's verdict fails. With
-    it the zero eigenspace has dimension m, zero x-block, and
-    consensus-shaped v-block, so the full projector acts only on v and W
-    is N m x N m.
-    """
-    report = build_spectral_report(flow)
-    if not report.condition.holds:
-        raise ConditionViolatedError(
-            "spanning condition fails; flow has undamped oscillatory modes or the graph "
-            "is disconnected"
-        )
-    return report.zero_space_dim, report.projector_W
-
-
 def equilibrium_dual(flow: AssembledFlow) -> np.ndarray:
     """Minimum-norm v* with L_kron v* = z_H - H_tilde (1 (x) y*)."""
     if not flow.problem.full_rank:
@@ -347,19 +341,24 @@ def equilibrium_dual(flow: AssembledFlow) -> np.ndarray:
     return v_star
 
 
-def predict_v_limit(flow: AssembledFlow, v_star, v0) -> np.ndarray:
-    """(I - W) v* + W v(0): the dual limit for a given start."""
-    v_star = np.asarray(v_star, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    x_star = np.tile(flow.y_ref, flow.problem.n_nodes)
-    rhs = flow.z_H - flow.H_tilde @ x_star
-    gap = np.linalg.norm(flow.L_kron @ v_star - rhs)
-    if gap > 1e-6 * (1.0 + np.linalg.norm(rhs)):
-        raise EquilibriumInfeasibleError(
-            f"v_star does not satisfy the stationarity system (residual {gap:.3e})"
+def predict_v_limit(flow: AssembledFlow, v0) -> np.ndarray:
+    """(I - W) v* + W v(0): the dual limit from v(0) = v0, with v* from
+    :func:`equilibrium_dual` and W from :func:`build_spectral_report`.
+
+    The limits from all starts form the affine set v* + range(W), so two
+    graphs' sets meet iff their limits from one v0 agree. Raises
+    :class:`ConditionViolatedError` where the condition fails: the flow
+    then has undamped oscillatory modes or the graph is disconnected.
+    """
+    report = build_spectral_report(flow)
+    if not report.condition.holds:
+        raise ConditionViolatedError(
+            "spanning condition fails; flow has undamped oscillatory modes or the graph "
+            "is disconnected"
         )
-    _, W = zero_space_projector(flow)
-    return (v_star - W @ v_star) + W @ v0
+    v_star = equilibrium_dual(flow)
+    W = report.projector_W
+    return (v_star - W @ v_star) + W @ np.asarray(v0, dtype=float)
 
 
 def build_spectral_report(flow: AssembledFlow) -> SpectralReport:
@@ -375,7 +374,7 @@ def build_spectral_report(flow: AssembledFlow) -> SpectralReport:
     spect = spectrum(flow.L)
     zero_space_dim, failing = _rank_pass(flow.problem, spect, spect.eigenspace_groups)
     imaginary, stable = _nonzero_split(eigs, zero_space_dim)
-    verdict = _verdict(flow.problem, flow.graph, spect, imaginary, failing)
+    verdict = _verdict(flow.problem, spect, imaginary, failing)
     W = None
     if verdict.holds:
         n = flow.problem.n_nodes

@@ -1,19 +1,19 @@
 """Periodically switched network topologies for the saddle-point flow.
 
 A switching signal cycles through a list of graphs, holding each for T
-seconds. The dual variable then chases a different affine limit set per
-graph; when those sets are disjoint the state keeps commuting between
-them, which is visible as an oscillation of the consensus error at the
-switching frequency. Fast switching between individually non-convergent
-graphs can nevertheless pull the error into a small neighborhood of
-zero.
+seconds. The dual variable then chases a different affine set of limits
+per graph; when those sets are disjoint (the graphs' predicted limits
+from one start differ, see :func:`lsqflow.spectral.predict_v_limit`) the
+state keeps commuting between them, which is visible as an oscillation
+of the consensus error at the switching frequency. Fast switching
+between individually non-convergent graphs can nevertheless pull the
+error into a small neighborhood of zero.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +22,7 @@ from .errors import DimensionMismatchError, FingerprintMismatchError
 from .graphs import Graph, _node_index, graph_from_dict, laplacian, spectrum, support_report
 from .problem import NetworkLinearEquation
 from .simulate import Trajectory, _run, _run_length
-from .spectral import assemble, equilibrium_dual, zero_space_projector
-
-IntersectionResult = namedtuple("IntersectionResult", "intersects distance")
+from .spectral import assemble
 
 
 @dataclass(frozen=True)
@@ -47,21 +45,6 @@ class SwitchingSignal:
         return int(t // self.period_T) % len(self.graphs)
 
 
-@dataclass(frozen=True)
-class LimitSet:
-    """Affine set base_point + range(span_basis), columns orthonormal."""
-
-    base_point: np.ndarray
-    span_basis: np.ndarray
-
-    def distance_to(self, point) -> float:
-        d = np.asarray(point, dtype=float) - self.base_point
-        return float(np.linalg.norm(d - self.span_basis @ (self.span_basis.T @ d)))
-
-    def contains(self, point, tol: float = 1e-8) -> bool:
-        return self.distance_to(point) <= tol * (1.0 + float(np.linalg.norm(self.base_point)))
-
-
 def simulate_switching(problem: NetworkLinearEquation, signal: SwitchingSignal,
                        x0, v0, step_h: float, t_end: float,
                        record_every: int = 10) -> Trajectory:
@@ -81,33 +64,6 @@ def simulate_switching(problem: NetworkLinearEquation, signal: SwitchingSignal,
                 steps, dwell, x0, v0, step_h, "rk4", record_every, t_end=t_end,
                 period_T=signal.period_T,
                 graphs=[g.label or f"custom-{g.n_nodes}" for g in signal.graphs])
-
-
-def limit_set(problem: NetworkLinearEquation, graph: Graph) -> LimitSet:
-    """Affine set of possible dual limits for a fixed graph.
-
-    The span is the range of the consensus projector W: the m orthonormal
-    columns ``(1 / sqrt(n)) 1 (x) e_k``.
-    """
-    flow = assemble(problem, graph)
-    _, W = zero_space_projector(flow)  # raises ConditionViolatedError if unmet
-    v_star = equilibrium_dual(flow)
-    base = v_star - W @ v_star
-    span = np.kron(np.full((problem.n_nodes, 1), 1.0 / np.sqrt(problem.n_nodes)),
-                   np.eye(problem.dim))
-    return LimitSet(base_point=base, span_basis=span)
-
-
-def limit_sets_intersect(a: LimitSet, b: LimitSet) -> IntersectionResult:
-    """Least-squares affine feasibility test between two limit sets."""
-    if a.base_point.shape != b.base_point.shape:
-        raise DimensionMismatchError("limit sets live in different ambient spaces")
-    system = np.hstack([a.span_basis, -b.span_basis])
-    rhs = b.base_point - a.base_point
-    sol, _, _, _ = np.linalg.lstsq(system, rhs, rcond=None)
-    gap = float(np.linalg.norm(system @ sol - rhs))
-    intersects = gap <= 1e-6 * (1.0 + float(np.linalg.norm(rhs)))
-    return IntersectionResult(intersects, 0.0 if intersects else gap)
 
 
 def tail_sup_error(traj: Trajectory, tail_fraction: float = 0.2) -> float:

@@ -202,13 +202,35 @@ def error_trajectory(traj, y_star):
     return [(float(t), float(val)) for t, val in zip(traj.t_or_k, e)]
 
 
+def component_count(graph):
+    """Reference connectivity: the number of components of a graph, by
+    depth-first search over adjacency lists."""
+    adj = {i: [] for i in range(1, graph.n_nodes + 1)}
+    for i, j in graph.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen, count = set(), 0
+    for start in adj:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for nb in adj[stack.pop()]:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+    return count
+
+
 def random_connected_graph(rng, n):
     possible = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     while True:
         k = int(rng.integers(n - 1, len(possible) + 1))
         idx = rng.choice(len(possible), size=k, replace=False)
         g = lf.make_graph(n, [possible[e] for e in idx])
-        if lf.is_connected(g):
+        if component_count(g) == 1:
             return g
 
 

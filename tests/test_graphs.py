@@ -97,6 +97,16 @@ class TestConstruction:
         with pytest.raises(lf.InvalidNodeError):
             lf.make_graph(n_nodes, edges)
 
+    @pytest.mark.parametrize("family, n", [
+        ("path", 4.5), ("ring", 4.5), ("complete", 5.5), ("star", 6.0), ("ring", True),
+    ])
+    def test_family_rejects_non_integer_node_count(self, family, n):
+        # no silent use of a float: ring 4.5 must not get minimum support 3.5
+        with pytest.raises(lf.InvalidNodeError):
+            lf.make_family(family, n)
+        with pytest.raises(lf.InvalidNodeError):
+            lf.family_min_support(family, n)
+
     def test_numpy_integer_nodes_accepted(self):
         g = lf.make_graph(np.int64(4), [(np.int64(2), np.int32(1)), (np.uint8(3), 4)])
         assert g == lf.make_graph(4, [(1, 2), (3, 4)])
@@ -127,10 +137,6 @@ class TestConstruction:
             lf.Graph(n_nodes=4, edges=frozenset({(np.int64(2), 1)}))
         with pytest.raises(ValueError, match="self-loop"):
             lf.Graph(n_nodes=4, edges=frozenset({(np.int16(2), 2)}))
-
-    def test_connectivity(self):
-        assert lf.is_connected(lf.make_family("path", 6))
-        assert not lf.is_connected(lf.make_graph(4, [(1, 2), (3, 4)]))
 
     def test_dict_round_trip_family(self):
         g = lf.make_family("ring", 7)

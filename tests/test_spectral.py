@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import sys
@@ -15,8 +16,9 @@ from lsqflow.spectral import (
     epsilon_star_from_eigenvalues,
 )
 
-from _helpers import (ROW_PATTERNS, pattern_rows, random_connected_graph, random_problem,
-                      random_simple_spectrum_graph, simple_spectrum_verdict, witness_by_loop)
+from _helpers import (ROW_PATTERNS, component_count, pattern_rows, random_connected_graph,
+                      random_problem, random_simple_spectrum_graph, simple_spectrum_verdict,
+                      witness_by_loop)
 
 
 class TestAssemble:
@@ -241,19 +243,22 @@ class TestEpsilonStar:
 
 
 class TestZeroSpaceProjector:
+    # W is the v-block of the spectral projector onto the kernel of M; the
+    # report carries it where the condition holds
     def test_chain_matches_consensus_averaging(self, chain_flow):
-        d, W = lf.zero_space_projector(chain_flow)
-        assert d == 2
+        report = lf.build_spectral_report(chain_flow)
+        assert report.zero_space_dim == 2
         analytic = np.kron(np.full((4, 4), 0.25), np.eye(2))
-        assert np.abs(W - analytic).max() < 1e-8
+        assert np.abs(report.projector_W - analytic).max() < 1e-8
 
     def test_idempotent(self, chain_flow):
-        _, W = lf.zero_space_projector(chain_flow)
+        W = lf.build_spectral_report(chain_flow).projector_W
         assert np.abs(W @ W - W).max() <= 1e-8
 
     def test_condition_failure_raises(self, star_flow):
+        assert lf.build_spectral_report(star_flow).projector_W is None
         with pytest.raises(lf.ConditionViolatedError):
-            lf.zero_space_projector(star_flow)
+            lf.predict_v_limit(star_flow, np.zeros(8))
 
     def test_random_instances_match_analytic_projector(self, rng):
         for _ in range(10):
@@ -262,11 +267,10 @@ class TestZeroSpaceProjector:
             prob = random_problem(rng, n=n, m=2)
             if not lf.check_condition(prob, graph).holds:
                 continue
-            flow = lf.assemble(prob, graph)
-            d, W = lf.zero_space_projector(flow)
-            assert d == 2
+            report = lf.build_spectral_report(lf.assemble(prob, graph))
+            assert report.zero_space_dim == 2
             analytic = np.kron(np.full((n, n), 1.0 / n), np.eye(2))
-            assert np.abs(W - analytic).max() < 1e-7
+            assert np.abs(report.projector_W - analytic).max() < 1e-7
 
 
 class TestEquilibriumAndVLimit:
@@ -284,14 +288,10 @@ class TestEquilibriumAndVLimit:
     def test_limit_splits_along_projector(self, chain_flow, rng):
         v_star = lf.equilibrium_dual(chain_flow)
         v0 = rng.standard_normal(8)
-        limit = lf.predict_v_limit(chain_flow, v_star, v0)
-        _, W = lf.zero_space_projector(chain_flow)
+        limit = lf.predict_v_limit(chain_flow, v0)
+        W = lf.build_spectral_report(chain_flow).projector_W
         assert np.abs((np.eye(8) - W) @ (limit - v_star)).max() < 1e-8
         assert np.abs(W @ (limit - v0)).max() < 1e-8
-
-    def test_rejects_non_stationary_v_star(self, chain_flow):
-        with pytest.raises(lf.EquilibriumInfeasibleError):
-            lf.predict_v_limit(chain_flow, np.ones(8) * 37.0, np.zeros(8))
 
 
 class TestSpectralReport:
@@ -345,10 +345,10 @@ class TestDisconnectedGraph:
 
     def test_projector_and_limit_set_refuse(self, case):
         problem, graph = case
+        flow = lf.assemble(problem, graph)
+        assert lf.build_spectral_report(flow).projector_W is None
         with pytest.raises(lf.ConditionViolatedError):
-            lf.zero_space_projector(lf.assemble(problem, graph))
-        with pytest.raises(lf.ConditionViolatedError):
-            lf.limit_set(problem, graph)
+            lf.predict_v_limit(flow, np.zeros(8))
 
     def test_analyze_reports_failure(self, case):
         problem, graph = case
@@ -360,6 +360,86 @@ class TestDisconnectedGraph:
         assert payload["condition"]["witness_support"] == [1, 2]
         assert payload["spectral"]["zero_space_dim"] == 4
         assert payload["spectral"]["projector_W"] is None
+
+
+def spectral_components(graph):
+    """Components as the analysis counts them: the size of Laplacian
+    eigenspace 0, through the rank pass and its gap guard. With m = 1 and
+    every row 1, the kernel dimension k is that count."""
+    n = graph.n_nodes
+    spect = lf.spectrum(lf.laplacian(graph))
+    problem = lf.NetworkLinearEquation(np.ones((n, 1)), np.zeros(n))
+    return _rank_pass(problem, spect, spect.eigenspace_groups[:1])[0]
+
+
+def lollipop(clique, tail):
+    """K_clique with a path of ``tail`` more nodes hanging off its last node."""
+    n = clique + tail
+    edges = [(i, j) for i in range(1, clique + 1) for j in range(i + 1, clique + 1)]
+    return lf.make_graph(n, edges + [(i, i + 1) for i in range(clique, n)])
+
+
+class TestConnectivity:
+    def test_matches_search_on_random_graphs(self):
+        rng = np.random.default_rng(16)
+        seen = {True: 0, False: 0}
+        for _ in range(120):
+            n = int(rng.integers(2, 31))
+            possible = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            density = rng.uniform(0.0, 4.0 / n)
+            graph = lf.make_graph(n, [e for e in possible if rng.random() < density])
+            count = component_count(graph)
+            assert spectral_components(graph) == count, graph
+            seen[count == 1] += 1
+        assert min(seen.values()) >= 20
+
+    def test_verdict_follows_the_count(self):
+        # a disconnected graph fails with the unit witness at eigenvalue
+        # 0; on a connected one a witness, if any, lies at some r > 0
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n = int(rng.integers(3, 9))
+            possible = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            graph = lf.make_graph(n, [e for e in possible if rng.random() < 0.4])
+            verdict = lf.check_condition(random_problem(rng, n=n, m=2), graph)
+            if component_count(graph) > 1:
+                assert verdict.holds is False and verdict.witness[0] == 0.0
+                assert np.array_equal(verdict.witness[1], [1.0, 0.0])
+            else:
+                assert verdict.witness is None or verdict.witness[0] > 0.0
+
+    @pytest.mark.parametrize("family", [*lf.FAMILIES, "lollipop"])
+    def test_large_graphs_are_connected(self, family):
+        # n = 1000; the narrowest margin is the lollipop's: lambda_2 =
+        # 1.64e-5 against a grouping tolerance of 5.0e-6
+        graph = lollipop(500, 500) if family == "lollipop" else lf.make_family(family, 1000)
+        assert spectral_components(graph) == component_count(graph) == 1
+
+    def test_guard_raises_when_eigenspace_zero_is_not_apart(self):
+        # eigenvalues (0, 6e-9, 2e-8, 1): the first two group as
+        # eigenspace 0, and 6e-9 is not below TAU_GAP * 2e-8
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+        spect = lf.spectrum(q @ np.diag([0.0, 6e-9, 2e-8, 1.0]) @ q.T)
+        assert len(spect.eigenspace_groups[0]) == 2
+        problem = lf.NetworkLinearEquation(np.ones((4, 1)), np.zeros(4))
+        with pytest.raises(lf.InternalInconsistencyError, match="not apart"):
+            _rank_pass(problem, spect, spect.eigenspace_groups)
+
+    def test_analyze_and_epsilon_star_raise_without_a_verdict(self, chain_flow, monkeypatch):
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+        bad = q @ np.diag([0.0, 6e-9, 2e-8, 1.0]) @ q.T
+        flow = dataclasses.replace(chain_flow, L=bad)
+        with pytest.raises(lf.InternalInconsistencyError):
+            lf.build_spectral_report(flow)
+        with pytest.raises(lf.InternalInconsistencyError):
+            lf.epsilon_star(flow)
+        # through the analyze mode, with the Laplacian of every graph replaced
+        monkeypatch.setattr("lsqflow.spectral.laplacian", lambda graph: bad)
+        out = io.StringIO()
+        config = lf.RunConfig(mode="analyze", problem=chain_flow.problem, graph=chain_flow.graph)
+        with pytest.raises(lf.InternalInconsistencyError):
+            lf.run(config, stdout=out, stderr=io.StringIO())
+        assert out.getvalue() == ""
 
 
 class TestCompleteGraphWitness:

@@ -90,44 +90,41 @@ class TestSimulateSwitching:
 
 
 class TestLimitSets:
-    def test_geometry_of_fixed_graph_limit_set(self, chain_problem, chain_graph,
-                                               chain_flow, rng):
-        K = lf.limit_set(chain_problem, chain_graph)
-        assert K.span_basis.shape == (8, 2)
-        # orthonormal basis of the consensus directions
-        gram = K.span_basis.T @ K.span_basis
-        assert np.abs(gram - np.eye(2)).max() < 1e-12
-        assert K.contains(K.base_point)
-        _, W = lf.zero_space_projector(chain_flow)
-        r = rng.standard_normal(8)
-        assert K.distance_to(K.base_point + W @ r) < 1e-10
-        off = (np.eye(8) - W) @ r
-        assert abs(K.distance_to(K.base_point + off) - np.linalg.norm(off)) < 1e-10
+    # a fixed graph's dual limits form the affine set v* + range(W), the
+    # predictions of predict_v_limit over all starts v0
+    def test_geometry_of_fixed_graph_limit_set(self, chain_flow, rng):
+        W = lf.build_spectral_report(chain_flow).projector_W
+        v_star = lf.equilibrium_dual(chain_flow)
+        base = lf.predict_v_limit(chain_flow, np.zeros(8))
+        assert np.abs(base - (v_star - W @ v_star)).max() < 1e-12
+        # range(W) is the consensus plane: m = 2 orthonormal directions
+        assert np.linalg.matrix_rank(W) == 2
+        v0 = rng.standard_normal(8)
+        step = lf.predict_v_limit(chain_flow, v0) - base
+        assert np.abs(step - W @ v0).max() < 1e-12
+        assert np.abs(step.reshape(4, 2) - step[:2]).max() < 1e-12
 
     def test_limit_set_requires_convergence_condition(self, chain_problem,
                                                       star_graph):
         with pytest.raises(lf.ConditionViolatedError):
-            lf.limit_set(chain_problem, star_graph)
+            lf.predict_v_limit(lf.assemble(chain_problem, star_graph), np.zeros(8))
 
-    def test_pinned_pair_has_disjoint_limit_sets(self, pent2_problem, switch_pair):
-        K1 = lf.limit_set(pent2_problem, switch_pair[0])
-        K2 = lf.limit_set(pent2_problem, switch_pair[1])
-        res = lf.limit_sets_intersect(K1, K2)
-        assert isinstance(res, lf.IntersectionResult)
-        assert not res.intersects
-        assert res.distance > 0.5
+    def test_pinned_pair_has_disjoint_limit_sets(self, pent2_problem, switch_pair, rng):
+        # both sets are translates of range(W), so they are disjoint iff the
+        # limits from one start differ, whatever the start
+        flows = [lf.assemble(pent2_problem, g) for g in switch_pair]
+        for v0 in (np.zeros(10), rng.standard_normal(10)):
+            gap = lf.predict_v_limit(flows[0], v0) - lf.predict_v_limit(flows[1], v0)
+            assert np.linalg.norm(gap) > 0.5
 
-    def test_set_intersects_itself(self, pent2_problem, switch_pair):
-        K = lf.limit_set(pent2_problem, switch_pair[0])
-        res = lf.limit_sets_intersect(K, K)
-        assert res.intersects
-        assert res.distance == 0.0
-
-    def test_ambient_dimension_mismatch(self):
-        a = lf.LimitSet(np.zeros(4), np.eye(4)[:, :1])
-        b = lf.LimitSet(np.zeros(6), np.eye(6)[:, :1])
-        with pytest.raises(lf.DimensionMismatchError):
-            lf.limit_sets_intersect(a, b)
+    def test_set_intersects_itself(self, pent2_problem, switch_pair, rng):
+        # the limits from two starts lie in one set: they differ along range(W)
+        flow = lf.assemble(pent2_problem, switch_pair[0])
+        W = lf.build_spectral_report(flow).projector_W
+        gap = (lf.predict_v_limit(flow, rng.standard_normal(10))
+               - lf.predict_v_limit(flow, rng.standard_normal(10)))
+        assert np.linalg.norm(gap) > 0.1
+        assert np.abs(gap - W @ gap).max() < 1e-12
 
 
 class TestTailSupError:

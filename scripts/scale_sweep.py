@@ -16,12 +16,14 @@ default), with seeded generic rows (m = 2), it times:
 - ``dt_step_us`` and ``ct_step_us``: the cost per step, in microseconds,
   of a 3000-step ``simulate_dt`` run at 0.9 epsilon* and a 3000-step
   ``simulate_ct`` run at step epsilon* / 2 (the length of euler-sweep's
-  bounded runs), step maps and block powers included;
+  bounded runs), step maps and lifting tables included;
 - ``sw_step_us``: the same for a 3000-step ``simulate_switching`` run
   that alternates the graph with a ring (a path, for the ring family)
   every 50 steps, at step epsilon* / 2 of the faster pair member. All
-  three record every 100th state; from N = 65 on (more than 256 state
-  components), B = 1;
+  three record every 100th state. The engine's tables hold at most
+  BLOCK_DOUBLES doubles, so with n = 4N state components their depth is
+  at most BLOCK_DOUBLES // n^2 - 1: anchors every 4 steps at N = 48, and
+  from N = 91 on (more than 362 components) depth 0, plain stepping;
 - ``csv_ns_per_cell``: the cost per value, in nanoseconds, of
   ``write_trajectory_csv`` on that ``simulate_ct`` run recorded every
   CSV_RECORD_EVERY steps: 3000 / 10 + 1 rows of 4N + 3 values.

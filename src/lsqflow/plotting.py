@@ -90,9 +90,12 @@ def emit_plot(traj: Trajectory, spec: PlotSpec) -> str:
     parts.append(f'<text x="16" y="{MARGIN_T + plot_h / 2:.2f}" text-anchor="middle" '
                  f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2:.2f})">{spec.ylabel}</text>')
 
+    # the pixel coordinates of whole columns, in the operation order of px and py
+    xs = px(t)
+    points = ("%.2f,%.2f " * len(t))[:-1]
     for k, (name, col) in enumerate(zip(names, columns)):
         color = PALETTE[k % len(PALETTE)]
-        pts = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(t, col))
+        pts = points % tuple(np.column_stack([xs, py(col)]).ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.3"/>')
         ly = MARGIN_T + 14 + 16 * k

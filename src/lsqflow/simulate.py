@@ -2,11 +2,12 @@
 
 All integrators are deterministic: fixed step, fixed recording stride,
 no adaptivity. Each step of ``u' = M u + b`` is an exact affine map
-``u -> P u + c`` (RK4 or Euler), and one block engine applies it for
-every run: continuous, discrete, damped and switching. The engine
-computes each state as its own product ``P^j u + c_j`` from the anchor
-u of its block, and only the recorded states and the anchors, unless a
-norm bound cannot rule out divergence within the block. Divergence (any
+``u -> P u + c`` (RK4 or Euler), and one binary-lifting engine applies
+it for every run: continuous, discrete, damped and switching. The engine
+squares its way to the maps of 2^i steps and reaches each state from its
+anchor through the set bits of its offset, and computes only the
+recorded states, the anchors and the segment ends, unless a norm bound
+cannot rule out divergence. Divergence (any
 state component non-finite or beyond 1e9 in magnitude) raises
 :class:`DivergedError` carrying the partial trajectory, so callers can
 still inspect and serialize what happened.
@@ -26,9 +27,9 @@ from .errors import DimensionMismatchError, DivergedError, StepAlignmentError
 from .spectral import AssembledFlow, _costs
 
 DIVERGE_LIMIT = 1e9
-# Block engine: at most BLOCK_STEPS steps per block, at most BLOCK_DOUBLES
-# doubles of stacked powers per step map, no power entry beyond POWER_LIMIT.
-BLOCK_STEPS = 64
+# Binary-lifting engine: at most BLOCK_DOUBLES doubles of powers per step
+# map's table, about as many per batch of states, at most as many
+# multiply-adds per enumerated span; no table entry beyond POWER_LIMIT.
 BLOCK_DOUBLES = 1 << 17
 POWER_LIMIT = 1e150
 CSV_CHUNK_CELLS = 8192
@@ -177,44 +178,6 @@ def _step_map(M, b, h, method="rk4"):
     return eye + A @ T, h * (T @ b)
 
 
-def _block_powers(P, c, block):
-    """Powers ``P, P^2, ..., P^B`` (shape ``(B, n, n)``) and offsets
-    ``c_1..c_B`` with ``c_j = P c_{j-1} + c``, so that j steps from u
-    land on ``P^j u + c_j``; and the bounds ``max_j ||P^j||_inf`` and
-    ``max_j ||c_j||_inf`` of the divergence certificate.
-
-    Extension stops before any entry passes POWER_LIMIT: past that, a
-    power times a zero state component gives ``inf * 0`` instead of 0.
-    A hugely unstable step thus falls back to plain stepping (B = 1).
-    """
-    n = len(c)
-    powers = np.empty((block, n, n))
-    offsets = np.empty((block, n))
-    powers[0], offsets[0] = P, c
-    gain, shift = np.abs(P).sum(axis=1).max(), np.abs(c).max()
-    size = 1
-    while size < block:
-        np.matmul(P, powers[size - 1], out=powers[size])
-        offsets[size] = P @ offsets[size - 1] + c
-        entries, reach = np.abs(powers[size]), np.abs(offsets[size]).max()
-        if not (entries.max() <= POWER_LIMIT and reach <= POWER_LIMIT):
-            break
-        gain, shift = max(gain, entries.sum(axis=1).max()), max(shift, reach)
-        size += 1
-    return powers[:size], offsets[:size], float(gain), float(shift)
-
-
-def _pick(powers, offsets, first, size, every):
-    """Powers and offsets of the recorded steps ``first, first + every,
-    ... <= size`` of a block, then of its last step unless that is the
-    last recorded one; and the number of recorded steps."""
-    rows = slice(first - 1, size, every)
-    recorded = len(range(size)[rows])
-    if (size - first) % every:          # the last step is not a recorded one
-        rows = np.append(np.arange(size)[rows], size - 1)
-    return powers[rows], offsets[rows], recorded
-
-
 def _finish_trajectory(flow, u, steps, time_of, metadata):
     nm = flow.state_dim
     x = np.ascontiguousarray(u[:, :nm])
@@ -227,82 +190,216 @@ def _finish_trajectory(flow, u, steps, time_of, metadata):
     )
 
 
+def _affine(A, w):
+    """``A w`` for a homogeneous state ``w = (u, 1)`` or each row of a stack
+    of them, so that ``A = [[T, g], [0, 1]]`` maps u to ``T u + g``: one
+    gemv per state (``np.dot`` makes the BLAS call of a stacked matmul),
+    so that a state's bits do not depend on the batch it is computed in."""
+    return np.dot(A, w) if w.ndim == 1 else np.matmul(A, w[:, :, None])[:, :, 0]
+
+
+def _fresh(x):
+    """Where an ascending array first holds each of its values."""
+    return np.concatenate([[True], x[1:] != x[:-1]])
+
+
+class _Beyond(Exception):
+    """``args = (k, w)``: w, the state at step k, is the first beyond the limit."""
+
+
+class _Run:
+    """The recorded homogeneous states of a run of n state components,
+    filled in as the engine reaches them; about BLOCK_DOUBLES doubles per
+    batch of queued states, and BLOCK_DOUBLES // n^2 states per
+    enumerated span."""
+
+    def __init__(self, steps, u, every):
+        n = len(u) - 1
+        self.states = np.empty((len(steps), n + 1))
+        self.states[0], self.every, self.total = u, every, int(steps[-1])
+        self.batch, self.span_limit = BLOCK_DOUBLES // n or 1, BLOCK_DOUBLES // n ** 2 or 1
+
+    def record(self, w, k):
+        if k % self.every == 0 or k == self.total:
+            self.states[-(-k // self.every)] = w
+
+
+class _Lift:
+    """A step map ``u -> P u + c`` lifted to powers of two steps, and the
+    queue of its certified states.
+
+    Level i holds ``A_i = [[T_i, g_i], [0, 1]]``, so that 2^i steps from u
+    land on ``T_i u + g_i``: ``A_0`` holds P and c, and ``A_(i+1) = A_i
+    A_i``, that is ``T_(i+1) = T_i T_i`` and ``g_(i+1) = T_i g_i + g_i``.
+    With ``gain[0] = ||P||``, ``shift[0] = ||c||``, ``gain[L+1] = gain[L]
+    max(1, ||T_L||)`` and ``shift[L+1] = shift[L] + gain[L] ||g_L||``
+    (infinity norms, up to L = depth + 1), no state of the 2^L steps after
+    u is beyond ``gain[L] ||u|| + shift[L]``. The levels stop at ``depth``,
+    and before any entry passes POWER_LIMIT: past that, a power times a
+    zero state component gives ``inf * 0`` instead of 0. A hugely
+    unstable step thus falls back to plain stepping (depth 0).
+    """
+
+    def __init__(self, P, c, depth):
+        n = len(c)
+        self.A = np.zeros((depth + 1, n + 1, n + 1))
+        self.A[0, :n, :n], self.A[0, :n, n], self.A[0, n, n] = P, c, 1.0
+        self.gain, self.shift = [float(np.abs(P).sum(axis=1).max())], [float(np.abs(c).max())]
+        self.starts, self.spans, self.pending, self.paths = [], [], 0, {}
+        for i in range(depth + 1):
+            T, g = self.A[i, :n, :n], self.A[i, :n, n]
+            self.gain.append(self.gain[i] * max(1.0, float(np.abs(T).sum(axis=1).max())))
+            self.shift.append(self.shift[i] + self.gain[i] * float(np.abs(g).max()))
+            self.depth = i
+            if i == depth:
+                break
+            # squared block by block: an n x n product threads as the step map's do
+            self.A[i + 1, :n, :n], self.A[i + 1, :n, n], self.A[i + 1, n, n] = T @ T, T @ g + g, 1.0
+            if not np.abs(self.A[i + 1]).max() <= POWER_LIMIT:
+                break
+
+    def path(self, offset: int) -> list:
+        """The levels that reach the state ``offset`` steps on: one per set
+        bit of the offset, highest first."""
+        if offset not in self.paths:
+            self.paths[offset] = [self.A[i] for i in
+                                  range(offset.bit_length() - 1, -1, -1) if offset >> i & 1]
+        return self.paths[offset]
+
+    def resolve(self, run):
+        """Compute and record the queued states, ``run.batch`` at a time
+        with one product per level; states whose offsets from one span
+        start share their high bits share the states on their way down."""
+        if not self.spans:
+            return
+        k0, first, last = np.array(self.spans).T
+        counts = (last - first) // run.every + 1
+        owner = np.repeat(np.arange(len(counts)), counts)
+        offsets = first[owner] + run.every * (np.arange(len(owner))
+                                              - np.repeat(np.cumsum(counts) - counts, counts))
+        keys, rows = owner << 32 | offsets, (k0[owner] + offsets) // run.every   # ascending
+        starts = np.array(self.starts)
+        for lo in range(0, len(keys), run.batch):
+            part, span_of = keys[lo:lo + run.batch], owner[lo:lo + run.batch]
+            W = starts[span_of[_fresh(span_of)]]
+            for i in range(int(offsets[lo:lo + run.batch].max()).bit_length() - 1, -1, -1):
+                # W: the states at the distinct offsets with bits below i cleared
+                nodes = part[_fresh(part >> i)] >> i
+                if len(nodes) > len(W):
+                    W = W[np.cumsum(_fresh(nodes >> 1)) - 1]
+                at = np.flatnonzero(nodes & 1)
+                W[at] = _affine(self.A[i], W[at])
+            run.states[rows[lo:lo + run.batch]] = W
+        self.starts, self.spans, self.pending = [], [], 0
+
+
+def _span(run, lift, w, norm, level, k0, last, end=True):
+    """Record the recorded states among the ``last < 2^level`` steps after
+    w, the homogeneous state at step k0 with ``||w||_inf <= norm``; return
+    the state ``last`` steps after w (if ``end``) and a bound on its norm.
+
+    The span is certified when ``gain[level] norm + shift[level]`` is at
+    most DIVERGE_LIMIT / 2 (the 1 of w counts in its norm): it only queues
+    its recorded states. An uncertified span of at most ``run.span_limit``
+    states is enumerated, one product per level, and checked at once; a
+    longer one splits at its midpoint. The first state beyond the limit
+    raises _Beyond.
+    """
+    gain, shift = lift.gain[level], lift.shift[level]
+    if not gain * norm + shift <= 0.5 * DIVERGE_LIMIT:
+        norm = float(np.abs(w).max())           # a carried bound may be loose
+    if gain * norm + shift <= 0.5 * DIVERGE_LIMIT:
+        first = run.every - k0 % run.every      # the offset of the first recorded step
+        if first <= last - end:
+            lift.starts.append(w)
+            lift.spans.append((k0, first, last - end))
+            lift.pending += (last - end - first) // run.every + 1
+            if lift.pending >= run.batch:
+                lift.resolve(run)
+        if end:
+            for A in lift.path(last):
+                w = _affine(A, w)
+            run.record(w, k0 + last)
+        return w, gain * norm + shift
+    if 1 << level > run.span_limit:
+        half = 1 << level - 1
+        if last < half:
+            return _span(run, lift, w, norm, level - 1, k0, last, end)
+        _span(run, lift, w, norm, level - 1, k0, half - 1, False)
+        w = _affine(lift.A[level - 1], w)
+        if not (norm := float(np.abs(w).max())) <= DIVERGE_LIMIT:    # also catches nan
+            raise _Beyond(k0 + half, w)
+        run.record(w, k0 + half)
+        return (w, norm) if last == half else _span(run, lift, w, norm, level - 1,
+                                                    k0 + half, last - half, end)
+    W = w[None]                 # the states at offsets 0, 2^(i+1), ... up to last
+    for i in range(level - 1, -1, -1):
+        if last >> i:
+            new = _affine(lift.A[i], W[:(last >> i) + 1 >> 1])
+            W, old = np.empty((len(W) + len(new), len(w))), W
+            W[0::2], W[1::2] = old, new
+    bad = ~(np.abs(W[1:]) <= DIVERGE_LIMIT).all(axis=1)     # also catches nan
+    stop = int(bad.argmax()) + 1 if bad.any() else last + 1
+    offsets = np.arange(run.every - k0 % run.every, stop, run.every)
+    run.states[(k0 + offsets) // run.every] = W[offsets]
+    if stop <= last:
+        raise _Beyond(k0 + stop, W[stop])
+    run.record(W[last], k0 + last)
+    return W[last], float(np.abs(W[last]).max())
+
+
 def _propagate(ref_flow, step_maps, schedule, u0, time_of, record_every, metadata):
     """Apply the affine steps ``step_maps[i] = (P, c)`` over the segments
     ``schedule = [(i, n_steps), ...]``; record every record_every-th state
     plus the first and last, and stop with a partial trajectory on
     divergence.
 
-    Each segment advances in blocks of B steps from an anchor state u,
-    anchored every B steps from the start of the segment whatever the
-    recording stride. The state j steps on is the product ``P^j u + c_j``
-    of one power, so its bits depend neither on the stride nor on which
-    other states are computed. When ``max_j ||P^j|| * ||u|| + max_j ||c_j||``
-    (infinity norms) is at most half of DIVERGE_LIMIT, no state of the
-    block can leave the finite range, and only the recorded states and
-    the next anchor are computed. Otherwise the block computes all its
-    states, and the first of them that is non-finite or beyond
-    DIVERGE_LIMIT ends the run at its exact step and is recorded last.
+    Each step map gets a :class:`_Lift` of the least depth b with 2^b
+    steps covering its longest segment, capped at BLOCK_DOUBLES doubles.
+    Anchors sit every 2^b steps of a segment: ``a_0`` is its start and
+    ``a_(j+1) = T_b a_j + g_b``. Step k of a segment, its last included, is
+    reached from ``a_(k // 2^b)`` through the set bits of ``k mod 2^b``,
+    highest first, so that its bits depend neither on the stride, nor on
+    the run after it, nor on which other states are computed. Each block
+    from an anchor to the next is a :func:`_span` one level above b; the
+    first state that is non-finite or beyond DIVERGE_LIMIT ends the run at
+    its exact step and is recorded last.
     """
-    n = len(u0)
-    seg_lengths = [steps for _, steps in schedule]
-    block = max(1, min(BLOCK_STEPS, max(seg_lengths), BLOCK_DOUBLES // (n * n)))
-    maps = [_block_powers(P, c, block) for P, c in step_maps]
-    steps = np.append(np.arange(0, sum(seg_lengths), record_every), sum(seg_lengths))
-    states = np.empty((len(steps), n))          # filled in block by block
-    states[0], filled, picks = u0, 1, {}
-    # bound >= ||u||_inf, carried from block to block and re-measured
-    # only when it no longer certifies a block
-    u, bound, k = u0, float(np.abs(u0).max()), 0
-    for index, seg_steps in schedule:
-        powers, offsets, gain, shift = maps[index]
-        stop = k + seg_steps
-        while k < stop:
-            size = min(len(offsets), stop - k)
-            # steps k + first, k + first + record_every, ... are recorded
-            first = min(record_every - k % record_every, size + 1)
-            if not gain * bound + shift <= 0.5 * DIVERGE_LIMIT:
-                bound = float(np.abs(u).max())
-            if gain * bound + shift <= 0.5 * DIVERGE_LIMIT:
-                key = (index, first, size)
-                if key not in picks:
-                    picks[key] = _pick(powers, offsets, first, size, record_every)
-                picked, shifts, recorded = picks[key]
-                U = np.matmul(picked, u) + shifts
-                rows = U[:recorded]
-                bound = gain * bound + shift
-            else:
-                U = np.matmul(powers[:size], u) + offsets[:size]
-                bad = ~(np.abs(U) <= DIVERGE_LIMIT)     # also catches nan
-                if bad.any():
-                    j = int(bad.any(axis=1).argmax())
-                    rows = U[first - 1:j:record_every]
-                    steps = np.append(steps[:filled + len(rows)], k + 1 + j)
-                    names = component_names(ref_flow.problem.n_nodes, ref_flow.problem.dim)
-                    bad_names = [names[i] for i in np.flatnonzero(bad[j])]
-                    when = time_of(k + 1 + j)
-                    traj = _finish_trajectory(ref_flow, np.vstack([states[:filled], rows, U[j]]),
-                                              steps, time_of, metadata)
-                    raise DivergedError(
-                        f"state left the finite range at {when} "
-                        f"(components {', '.join(bad_names)})",
-                        when, traj, bad_names,
-                    )
-                rows = U[first - 1::record_every]
-                bound = float(np.abs(U[-1]).max())
-            states[filled:filled + len(rows)] = rows
-            filled += len(rows)
-            u = U[-1]
-            k += size
-    states[-1] = u          # the last step, on the stride or not
-    return _finish_trajectory(ref_flow, states, steps, time_of, metadata)
+    longest = {i: max(s for j, s in schedule if j == i) for i in dict(schedule)}
+    cap = max(0, BLOCK_DOUBLES // len(u0) ** 2 - 1)
+    lifts = {i: _Lift(*step_maps[i], min(cap, (s - 1).bit_length())) for i, s in longest.items()}
+    total = sum(seg_steps for _, seg_steps in schedule)
+    steps = np.append(np.arange(0, total, record_every), total)
+    u, k = np.append(u0, 1.0), 0
+    run, bound = _Run(steps, u, record_every), float(np.abs(u).max())
+    try:
+        for index, seg_steps in schedule:
+            lift, stride = lifts[index], 1 << lifts[index].depth
+            for start in range(k, k + seg_steps, stride):
+                u, bound = _span(run, lift, u, bound, lift.depth + 1, start,
+                                 min(stride, k + seg_steps - start))
+            k += seg_steps
+    except _Beyond as beyond:
+        k, u = beyond.args
+        for lift in lifts.values():
+            lift.resolve(run)
+        rows, when = -(-k // record_every), time_of(k)
+        names = component_names(ref_flow.problem.n_nodes, ref_flow.problem.dim)
+        bad_names = [names[i] for i in np.flatnonzero(~(np.abs(u[:-1]) <= DIVERGE_LIMIT))]
+        traj = _finish_trajectory(ref_flow, np.vstack([run.states[:rows], u])[:, :-1],
+                                  np.append(steps[:rows], k), time_of, metadata)
+        raise DivergedError(f"state left the finite range at {when} (components "
+                            f"{', '.join(bad_names)})", when, traj, bad_names) from None
+    for lift in lifts.values():
+        lift.resolve(run)
+    return _finish_trajectory(ref_flow, run.states[:, :-1], steps, time_of, metadata)
 
 
 def _run(flow, Ms, slots, steps, dwell, x0, v0, h, method, record_every, **extra):
     """Run ``steps`` steps of size h of ``u' = M u + b`` from u = (x0, v0),
     holding ``M = Ms[slots[0]]`` for ``dwell`` steps, then
     ``Ms[slots[1]]``, and so on cyclically; consecutive dwells on the same
-    matrix form one segment of the block engine. A run on one matrix is
+    matrix form one segment of the engine. A run on one matrix is
     ``Ms = [M], slots = [0], dwell = steps``. ``flow`` gives b, the
     reference and the metadata, to which ``extra`` is added.
     """

@@ -51,7 +51,7 @@ def simulate_switching(problem: NetworkLinearEquation, signal: SwitchingSignal,
     """Piecewise RK4 with switch instants aligned to the step grid.
 
     The state is continuous across switches; only the active Laplacian
-    changes. Each dwell interval is one segment of the block engine, with
+    changes. Each dwell interval is one segment of the lifting engine, with
     consecutive intervals on the same graph merged, so a one-graph signal
     runs exactly like :func:`simulate_ct`. Alignment is a precondition,
     not a sub-stepping feature: step_h must divide period_T and t_end

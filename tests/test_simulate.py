@@ -15,10 +15,10 @@ import lsqflow as lf
 from lsqflow import simulate
 from lsqflow.simulate import (
     BLOCK_DOUBLES,
-    BLOCK_STEPS,
     DIVERGE_LIMIT,
-    _block_powers,
+    _affine,
     _format_17g,
+    _Lift,
     _step_map,
     component_names,
     component_series,
@@ -186,7 +186,9 @@ PATH15_X0 = np.linspace(-2.0, 2.0, 30)
 
 @pytest.fixture(scope="module")
 def path15_flow():
-    # 2 N m = 60 state components, so blocks of B = 36 steps
+    # 2 N m = 60 state components: tables of up to 36 levels, so no run
+    # here is capped, and uncertified spans of at most 36 (so 32) states
+    # are enumerated
     rng = np.random.default_rng(15)
     problem = lf.NetworkLinearEquation(rng.standard_normal((15, 2)), rng.standard_normal(15))
     flow = lf.assemble(problem, lf.make_family("path", 15))
@@ -194,16 +196,42 @@ def path15_flow():
     return flow
 
 
+@pytest.fixture(scope="module")
+def path40_flow():
+    # 2 N m = 160 state components: tables capped at 5 levels, so anchors
+    # every 16 steps, each from the one before
+    rng = np.random.default_rng(40)
+    problem = lf.NetworkLinearEquation(rng.standard_normal((40, 2)), rng.standard_normal(40))
+    return lf.assemble(problem, lf.make_family("path", 40))
+
+
 def _exact_path_only(monkeypatch):
-    """Make the divergence certificate fail on every block, so that each
-    block computes all of its states and checks them one by one."""
-    block_powers = simulate._block_powers
+    """Make the divergence certificate fail on every span, so that each
+    span is enumerated or split and every state is checked; a queued
+    certified state fails the test."""
+    class Uncertified(_Lift):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.gain = [np.inf] * len(self.gain)
 
-    def uncertified(P, c, block):
-        powers, offsets, _, shift = block_powers(P, c, block)
-        return powers, offsets, np.inf, shift
+        def resolve(self, run):
+            assert not self.spans, "a span was certified"
 
-    monkeypatch.setattr(simulate, "_block_powers", uncertified)
+    monkeypatch.setattr(simulate, "_Lift", Uncertified)
+
+
+def _count_queued_spans(monkeypatch) -> list:
+    """Count the certified spans with recorded states of the runs that
+    follow, in a one-item list."""
+    count = [0]
+    resolve = _Lift.resolve
+
+    def spy(self, run):
+        count[0] += len(self.spans)
+        return resolve(self, run)
+
+    monkeypatch.setattr(_Lift, "resolve", spy)
+    return count
 
 
 def _assert_matches_reference(traj, steps, states, time_scale=1.0):
@@ -214,7 +242,7 @@ def _assert_matches_reference(traj, steps, states, time_scale=1.0):
 
 
 class TestBlockEngine:
-    """The block engine against a plain step-by-step loop."""
+    """The binary-lifting engine against a plain step-by-step loop."""
 
     @pytest.mark.parametrize("record_every", [1, 7])
     def test_rk4_matches_step_by_step(self, chain_flow, record_every):
@@ -282,8 +310,7 @@ class TestBlockEngine:
         assert not traj.x.any() and not traj.v.any()
 
     # The same checks at 60 state components (the test_chunked_* names
-    # date from an engine that advanced runs of this size in chunks):
-    # anchors every B = 36 steps.
+    # date from an engine that advanced runs of this size in chunks).
 
     @pytest.mark.parametrize("record_every", [1, 7])
     def test_chunked_rk4_matches_step_by_step(self, path15_flow, record_every):
@@ -311,7 +338,7 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("factor", [3.0, 20.0])
     def test_chunked_divergence_matches_step_by_step(self, path15_flow, factor):
-        # diverges at step 3834 (block 107) and at step 82 (block 3)
+        # diverges at step 3834 and at step 82
         flow = path15_flow
         epsilon = factor * lf.epsilon_star(flow)
         config = lf.DiscreteConfig(epsilon=epsilon, max_steps=6000, record_every=10)
@@ -382,7 +409,9 @@ class TestBlockEngine:
                                                  2503, every)),
             ]
 
+        spans = _count_queued_spans(monkeypatch)
         certified = runs()
+        assert spans[0] > 0
         _exact_path_only(monkeypatch)
         for got, want in zip(runs(), certified):
             assert np.array_equal(got.t_or_k, want.t_or_k)
@@ -391,8 +420,8 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("dwell", [36, 300, 1188, 1500])
     def test_chunked_switch_prefix_matches_one_graph_run(self, path15_flow, dwell):
-        # the first segment ends on a block boundary (36 and 1188 steps)
-        # or inside a block (300 and 1500)
+        # the mixed run's tables are one level shallower than the fixed
+        # run's, and its first segment ends on a step with 2 to 7 set bits
         problem, path = path15_flow.problem, path15_flow.graph
         ring = lf.make_family("ring", 15)
         signals = [lf.SwitchingSignal(period_T=0.01 * dwell, graphs=graphs)
@@ -407,59 +436,126 @@ class TestBlockEngine:
     @staticmethod
     def _count_products(flow, monkeypatch, dwell, every):
         """Run two dwells of ``dwell`` steps (path, then ring) recording
-        every ``every``-th state; return the trajectory, the number of states
-        in each product batch, and the recorded, anchor and segment-end
-        steps of the run (blocks of 36 steps from each segment start)."""
+        every ``every``-th state; return the trajectory, the recorded
+        steps, the number of states in each product, and the number of
+        state products that the layout asks for. Tables of depth
+        ``(dwell - 1).bit_length()`` hold each segment in one block, so
+        each segment end costs one product per set bit of the dwell, and
+        the recorded states inside a segment one per distinct prefix of
+        their offsets from the segment's start that ends in a set bit:
+        states that share high bits share the states on their way down."""
         products = []
-        matmul = np.matmul
+        affine = simulate._affine
 
-        def spy(a, b, *args, **kwargs):
-            if np.ndim(b) == 1:
-                products.append(len(a))
-            return matmul(a, b, *args, **kwargs)
+        def spy(A, w):
+            products.append(1 if w.ndim == 1 else len(w))
+            return affine(A, w)
 
-        monkeypatch.setattr(np, "matmul", spy)
+        monkeypatch.setattr(simulate, "_affine", spy)
         signal = lf.SwitchingSignal(period_T=0.01 * dwell,
                                     graphs=(flow.graph, lf.make_family("ring", 15)))
         traj = lf.simulate_switching(flow.problem, signal, PATH15_X0, np.zeros(30),
                                      0.01, 0.02 * dwell, record_every=every)
-        recorded = set(range(every, 2 * dwell, every)) | {2 * dwell}
-        anchors = {start + j for start in (0, dwell) for j in range(36, dwell, 36)}
-        return traj, products, recorded, anchors | {dwell, 2 * dwell}
+        recorded = sorted(set(range(every, 2 * dwell, every)) | {2 * dwell})
+        prefixes = {(k // dwell, i, k % dwell >> i) for k in recorded if k % dwell
+                    for i in range(dwell.bit_length())}
+        wanted = 2 * dwell.bit_count() + sum(prefix & 1 for *_, prefix in prefixes)
+        return traj, recorded, products, wanted
 
     def test_certified_run_computes_only_recorded_states(self, path15_flow, monkeypatch):
-        # two dwells of 1151 steps, so each segment ends with a partial block
-        traj, products, recorded, block_ends = self._count_products(
+        # two dwells of 1151 steps in tables of 11 levels: no anchor inside
+        # a segment, and eight products for each segment end
+        traj, recorded, products, wanted = self._count_products(
             path15_flow, monkeypatch, 1151, 100)
-        assert np.array_equal(np.round(traj.t_or_k / 0.01), [0] + sorted(recorded))
-        assert len(products) == len(block_ends)
-        assert max(products) <= 2
-        assert sum(products) == len(recorded | block_ends)
+        assert np.array_equal(np.round(traj.t_or_k / 0.01), [0] + recorded)
+        assert sum(products) == wanted
+        assert max(products) <= BLOCK_DOUBLES // 60
 
     # Named for the chunked engine, which advanced a segment 32 blocks at a
     # time only when it held a whole chunk of 32 blocks; the cases keep its
-    # segments of 32 * 36 + surplus steps, ending inside a block or on a
-    # block boundary, at record strides of 1 and 32.
+    # parameters as segments of 1024 + surplus steps: 1023 steps end on a
+    # step with ten set bits, 1024 steps on the anchor of the next block.
     @pytest.mark.parametrize("surplus, every", [(-1, 1), (0, 32)])
     def test_chunks_need_segments_of_a_whole_chunk(self, path15_flow, monkeypatch,
                                                    surplus, every):
-        traj, products, recorded, block_ends = self._count_products(
-            path15_flow, monkeypatch, 32 * 36 + surplus, every)
-        assert np.array_equal(np.round(traj.t_or_k / 0.01), [0] + sorted(recorded))
-        assert len(products) == len(block_ends)
-        assert sum(products) == len(recorded | block_ends)
+        traj, recorded, products, wanted = self._count_products(
+            path15_flow, monkeypatch, 1024 + surplus, every)
+        assert np.array_equal(np.round(traj.t_or_k / 0.01), [0] + recorded)
+        assert sum(products) == wanted
+        assert max(products) <= BLOCK_DOUBLES // 60
 
     def test_chunked_power_guard_keeps_zero_state_at_zero(self, path15_flow):
-        # epsilon = 1e80 puts P^2 past POWER_LIMIT: blocks of one step
-        # instead of the nominal B = 36
+        # epsilon = 1e80 puts P^2 past POWER_LIMIT: a table of one level,
+        # plain stepping, instead of the eleven levels 1200 steps ask for
         prob = lf.NetworkLinearEquation(path15_flow.problem.rows, np.zeros(15))
         flow = lf.assemble(prob, path15_flow.graph)
         P, c = _step_map(flow.M, _forcing(flow), 1e80, "euler")
-        assert len(_block_powers(P, c, BLOCK_STEPS)[1]) == 1
+        assert _Lift(P, c, 11).depth == 0
         config = lf.DiscreteConfig(epsilon=1e80, max_steps=1200, record_every=1)
         traj = lf.simulate_dt(flow, np.zeros(30), np.zeros(30), config)
         assert len(traj.t_or_k) == 1201
         assert not traj.x.any() and not traj.v.any()
+
+    @pytest.mark.parametrize("steps, components, depth", [
+        (2501, 60, 12), (1024, 60, 10), (1, 60, 0), (3000, 160, 4)])
+    def test_table_depth_covers_the_longest_segment(self, path15_flow, path40_flow,
+                                                    monkeypatch, steps, components, depth):
+        # the least depth b with 2^b >= steps, capped at BLOCK_DOUBLES doubles
+        flow = {60: path15_flow, 160: path40_flow}[components]
+        depths = []
+
+        class Spy(_Lift):
+            def __init__(self, *args):
+                super().__init__(*args)
+                depths.append(self.depth)
+
+        monkeypatch.setattr(simulate, "_Lift", Spy)
+        n = flow.state_dim
+        lf.simulate_dt(flow, np.linspace(-1.0, 1.0, n), np.zeros(n),
+                       lf.DiscreteConfig(0.5 * lf.epsilon_star(flow), steps, 100))
+        assert depths == [depth]
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_capped_table_matches_step_by_step(self, path40_flow, record_every):
+        # 160 components: anchors every 16 steps, 94 of them in a chain
+        flow = path40_flow
+        x0 = np.linspace(-2.0, 2.0, 80)
+        epsilon = 0.9 * lf.epsilon_star(flow)
+        config = lf.DiscreteConfig(epsilon=epsilon, max_steps=1507, record_every=record_every)
+        traj = lf.simulate_dt(flow, x0, np.zeros(80), config)
+        steps, states, bad, _ = step_by_step(
+            [(flow.M, 1507)], _forcing(flow), np.concatenate([x0, np.zeros(80)]),
+            epsilon, "euler", record_every)
+        assert bad is None
+        _assert_matches_reference(traj, steps, states)
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_certified_then_diverging_run_matches_step_by_step(self, path15_flow, monkeypatch,
+                                                              record_every):
+        # 3 epsilon*: certified spans first, then divergence at step 3834
+        flow = path15_flow
+        epsilon = 3.0 * lf.epsilon_star(flow)
+        spans = _count_queued_spans(monkeypatch)
+        config = lf.DiscreteConfig(epsilon=epsilon, max_steps=6000, record_every=record_every)
+        with pytest.raises(lf.DivergedError) as excinfo:
+            lf.simulate_dt(flow, PATH15_X0, np.zeros(30), config)
+        assert spans[0] > 0
+        steps, states, bad_step, _ = step_by_step(
+            [(flow.M, 6000)], _forcing(flow), np.concatenate([PATH15_X0, np.zeros(30)]),
+            epsilon, "euler", record_every)
+        assert excinfo.value.t_or_k == bad_step == 3834
+        _assert_matches_reference(excinfo.value.trajectory, steps, states)
+
+    @pytest.mark.parametrize("n", [16, 30, 60, 160])
+    def test_one_state_and_stacked_products_agree_bitwise(self, n):
+        # the engine's one product: a state's bits must not depend on
+        # whether it is computed alone or in a batch, nor on its place there
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n))
+        W = rng.standard_normal((50, n)) * 10.0 ** rng.integers(-8, 8, (50, 1))
+        stacked = _affine(A, W)
+        assert np.array_equal(stacked, [_affine(A, w) for w in W])
+        assert np.array_equal(stacked[1::3], _affine(A, W[1::3]))
 
 
 class TestSimulateCt:

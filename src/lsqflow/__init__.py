@@ -7,7 +7,6 @@ from .errors import (
     DimensionMismatchError,
     DivergedError,
     EquilibriumInfeasibleError,
-    FingerprintMismatchError,
     InternalInconsistencyError,
     InvalidNodeError,
     LsqflowError,
@@ -21,10 +20,8 @@ from .errors import (
     TooSmallError,
 )
 from .problem import (
-    AugmentedSystem,
     LeastSquaresSolution,
     NetworkLinearEquation,
-    build_state_expansion,
     solve_least_squares,
 )
 from .graphs import (
@@ -50,8 +47,6 @@ from .spectral import (
     epsilon_star,
     epsilon_star_from_eigenvalues,
     equilibrium_dual,
-    flow_cost,
-    flow_gradient,
     m_spectrum,
     predict_v_limit,
 )
@@ -60,7 +55,6 @@ from .simulate import (
     Trajectory,
     component_names,
     component_series,
-    oscillates,
     simulate_ct,
     simulate_dt,
     simulate_damped,
@@ -68,11 +62,7 @@ from .simulate import (
 )
 from .switching import (
     SwitchingSignal,
-    check_support_fingerprint,
-    load_graph_pair,
-    oscillation_period,
     simulate_switching,
-    tail_sup_error,
 )
 from .plotting import PlotSpec, emit_plot
 from .config import MODES, RunConfig, parse_config

@@ -132,6 +132,3 @@ class SchemaError(LsqflowError):
 class NothingToPlotError(LsqflowError):
     """Plot spec selected no series."""
 
-
-class FingerprintMismatchError(LsqflowError):
-    """Graph fixture does not reproduce its declared eigenvector supports."""

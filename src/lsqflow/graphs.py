@@ -10,6 +10,7 @@ basis would miss.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass, field
 
@@ -49,9 +50,6 @@ class Graph:
             if type(i) is not int or type(j) is not int or not 1 <= i < j <= n or e in seen:
                 _check_edge(e, n, seen)
             seen.add(e)
-
-    def sorted_edges(self):
-        return sorted(self.edges)
 
     def __repr__(self) -> str:
         name = self.label or f"custom-{self.n_nodes}"
@@ -101,7 +99,8 @@ def make_graph(n_nodes: int, edges, label: str = "") -> Graph:
 
 
 def make_family(family: str, n: int) -> Graph:
-    """One of the four fundamental families; star's hub is node 1."""
+    """One of the four fundamental families; star's hub is node 1. The
+    edges come out normalized and distinct, so the graph is built once."""
     n = _node_index(n, "node count")
     if n < 3:
         raise TooSmallError(f"family graphs need n >= 3, got {n}")
@@ -112,18 +111,19 @@ def make_family(family: str, n: int) -> Graph:
     elif family == "star":
         edges = [(1, i) for i in range(2, n + 1)]
     elif family == "complete":
-        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        edges = itertools.combinations(range(1, n + 1), 2)
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return make_graph(n, edges, label=f"{family}-{n}")
+    return Graph(n_nodes=n, edges=frozenset(edges), label=f"{family}-{n}")
 
 
 def laplacian(graph: Graph) -> np.ndarray:
     """L = D - A: symmetric, zero row sums, diagonal = degrees."""
-    n = graph.n_nodes
-    ends = np.array(list(graph.edges), dtype=int).reshape(-1, 2).T - 1
+    n, edges = graph.n_nodes, graph.edges
+    ends = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.intp,
+                       count=2 * len(edges)).reshape(-1, 2).T - 1
     L = np.zeros((n, n))
-    np.add.at(L, (ends, ends[::-1]), -1.0)
+    L[ends, ends[::-1]] = -1.0          # each edge once: a Graph's edges are distinct
     L[np.diag_indices(n)] += np.bincount(ends.ravel(), minlength=n)
     return L
 

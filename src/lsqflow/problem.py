@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidNodeError, RankDeficientError
+from .errors import DimensionMismatchError, RankDeficientError
 
 # Relative threshold under which a singular value counts as zero.
 RANK_RTOL = 1e-12
@@ -70,12 +70,6 @@ class NetworkLinearEquation:
         self.rows = rows
         self.obs = obs
 
-    def row(self, i: int) -> np.ndarray:
-        """Row h_i for a 1-based node index."""
-        if not 1 <= i <= self.n_nodes:
-            raise InvalidNodeError(f"node index {i} outside 1..{self.n_nodes}")
-        return self.rows[i - 1]
-
     def __repr__(self) -> str:
         return f"NetworkLinearEquation(N={self.n_nodes}, m={self.dim})"
 
@@ -85,23 +79,6 @@ class LeastSquaresSolution:
     y_star: np.ndarray
     residual: np.ndarray  # H y* - z
     objective: float      # ||residual||^2
-
-
-@dataclass(frozen=True)
-class AugmentedSystem:
-    """Square expansion [[H, -I],[0, H^T]] y_bar = [z; 0].
-
-    Its unique solution stacks the least-squares minimizer on top of the
-    residual vector, turning the inconsistent problem into an exactly
-    solvable one at the cost of N + m unknowns.
-    """
-
-    H_bar: np.ndarray
-    z_bar: np.ndarray
-
-    def solve(self) -> np.ndarray:
-        # general LU solve with partial pivoting
-        return np.linalg.solve(self.H_bar, self.z_bar)
 
 
 def solve_least_squares(problem: NetworkLinearEquation) -> LeastSquaresSolution:
@@ -119,12 +96,3 @@ def solve_least_squares(problem: NetworkLinearEquation) -> LeastSquaresSolution:
     residual = problem.rows @ y_star - problem.obs
     objective = float(residual @ residual)
     return LeastSquaresSolution(y_star=y_star, residual=residual, objective=objective)
-
-
-def build_state_expansion(problem: NetworkLinearEquation) -> AugmentedSystem:
-    n, m = problem.n_nodes, problem.dim
-    top = np.hstack([problem.rows, -np.eye(n)])
-    bottom = np.hstack([np.zeros((m, m)), problem.rows.T])
-    H_bar = np.vstack([top, bottom])
-    z_bar = np.concatenate([problem.obs, np.zeros(m)])
-    return AugmentedSystem(H_bar=H_bar, z_bar=z_bar)

@@ -19,7 +19,6 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -199,7 +198,8 @@ def _affine(A, w):
 
 
 def _fresh(x):
-    """Where an ascending array first holds each of its values."""
+    """Where each run of equal values in x starts (where an ascending x
+    first holds each of its values)."""
     return np.concatenate([[True], x[1:] != x[:-1]])
 
 
@@ -348,11 +348,11 @@ def _span(run, lift, w, norm, level, k0, last, end=True):
     return W[last], float(np.abs(W[last]).max())
 
 
-def _propagate(ref_flow, step_maps, schedule, u0, time_of, record_every, metadata):
+def _propagate(ref_flow, step_maps, maps, lengths, u0, time_of, record_every, metadata):
     """Apply the affine steps ``step_maps[i] = (P, c)`` over the segments
-    ``schedule = [(i, n_steps), ...]``; record every record_every-th state
-    plus the first and last, and stop with a partial trajectory on
-    divergence.
+    ``k = 0, 1, ...``, ``lengths[k]`` steps of ``step_maps[maps[k]]`` each;
+    record every record_every-th state plus the first and last, and stop
+    with a partial trajectory on divergence.
 
     Each step map gets a :class:`_Lift` of the least depth b with 2^b
     steps covering its longest segment, capped at BLOCK_DOUBLES doubles.
@@ -365,15 +365,17 @@ def _propagate(ref_flow, step_maps, schedule, u0, time_of, record_every, metadat
     first state that is non-finite or beyond DIVERGE_LIMIT ends the run at
     its exact step and is recorded last.
     """
-    longest = {i: max(s for j, s in schedule if j == i) for i in dict(schedule)}
+    longest = np.zeros(len(step_maps), dtype=int)
+    np.maximum.at(longest, maps, lengths)
     cap = max(0, BLOCK_DOUBLES // len(u0) ** 2 - 1)
-    lifts = {i: _Lift(*step_maps[i], min(cap, (s - 1).bit_length())) for i, s in longest.items()}
-    total = sum(seg_steps for _, seg_steps in schedule)
+    lifts = {i: _Lift(*step_maps[i], min(cap, (s - 1).bit_length()))
+             for i, s in enumerate(longest.tolist()) if s}
+    total = int(lengths.sum())
     steps = np.append(np.arange(0, total, record_every), total)
     u, k = np.append(u0, 1.0), 0
     run, bound = _Run(steps, u, record_every), float(np.abs(u).max())
     try:
-        for index, seg_steps in schedule:
+        for index, seg_steps in zip(maps.tolist(), lengths.tolist()):
             lift, stride = lifts[index], 1 << lifts[index].depth
             for start in range(k, k + seg_steps, stride):
                 u, bound = _span(run, lift, u, bound, lift.depth + 1, start,
@@ -414,8 +416,9 @@ def _run(flow, Ms, slots, steps, dwell, x0, v0, h, method, record_every, **extra
         raise ValueError("initial states must be finite")
     b = np.concatenate([flow.z_H, np.zeros(nm)])
     step_maps = [_step_map(M, b, h, method) for M in Ms]
-    order = (slots[p % len(slots)] for p in range(steps // dwell))
-    schedule = [(index, dwell * len(list(run))) for index, run in groupby(order)]
+    order = np.resize(slots, steps // dwell)      # the slot of each dwell
+    starts = np.flatnonzero(_fresh(order))        # where each segment starts
+    maps, lengths = order[starts], dwell * np.diff(starts, append=len(order))
     meta = {
         "n_nodes": flow.problem.n_nodes,
         "dim": flow.problem.dim,
@@ -425,7 +428,7 @@ def _run(flow, Ms, slots, steps, dwell, x0, v0, h, method, record_every, **extra
         "integrator": method, "step": h, "record_every": record_every, **extra,
     }
     time_of = (lambda k: k) if method == "euler" else (lambda k: k * h)
-    return _propagate(flow, step_maps, schedule, np.concatenate([x0, v0]), time_of,
+    return _propagate(flow, step_maps, maps, lengths, np.concatenate([x0, v0]), time_of,
                       record_every, meta)
 
 
@@ -468,28 +471,6 @@ def simulate_damped(flow: AssembledFlow, alpha: float, x0, v0,
     M[:nm, :nm] -= alpha * flow.L_kron
     return _run(flow, [M], [0], *_run_length(step_h, t_end, record_every), x0, v0,
                 step_h, "rk4", record_every, t_end=t_end, alpha=alpha)
-
-
-def oscillates(traj: Trajectory, component: str, *, ratio: float = 0.5) -> bool:
-    """Heuristic: does a component keep oscillating to the end of the run?
-
-    Compares the peak-to-peak amplitude over the last fifth of the
-    samples against the window between 40% and 60% of the run; fires
-    when the tail amplitude is at least ``ratio`` times the mid-run
-    amplitude and is not itself negligible.
-    """
-    s = component_series(traj, component)
-    n = len(s)
-    if n < 10:
-        raise ValueError("trajectory too short for oscillation detection")
-    mid = s[int(0.4 * n):int(0.6 * n)]
-    tail = s[int(0.8 * n):]
-    amp_mid = float(mid.max() - mid.min())
-    amp_tail = float(tail.max() - tail.min())
-    floor = 1e-8 * (1.0 + float(np.abs(s).max()))
-    if amp_tail <= floor:
-        return False
-    return amp_tail >= ratio * amp_mid
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -123,19 +123,6 @@ def _costs(problem: NetworkLinearEquation, x) -> np.ndarray:
     return 0.5 * np.einsum("ik,ik->i", r, r)
 
 
-def flow_cost(flow: AssembledFlow, x) -> float:
-    """Half the sum of squared per-node measurement mismatches.
-
-    The one-half factor makes the analytic gradient exactly
-    ``H_tilde x - z_H``.
-    """
-    return float(_costs(flow.problem, np.reshape(x, (1, flow.state_dim)))[0])
-
-
-def flow_gradient(flow: AssembledFlow, x) -> np.ndarray:
-    return flow.H_tilde @ np.asarray(x, dtype=float) - flow.z_H
-
-
 def m_spectrum(flow: AssembledFlow) -> np.ndarray:
     """All 2Nm eigenvalues of M, sorted by (real, imaginary) part."""
     try:

@@ -12,14 +12,10 @@ error into a small neighborhood of zero.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DimensionMismatchError, FingerprintMismatchError
-from .graphs import Graph, _node_index, graph_from_dict, laplacian, spectrum, support_report
+from .errors import DimensionMismatchError
 from .problem import NetworkLinearEquation
 from .simulate import Trajectory, _run, _run_length
 from .spectral import assemble
@@ -41,9 +37,6 @@ class SwitchingSignal:
         if len(sizes) != 1:
             raise DimensionMismatchError(f"graphs disagree on node count: {sizes}")
 
-    def index_at(self, t: float) -> int:
-        return int(t // self.period_T) % len(self.graphs)
-
 
 def simulate_switching(problem: NetworkLinearEquation, signal: SwitchingSignal,
                        x0, v0, step_h: float, t_end: float,
@@ -64,84 +57,3 @@ def simulate_switching(problem: NetworkLinearEquation, signal: SwitchingSignal,
                 steps, dwell, x0, v0, step_h, "rk4", record_every, t_end=t_end,
                 period_T=signal.period_T,
                 graphs=[g.label or f"custom-{g.n_nodes}" for g in signal.graphs])
-
-
-def tail_sup_error(traj: Trajectory, tail_fraction: float = 0.2) -> float:
-    """Supremum of the squared consensus error over the trailing window."""
-    if not 0.0 < tail_fraction < 1.0:
-        raise ValueError("tail_fraction must be in (0, 1)")
-    n = len(traj.error)
-    if n == 0:
-        raise ValueError("empty trajectory")
-    return float(traj.error[int((1.0 - tail_fraction) * n):].max())
-
-
-def oscillation_period(traj: Trajectory, lag_min: float, lag_max: float,
-                       settle_fraction: float = 0.6) -> float:
-    """Estimate the period of the error signal by self-matching lags.
-
-    Over the samples after ``settle_fraction`` of the run, computes the
-    mean absolute mismatch between the signal and its lagged copy for
-    every lag in [lag_min, lag_max] and returns the smallest lag whose
-    mismatch is within 5% of the best one. The run must be long enough
-    for transients to have decayed out of the matched window.
-    """
-    t = traj.t_or_k
-    if len(t) < 10:
-        raise ValueError("trajectory too short for period estimation")
-    dt = float(t[1] - t[0])
-    if np.abs(np.diff(t) - dt).max() > 1e-9 * max(1.0, abs(dt)):
-        raise ValueError("period estimation needs uniform sampling")
-    tail = traj.error[int(settle_fraction * len(t)):]
-    lo_lag = max(2, int(round(lag_min / dt)))
-    hi_lag = int(round(lag_max / dt))
-    if hi_lag >= len(tail):
-        raise ValueError("lag_max exceeds the settled window")
-    if hi_lag < lo_lag:
-        raise ValueError(f"no lag of at least 2 samples lies in [{lag_min}, {lag_max}]")
-    lags = np.arange(lo_lag, hi_lag + 1)
-    mismatch = np.array([float(np.mean(np.abs(tail[l:] - tail[:-l]))) for l in lags])
-    scale = float(np.mean(np.abs(tail - tail.mean())))
-    best = mismatch.min()
-    good = lags[mismatch <= best * 1.05 + 1e-9 * max(scale, 1e-300)]
-    return float(good[0] * dt)
-
-
-def check_support_fingerprint(graph: Graph, allowed_supports) -> None:
-    """Verify that the eigenvector supports are exactly the declared ones.
-
-    Requires a simple Laplacian spectrum (supports of repeated
-    eigenspaces depend on the basis choice) and compares the set of
-    supports of the eigenvector basis against ``allowed_supports``.
-    Raises :class:`FingerprintMismatchError` on any deviation.
-    """
-    report = support_report(spectrum(laplacian(graph)))
-    if not report.simple_spectrum:
-        raise FingerprintMismatchError(
-            f"{graph!r}: repeated Laplacian eigenvalues, supports are basis-dependent"
-        )
-    found = set(report.supports)
-    wanted = {frozenset(map(_node_index, s)) for s in allowed_supports}
-    if found != wanted:
-        raise FingerprintMismatchError(
-            f"{graph!r}: eigenvector supports {sorted(map(sorted, found))} "
-            f"do not match declared {sorted(map(sorted, wanted))}"
-        )
-
-
-def load_graph_pair(path) -> tuple:
-    """Load and fingerprint-validate the pinned switching graph pair.
-
-    The fixture states, for each graph, the exact set of eigenvector
-    supports it must produce; any candidate edge list that fails this
-    spectral fingerprint is rejected at load time.
-    """
-    with open(path) as fh:
-        data = json.load(fh)
-    graphs = [graph_from_dict(g) for g in data["graphs"]]
-    supports = data["required_supports"]
-    if len(graphs) != len(supports):
-        raise FingerprintMismatchError("fixture lists differ in length")
-    for g, allowed in zip(graphs, supports):
-        check_support_fingerprint(g, allowed)
-    return tuple(graphs)

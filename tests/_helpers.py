@@ -7,8 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 import lsqflow as lf
-from lsqflow.graphs import _eigenspace_members, _support_of
+from lsqflow.graphs import _eigenspace_members, _node_index, _support_of
 from lsqflow.problem import RANK_RTOL
+from lsqflow.simulate import component_series
+from lsqflow.spectral import _costs
 
 ROW_PATTERNS = ("generic", "pair", "blind3", "blind2")
 
@@ -109,7 +111,9 @@ def simple_spectrum_verdict(problem, graph):
 
 def residual_component(problem, y_star, i):
     """h_i . y* - z_i for a 1-based node index i."""
-    h_i = problem.row(i)
+    if not 1 <= i <= problem.n_nodes:
+        raise lf.InvalidNodeError(f"node index {i} outside 1..{problem.n_nodes}")
+    h_i = problem.rows[i - 1]
     return float(h_i @ np.asarray(y_star, dtype=float) - problem.obs[i - 1])
 
 
@@ -119,7 +123,7 @@ def graph_to_dict(graph):
     return {
         "type": "custom",
         "n": graph.n_nodes,
-        "edges": [list(e) for e in graph.sorted_edges()],
+        "edges": [list(e) for e in sorted(graph.edges)],
     }
 
 
@@ -277,3 +281,148 @@ def step_by_step(segments, b, u0, h, method="rk4", record_every=1, limit=1e9):
                 steps.append(k)
                 states.append(u.copy())
     return np.array(steps), np.array(states), None, None
+
+
+@dataclass(frozen=True)
+class AugmentedSystem:
+    """Square expansion [[H, -I],[0, H^T]] y_bar = [z; 0].
+
+    Its unique solution stacks the least-squares minimizer on top of the
+    residual vector, turning the inconsistent problem into an exactly
+    solvable one at the cost of N + m unknowns.
+    """
+
+    H_bar: np.ndarray
+    z_bar: np.ndarray
+
+    def solve(self) -> np.ndarray:
+        # general LU solve with partial pivoting
+        return np.linalg.solve(self.H_bar, self.z_bar)
+
+
+def build_state_expansion(problem):
+    n, m = problem.n_nodes, problem.dim
+    top = np.hstack([problem.rows, -np.eye(n)])
+    bottom = np.hstack([np.zeros((m, m)), problem.rows.T])
+    H_bar = np.vstack([top, bottom])
+    z_bar = np.concatenate([problem.obs, np.zeros(m)])
+    return AugmentedSystem(H_bar=H_bar, z_bar=z_bar)
+
+
+def flow_cost(flow, x):
+    """Half the sum of squared per-node measurement mismatches.
+
+    The one-half factor makes the analytic gradient exactly
+    ``H_tilde x - z_H``.
+    """
+    return float(_costs(flow.problem, np.reshape(x, (1, flow.state_dim)))[0])
+
+
+def flow_gradient(flow, x):
+    return flow.H_tilde @ np.asarray(x, dtype=float) - flow.z_H
+
+
+def oscillates(traj, component, *, ratio=0.5):
+    """Heuristic: does a component keep oscillating to the end of the run?
+
+    Compares the peak-to-peak amplitude over the last fifth of the
+    samples against the window between 40% and 60% of the run; fires
+    when the tail amplitude is at least ``ratio`` times the mid-run
+    amplitude and is not itself negligible.
+    """
+    s = component_series(traj, component)
+    n = len(s)
+    if n < 10:
+        raise ValueError("trajectory too short for oscillation detection")
+    mid = s[int(0.4 * n):int(0.6 * n)]
+    tail = s[int(0.8 * n):]
+    amp_mid = float(mid.max() - mid.min())
+    amp_tail = float(tail.max() - tail.min())
+    floor = 1e-8 * (1.0 + float(np.abs(s).max()))
+    if amp_tail <= floor:
+        return False
+    return amp_tail >= ratio * amp_mid
+
+
+def tail_sup_error(traj, tail_fraction=0.2):
+    """Supremum of the squared consensus error over the trailing window."""
+    if not 0.0 < tail_fraction < 1.0:
+        raise ValueError("tail_fraction must be in (0, 1)")
+    n = len(traj.error)
+    if n == 0:
+        raise ValueError("empty trajectory")
+    return float(traj.error[int((1.0 - tail_fraction) * n):].max())
+
+
+def oscillation_period(traj, lag_min, lag_max, settle_fraction=0.6):
+    """Estimate the period of the error signal by self-matching lags.
+
+    Over the samples after ``settle_fraction`` of the run, computes the
+    mean absolute mismatch between the signal and its lagged copy for
+    every lag in [lag_min, lag_max] and returns the smallest lag whose
+    mismatch is within 5% of the best one. The run must be long enough
+    for transients to have decayed out of the matched window.
+    """
+    t = traj.t_or_k
+    if len(t) < 10:
+        raise ValueError("trajectory too short for period estimation")
+    dt = float(t[1] - t[0])
+    if np.abs(np.diff(t) - dt).max() > 1e-9 * max(1.0, abs(dt)):
+        raise ValueError("period estimation needs uniform sampling")
+    tail = traj.error[int(settle_fraction * len(t)):]
+    lo_lag = max(2, int(round(lag_min / dt)))
+    hi_lag = int(round(lag_max / dt))
+    if hi_lag >= len(tail):
+        raise ValueError("lag_max exceeds the settled window")
+    if hi_lag < lo_lag:
+        raise ValueError(f"no lag of at least 2 samples lies in [{lag_min}, {lag_max}]")
+    lags = np.arange(lo_lag, hi_lag + 1)
+    mismatch = np.array([float(np.mean(np.abs(tail[l:] - tail[:-l]))) for l in lags])
+    scale = float(np.mean(np.abs(tail - tail.mean())))
+    best = mismatch.min()
+    good = lags[mismatch <= best * 1.05 + 1e-9 * max(scale, 1e-300)]
+    return float(good[0] * dt)
+
+
+class FingerprintMismatchError(Exception):
+    """A graph does not reproduce its declared eigenvector supports."""
+
+
+def check_support_fingerprint(graph, allowed_supports):
+    """Verify that the eigenvector supports are exactly the declared ones.
+
+    Requires a simple Laplacian spectrum (supports of repeated
+    eigenspaces depend on the basis choice) and compares the set of
+    supports of the eigenvector basis against ``allowed_supports``.
+    Raises :class:`FingerprintMismatchError` on any deviation.
+    """
+    report = lf.support_report(lf.spectrum(lf.laplacian(graph)))
+    if not report.simple_spectrum:
+        raise FingerprintMismatchError(
+            f"{graph!r}: repeated Laplacian eigenvalues, supports are basis-dependent"
+        )
+    found = set(report.supports)
+    wanted = {frozenset(map(_node_index, s)) for s in allowed_supports}
+    if found != wanted:
+        raise FingerprintMismatchError(
+            f"{graph!r}: eigenvector supports {sorted(map(sorted, found))} "
+            f"do not match declared {sorted(map(sorted, wanted))}"
+        )
+
+
+def load_graph_pair(path):
+    """Load and fingerprint-validate the pinned switching graph pair.
+
+    The fixture states, for each graph, the exact set of eigenvector
+    supports it must produce; any candidate edge list that fails this
+    spectral fingerprint is rejected at load time.
+    """
+    with open(path) as fh:
+        data = json.load(fh)
+    graphs = [lf.graph_from_dict(g) for g in data["graphs"]]
+    supports = data["required_supports"]
+    if len(graphs) != len(supports):
+        raise FingerprintMismatchError("fixture lists differ in length")
+    for g, allowed in zip(graphs, supports):
+        check_support_fingerprint(g, allowed)
+    return tuple(graphs)

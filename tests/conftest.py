@@ -7,6 +7,8 @@ from hypothesis import HealthCheck, settings
 
 import lsqflow as lf
 
+from _helpers import load_graph_pair
+
 settings.register_profile(
     "suite",
     derandomize=True,
@@ -97,7 +99,7 @@ def pent3_problem():
 
 @pytest.fixture(scope="session")
 def switch_pair():
-    return lf.load_graph_pair(fixture_path("pent_graph_pair.json"))
+    return load_graph_pair(fixture_path("pent_graph_pair.json"))
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,9 @@ from conftest import (
     SWITCH3_T_END,
     load_fixture,
 )
-from _helpers import random_problem, random_simple_spectrum_graph, simple_spectrum_verdict
+from _helpers import (build_state_expansion, flow_cost, flow_gradient, oscillates,
+                      oscillation_period, random_problem, random_simple_spectrum_graph,
+                      simple_spectrum_verdict, tail_sup_error)
 
 
 def report(num, ok, detail):
@@ -86,7 +88,7 @@ def test_acceptance_04_continuous_convergence(chain_flow):
 def test_acceptance_05_continuous_oscillation(star_ct_traj):
     finals = [component_series(star_ct_traj, f"x_{i}_1")[-1] for i in range(1, 5)]
     first_dev = max(abs(v + 0.1429) for v in finals)
-    fires = {i: lf.oscillates(star_ct_traj, f"x_{i}_2") for i in range(1, 5)}
+    fires = {i: oscillates(star_ct_traj, f"x_{i}_2") for i in range(1, 5)}
     ok = (first_dev < 1e-2
           and fires[2] and fires[3] and fires[4] and not fires[1])
     report(5, ok, f"first components within {first_dev:.2e} of -0.1429; "
@@ -168,7 +170,7 @@ def test_acceptance_09_switching_period(pent2_problem, switch_pair, switch2_traj
     sample_dt = 0.05
     estimates = {}
     for T in (100.0, 10.0, 1.0):
-        period = lf.oscillation_period(switch2_trajs[T], T, 3.0 * T)
+        period = oscillation_period(switch2_trajs[T], T, 3.0 * T)
         estimates[T] = period
     # the limit sets v*_g + range(W) are disjoint iff the predicted limits
     # from one start differ, here beyond a relative tolerance of 1e-6
@@ -192,7 +194,7 @@ def test_acceptance_10_fast_switching_quenches_error(pent3_problem, switch_pair)
                                                0.5, 0.7, -0.6, -0.3, -0.8,
                                                -1.6, 0.25, 0.5, -1.0, 0.7]),
                                      np.ones(15), 0.005, SWITCH3_T_END)
-        tails.append(lf.tail_sup_error(traj))
+        tails.append(tail_sup_error(traj))
     elapsed = time.perf_counter() - t0
     ok = (not verdicts[0].holds and not verdicts[1].holds
           and tails[0] > tails[1] > tails[2]
@@ -225,13 +227,13 @@ def test_acceptance_11_property_suites(rng):
         graph = random_simple_spectrum_graph(rng, prob.n_nodes)
         flow = lf.assemble(prob, graph)
         x = rng.standard_normal(flow.state_dim)
-        g = lf.flow_gradient(flow, x)
+        g = flow_gradient(flow, x)
         fd = np.zeros_like(g)
         h = 1e-6
         for k in range(len(x)):
             e = np.zeros_like(x)
             e[k] = h
-            fd[k] = (lf.flow_cost(flow, x + e) - lf.flow_cost(flow, x - e)) / (2 * h)
+            fd[k] = (flow_cost(flow, x + e) - flow_cost(flow, x - e)) / (2 * h)
         if np.abs(g - fd).max() <= 1e-5 * (1.0 + np.abs(g).max()):
             grad_ok += 1
 
@@ -259,7 +261,7 @@ def test_acceptance_11_property_suites(rng):
     for _ in range(100):
         prob = random_problem(rng)
         sol = lf.solve_least_squares(prob)
-        w = lf.build_state_expansion(prob).solve()
+        w = build_state_expansion(prob).solve()
         m = prob.dim
         if (np.abs(w[:m] - sol.y_star).max() < 1e-9
                 and np.abs(w[m:] - sol.residual).max() < 1e-9):

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import lsqflow as lf
 from lsqflow.problem import RANK_RTOL
 
-from _helpers import normal_equations_solution, random_problem, residual_component
+from _helpers import (build_state_expansion, normal_equations_solution, random_problem,
+                      residual_component)
 
 
 class TestNetworkLinearEquation:
@@ -19,14 +20,6 @@ class TestNetworkLinearEquation:
     def test_rows_are_read_only(self, chain_problem):
         with pytest.raises(ValueError):
             chain_problem.rows[0, 0] = 99.0
-
-    def test_row_accessor_is_one_based(self, chain_problem):
-        assert np.array_equal(chain_problem.row(1), [0.0, 1.0])
-        assert np.array_equal(chain_problem.row(4), [1.0, 0.0])
-        with pytest.raises(lf.InvalidNodeError):
-            chain_problem.row(0)
-        with pytest.raises(lf.InvalidNodeError):
-            chain_problem.row(5)
 
     def test_requires_more_rows_than_columns(self):
         with pytest.raises(lf.DimensionMismatchError):
@@ -109,14 +102,14 @@ class TestResidualComponent:
 
 class TestStateExpansion:
     def test_shapes(self, chain_problem):
-        aug = lf.build_state_expansion(chain_problem)
+        aug = build_state_expansion(chain_problem)
         assert aug.H_bar.shape == (6, 6)
         assert aug.z_bar.shape == (6,)
         assert np.array_equal(aug.z_bar[:4], chain_problem.obs)
         assert np.array_equal(aug.z_bar[4:], np.zeros(2))
 
     def test_square_system_recovers_lsq_solution(self, chain_problem):
-        aug = lf.build_state_expansion(chain_problem)
+        aug = build_state_expansion(chain_problem)
         sol = lf.solve_least_squares(chain_problem)
         w = aug.solve()
         assert np.abs(w[:2] - sol.y_star).max() < 1e-12
@@ -127,7 +120,7 @@ class TestStateExpansion:
     def test_equivalence_on_random_problems(self, seed):
         prob = random_problem(seed)
         sol = lf.solve_least_squares(prob)
-        w = lf.build_state_expansion(prob).solve()
+        w = build_state_expansion(prob).solve()
         m = prob.dim
         scale = 1.0 + np.abs(sol.y_star).max()
         assert np.abs(w[:m] - sol.y_star).max() < 1e-8 * scale

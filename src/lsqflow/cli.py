@@ -74,9 +74,14 @@ def _json_text(value, indent: str = "") -> str:
     return json.dumps(value)
 
 
-def _json_out(payload: dict, config: RunConfig, out_dir, stdout) -> None:
+def _json_out(payload: dict, config: RunConfig, out_dir, stdout=None) -> None:
+    """Render the payload once if it goes anywhere: printed to ``stdout``
+    when given, written to the config's ``out_json`` when set."""
+    if stdout is None and config.out_json is None:
+        return
     text = _json_text(payload)
-    print(text, file=stdout)
+    if stdout is not None:
+        print(text, file=stdout)
     if config.out_json is not None:
         target = _resolve(config.out_json, out_dir)
         with open(target, "w") as fh:
@@ -140,8 +145,7 @@ def _run_epsilon_star(config: RunConfig, out_dir, stdout) -> int:
         raise NoStableModesError("every system eigenvalue sits on the imaginary axis; "
                                  "no finite step threshold exists") from exc
     print(f"{value:.17g}", file=stdout)
-    if config.out_json is not None:
-        _json_out({"epsilon_star": value}, config, out_dir, _Null())
+    _json_out({"epsilon_star": value}, config, out_dir)
     return 0
 
 
@@ -163,14 +167,8 @@ def _run_feasibility(config: RunConfig, out_dir, stdout) -> int:
         cells = (row["family"], str(row["n"]), str(row["min_support"]),
                  "null" if row["closed_form"] is None else str(row["closed_form"]))
         print("  ".join(c.ljust(w) for c, w in zip(cells, widths)), file=stdout)
-    if config.out_json is not None:
-        _json_out({"rows": rows}, config, out_dir, _Null())
+    _json_out({"rows": rows}, config, out_dir)
     return 0
-
-
-class _Null:
-    def write(self, _):
-        pass
 
 
 def _emit_artifacts(traj, config: RunConfig, out_dir, default_csv: str) -> None:

@@ -15,7 +15,7 @@ class LsqflowError(Exception):
 class RankDeficientError(LsqflowError):
     """Measurement matrix does not have full column rank.
 
-    ``numerical_rank`` records the rank found during factorization.
+    ``numerical_rank`` records H's numerical rank at ``RANK_RTOL``.
     """
 
     def __init__(self, message: str, numerical_rank: int):

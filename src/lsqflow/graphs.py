@@ -1,11 +1,12 @@
 """Graph construction, Laplacian spectra, and eigenvector support analysis.
 
-Supports are the combinatorial heart of the convergence condition: for
-each Laplacian eigenvector the set of nodes where it is nonzero must
-carry measurement rows spanning the full unknown space. This module
-computes those support sets and the minimum support over all
-eigenvectors, including members of repeated eigenspaces that a fixed
-basis would miss.
+The convergence condition is a rank test on each Laplacian eigenspace:
+with eigenbasis B, the matrix with rows ``B_i (x) h_i`` must have full
+column rank. Only where the spectrum is simple is that the same as each
+eigenvector's support (the nodes where it is nonzero) carrying rows
+that span the unknown space. This module computes those support sets
+and the minimum support over all eigenvectors, including members of
+repeated eigenspaces that a fixed basis would miss.
 """
 
 from __future__ import annotations
@@ -51,9 +52,14 @@ class Graph:
                 _check_edge(e, n, seen)
             seen.add(e)
 
+    @property
+    def name(self) -> str:
+        """The display name in reprs and run metadata: the label, else
+        ``custom-<n_nodes>``."""
+        return self.label or f"custom-{self.n_nodes}"
+
     def __repr__(self) -> str:
-        name = self.label or f"custom-{self.n_nodes}"
-        return f"Graph({name}, {len(self.edges)} edges)"
+        return f"Graph({self.name}, {len(self.edges)} edges)"
 
 
 def _node_index(value, what: str = "node index") -> int:

@@ -19,12 +19,14 @@ from .errors import DimensionMismatchError, RankDeficientError
 RANK_RTOL = 1e-12
 
 
-def _numerical_rank(matrix: np.ndarray) -> int:
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0:
-        return 0
-    tol = sv[0] * max(matrix.shape) * RANK_RTOL
-    return int(np.count_nonzero(sv > tol))
+def _stacked_rank(stack: np.ndarray) -> tuple:
+    """(ranks, unit null vectors for the smallest singular values) of a
+    stack of matrices, in one SVD call, each rank at the relative
+    tolerance ``RANK_RTOL``."""
+    rows, cols = stack.shape[1:]
+    _, sv, vt = np.linalg.svd(stack, full_matrices=rows < cols)
+    tol = sv[:, :1] * max(rows, cols) * RANK_RTOL
+    return np.count_nonzero(sv > tol, axis=1), vt[:, -1]
 
 
 class NetworkLinearEquation:
@@ -52,13 +54,15 @@ class NetworkLinearEquation:
                 f"obs has shape {obs.shape}, expected ({rows.shape[0]},)"
             )
         n, m = rows.shape
+        if m == 0:
+            raise DimensionMismatchError("rows must have at least one column")
         if n <= m:
             raise DimensionMismatchError(
                 f"need more equations than unknowns: N={n} <= m={m}"
             )
         self.n_nodes = n
         self.dim = m
-        self.numerical_rank = _numerical_rank(rows)
+        self.numerical_rank = int(_stacked_rank(rows[None])[0][0])
         self.full_rank = self.numerical_rank == m
         if check_rank and not self.full_rank:
             raise RankDeficientError(
@@ -84,15 +88,15 @@ class LeastSquaresSolution:
 def solve_least_squares(problem: NetworkLinearEquation) -> LeastSquaresSolution:
     """Minimize ||z - H y||^2 via orthogonal factorization.
 
-    Raises :class:`RankDeficientError` if the factorization reveals a
-    rank below m (possible only for problems built with
-    ``check_rank=False``).
+    Raises :class:`RankDeficientError` unless the problem has full column
+    rank (possible only for problems built with ``check_rank=False``).
     """
-    y_star, _, rank, _ = np.linalg.lstsq(problem.rows, problem.obs, rcond=RANK_RTOL)
-    if rank < problem.dim:
+    if not problem.full_rank:
         raise RankDeficientError(
-            f"rank {rank} < {problem.dim} during least-squares factorization", int(rank)
+            f"measurement matrix has numerical rank {problem.numerical_rank} < {problem.dim}",
+            problem.numerical_rank,
         )
+    y_star = np.linalg.lstsq(problem.rows, problem.obs, rcond=RANK_RTOL)[0]
     residual = problem.rows @ y_star - problem.obs
     objective = float(residual @ residual)
     return LeastSquaresSolution(y_star=y_star, residual=residual, objective=objective)

@@ -151,14 +151,11 @@ def component_series(traj: Trajectory, name: str) -> np.ndarray:
     if name == "cost":
         return traj.cost
     try:
-        block, i, j = name.split("_")
-        idx = (int(i) - 1) * traj.dim + (int(j) - 1)
-        source = {"x": traj.x, "v": traj.v}[block]
-        if not (0 <= idx < source.shape[1]) or not (1 <= int(j) <= traj.dim):
-            raise ValueError
-    except (ValueError, KeyError):
+        idx = component_names(traj.n_nodes, traj.dim).index(name)
+    except ValueError:
         raise DimensionMismatchError(f"unknown component name {name!r}") from None
-    return source[:, idx]
+    block, col = divmod(idx, traj.x.shape[1])
+    return (traj.x, traj.v)[block][:, col]
 
 
 def _step_map(M, b, h, method="rk4"):
@@ -423,7 +420,7 @@ def _run(flow, Ms, slots, steps, dwell, x0, v0, h, method, record_every, **extra
         "n_nodes": flow.problem.n_nodes,
         "dim": flow.problem.dim,
         "problem": repr(flow.problem),
-        "graph": flow.graph.label or f"custom-{flow.graph.n_nodes}",
+        "graph": flow.graph.name,
         "reference": "least-squares" if flow.problem.full_rank else "origin",
         "integrator": method, "step": h, "record_every": record_every, **extra,
     }

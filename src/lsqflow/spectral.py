@@ -32,11 +32,7 @@ from .errors import (
 )
 from .graphs import (Graph, LaplacianSpectrum, laplacian, spectrum,
                      _eigenspace_members, _support_mask, _support_of)
-from .problem import (
-    RANK_RTOL,
-    NetworkLinearEquation,
-    solve_least_squares,
-)
+from .problem import RANK_RTOL, NetworkLinearEquation, _stacked_rank, solve_least_squares
 
 # |Re(lambda)| <= TAU_IM * |lambda| classifies an eigenvalue as purely
 # imaginary. The kernel of M holds its k smallest eigenvalues in modulus,
@@ -103,10 +99,7 @@ def assemble(problem: NetworkLinearEquation, graph: Graph) -> AssembledFlow:
     np.negative(H_tilde, out=M[:nm, :nm])
     np.negative(L_kron, out=M[:nm, nm:])
     M[nm:, :nm] = L_kron
-    try:
-        y_ref = solve_least_squares(problem).y_star
-    except RankDeficientError:
-        y_ref = np.zeros(m)
+    y_ref = solve_least_squares(problem).y_star if problem.full_rank else np.zeros(m)
     for a in (H_tilde, z_H, L, L_kron, M, y_ref):
         a.setflags(write=False)
     return AssembledFlow(
@@ -152,16 +145,6 @@ def _nonzero_split(eigs, kernel_dim: int) -> tuple:
     nonzero = np.delete(eigs, kernel)
     imaginary = np.abs(nonzero.real) <= TAU_IM * np.abs(nonzero)
     return nonzero[imaginary], nonzero[~imaginary]
-
-
-def _stacked_rank(stack: np.ndarray) -> tuple:
-    """(ranks, unit null vectors for the smallest singular values) of a
-    stack of matrices, in one SVD call, each rank at the relative
-    tolerance ``RANK_RTOL``."""
-    rows, cols = stack.shape[1:]
-    _, sv, vt = np.linalg.svd(stack, full_matrices=rows < cols)
-    tol = sv[:, :1] * max(rows, cols) * RANK_RTOL
-    return np.count_nonzero(sv > tol, axis=1), vt[:, -1]
 
 
 def _rank_pass(problem, spect: LaplacianSpectrum, groups) -> tuple:
@@ -281,10 +264,12 @@ def _verdict(problem, spect: LaplacianSpectrum, imaginary, failing) -> Condition
 
 
 def check_condition(problem: NetworkLinearEquation, graph: Graph) -> ConditionVerdict:
-    """Decide whether every eigenvector support spans the unknown space:
-    the verdict of :func:`build_spectral_report`, with its built-in
-    cross-check against the Laplacian-side rank test. A disconnected
-    graph fails.
+    """Decide whether, for every Laplacian eigenvalue r > 0 with
+    eigenbasis B, the rows ``B_i (x) h_i`` have full column rank (the
+    same as every eigenvector support spanning the unknown space only
+    where the spectrum is simple): the verdict of
+    :func:`build_spectral_report`, decided on the M side and
+    cross-checked by that rank test. A disconnected graph fails.
     """
     return build_spectral_report(assemble(problem, graph)).condition
 

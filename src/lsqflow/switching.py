@@ -56,4 +56,4 @@ def simulate_switching(problem: NetworkLinearEquation, signal: SwitchingSignal,
     return _run(flows[0], [f.M for f in flows], [distinct.index(g) for g in signal.graphs],
                 steps, dwell, x0, v0, step_h, "rk4", record_every, t_end=t_end,
                 period_T=signal.period_T,
-                graphs=[g.label or f"custom-{g.n_nodes}" for g in signal.graphs])
+                graphs=[g.name for g in signal.graphs])

@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +26,11 @@ def invoke(config_name, out_dir):
 
 
 def cli(*args, cwd=None):
+    # the child imports the same lsqflow as the tests, installed or not
+    src = str(Path(lf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-m", "lsqflow", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 class TestAnalyzeMode:

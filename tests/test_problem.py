@@ -25,6 +25,11 @@ class TestNetworkLinearEquation:
         with pytest.raises(lf.DimensionMismatchError):
             lf.NetworkLinearEquation(np.eye(2), np.ones(2))
 
+    def test_requires_a_column(self):
+        for check_rank in (True, False):
+            with pytest.raises(lf.DimensionMismatchError):
+                lf.NetworkLinearEquation(np.zeros((3, 0)), np.ones(3), check_rank=check_rank)
+
     def test_rank_deficient_rejected(self):
         H = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
         with pytest.raises(lf.RankDeficientError) as exc:
@@ -81,10 +86,12 @@ class TestSolveLeastSquares:
             assert perturbed @ perturbed >= sol.objective - 1e-12
 
     def test_rank_deficient_solve_raises(self):
-        H = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
-        prob = lf.NetworkLinearEquation(H, np.ones(3), check_rank=False)
-        with pytest.raises(lf.RankDeficientError):
-            lf.solve_least_squares(prob)
+        # the second H has rank 1 at RANK_RTOL, though lstsq's own rcond keeps 2e-12
+        for H in ([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 2e-12], [0.0, 0.0]]):
+            prob = lf.NetworkLinearEquation(np.array(H), np.ones(3), check_rank=False)
+            with pytest.raises(lf.RankDeficientError) as exc:
+                lf.solve_least_squares(prob)
+            assert exc.value.numerical_rank == prob.numerical_rank == 1
 
 
 class TestResidualComponent:

@@ -126,7 +126,8 @@ class TestComponents:
 
     def test_series_rejects_unknown(self, chain_flow):
         traj = lf.simulate_ct(chain_flow, np.zeros(8), np.zeros(8), 0.01, 0.1)
-        for bad in ("x_5_1", "x_1_3", "y_1_1", "x_0_1", "wibble"):
+        for bad in ("x_5_1", "x_1_3", "y_1_1", "x_0_1", "wibble",
+                    "x_01_1", "x_+1_1", "x_1_1 ", "v_ 2_2", 5):
             with pytest.raises(lf.DimensionMismatchError):
                 component_series(traj, bad)
 
@@ -638,6 +639,18 @@ class TestSimulateCt:
         norms = np.sqrt((np.hstack([traj.x, traj.v]) ** 2).sum(axis=1))
         assert np.abs(norms - norms[0]).max() < 1e-6 * norms[0]
         assert (np.diff(norms) <= 1e-12 * norms[0]).all()
+
+    @pytest.mark.parametrize("H", [np.zeros((4, 2)),
+                                   [[1.0, 0.0], [0.0, 2e-12], [0.0, 0.0], [0.0, 0.0]]])
+    def test_rank_deficient_reference_is_origin(self, H):
+        # the problem's rank alone decides the reference, in the flow, the
+        # trajectory and its metadata alike
+        prob = lf.NetworkLinearEquation(H, np.ones(4), check_rank=False)
+        flow = lf.assemble(prob, lf.make_family("path", 4))
+        traj = lf.simulate_ct(flow, np.ones(8), np.zeros(8), 0.01, 0.1)
+        assert np.array_equal(flow.y_ref, np.zeros(2))
+        assert np.array_equal(traj.y_ref, np.zeros(2))
+        assert traj.metadata["reference"] == "origin"
 
 
 class TestSimulateDt:

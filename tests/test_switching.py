@@ -89,6 +89,19 @@ class TestSimulateSwitching:
         assert traj.metadata["period_T"] == 0.5
         assert len(traj.metadata["graphs"]) == 2
 
+    def test_graph_name_in_repr_and_metadata(self, pent2_problem, switch_pair):
+        custom = lf.make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+        graphs = (custom, lf.make_family("path", 5))
+        assert [g.name for g in graphs] == ["custom-5", "path-5"]
+        for g in graphs:
+            assert repr(g).startswith(f"Graph({g.name}, ")
+            traj = lf.simulate_ct(lf.assemble(pent2_problem, g), np.zeros(10), np.zeros(10),
+                                  0.01, 0.1)
+            assert traj.metadata["graph"] == g.name
+        sig = lf.SwitchingSignal(period_T=0.05, graphs=graphs + switch_pair)
+        traj = lf.simulate_switching(pent2_problem, sig, np.zeros(10), np.zeros(10), 0.01, 0.2)
+        assert traj.metadata["graphs"] == [g.name for g in graphs + switch_pair]
+
     def test_alignment_preconditions(self, pent2_problem, switch_pair):
         sig = lf.SwitchingSignal(period_T=1.0, graphs=switch_pair)
         with pytest.raises(lf.StepAlignmentError):

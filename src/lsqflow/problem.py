@@ -60,6 +60,8 @@ class NetworkLinearEquation:
             raise DimensionMismatchError(
                 f"need more equations than unknowns: N={n} <= m={m}"
             )
+        if not (np.isfinite(rows).all() and np.isfinite(obs).all()):
+            raise ValueError("rows and obs must be finite")
         self.n_nodes = n
         self.dim = m
         self.numerical_rank = int(_stacked_rank(rows[None])[0][0])

@@ -7,7 +7,9 @@ it for every run: continuous, discrete, damped and switching. The engine
 squares its way to the maps of 2^i steps and reaches each state from its
 anchor through the set bits of its offset, and computes only the
 recorded states, the anchors and the segment ends, unless a norm bound
-cannot rule out divergence. Divergence (any
+cannot rule out divergence. A periodic switching run is stepped by the
+cycle: the cycle map is lifted the same way, and each segment of the
+cycle runs for all cycles at once. Divergence (any
 state component non-finite or beyond 1e9 in magnitude) raises
 :class:`DivergedError` carrying the partial trajectory, so callers can
 still inspect and serialize what happened.
@@ -220,6 +222,11 @@ class _Run:
         if k % self.every == 0 or k == self.total:
             self.states[-(-k // self.every)] = w
 
+    def record_all(self, W, ks):
+        """:meth:`record` for each state ``W[i]`` at step ``ks[i]``."""
+        on = (ks % self.every == 0) | (ks == self.total)
+        self.states[-(-ks[on] // self.every)] = W[on]
+
 
 class _Lift:
     """A step map ``u -> P u + c`` lifted to powers of two steps, and the
@@ -266,8 +273,10 @@ class _Lift:
     def resolve(self, run):
         """Compute and record the queued states, ``run.batch`` at a time
         with one product per level; states whose offsets from one span
-        start share their high bits share the states on their way down."""
-        if not self.spans:
+        start share their high bits share the states on their way down.
+        The queue is a list of span starts and ``(k0, first, last)``
+        tuples, or a stack of starts and an array of those rows."""
+        if not len(self.spans):
             return
         k0, first, last = np.array(self.spans).T
         counts = (last - first) // run.every + 1
@@ -345,6 +354,124 @@ def _span(run, lift, w, norm, level, k0, last, end=True):
     return W[last], float(np.abs(W[last]).max())
 
 
+def _segments(run, lifts, maps, lengths, u, bound, k):
+    """Apply the segments ``maps``, ``lengths`` one after another from u,
+    the homogeneous state at step k with ``||u||_inf <= bound``: each
+    block of 2^b steps of a segment, b the depth of its map's table, is a
+    :func:`_span` one level above b. Return the state after them, a bound
+    on its norm and its step."""
+    for index, seg_steps in zip(maps.tolist(), lengths.tolist()):
+        lift, stride = lifts[index], 1 << lifts[index].depth
+        for start in range(k, k + seg_steps, stride):
+            u, bound = _span(run, lift, u, bound, lift.depth + 1, start,
+                             min(stride, k + seg_steps - start))
+        k += seg_steps
+    return u, bound, k
+
+
+def _cycle(maps, lengths) -> tuple:
+    """``(head, J, K)``: from segment ``head`` on, the segments repeat
+    their first J K times, J the shortest cycle of the segments between
+    the first and the last (those two may be cut short or merged); K < 2
+    when nothing repeats."""
+    key = lengths * (int(maps.max()) + 1) + maps
+    inner = key[1:-1]
+    if len(inner) < 2:
+        return 0, len(key), 1
+    cycles = (np.flatnonzero(inner[1:] == inner[0]) + 1).tolist() + [len(inner)]
+    J = next(J for J in cycles if np.array_equal(inner[J:], inner[:-J]))
+    head = int(key[0] != key[J])
+    return head, J, (len(key) - int(key[-1] != key[-1 - J]) - head) // J
+
+
+def _cycle_lift(lifts, maps, lengths, K, depth):
+    """The :class:`_Lift` of the given depth of the map ``[[T, g], [0, 1]]``
+    of one cycle of segments ``maps``, ``lengths``: the product of the
+    levels that reach each segment's end, in the order the states meet
+    them. None unless each segment lies within one block of its map's
+    table, composing and squaring the cycle map takes no more
+    multiply-adds than the products of K cycles' segment ends, and the
+    cycle map stays within POWER_LIMIT."""
+    size = lifts[int(maps[0])].A.shape[-1]       # n + 1
+    segments = list(zip(maps.tolist(), lengths.tolist()))
+    products = sum(seg_steps.bit_count() for _, seg_steps in segments)
+    if (products + depth) * size > K * products or any(
+            seg_steps > 1 << lifts[index].depth for index, seg_steps in segments):
+        return None
+    phi = np.eye(size)
+    for index, seg_steps in segments:
+        for A in lifts[index].path(seg_steps):
+            phi = A @ phi
+            if not np.abs(phi).max() <= POWER_LIMIT:
+                return None
+    return _Lift(phi[:-1, :-1], phi[:-1, -1], depth)
+
+
+def _cycles(run, lifts, cycle_lift, maps, lengths, K, w, k0):
+    """Apply ``K <= 2^cycle_lift.depth`` repeats of the cycle of segments
+    ``maps``, ``lengths`` (each within one block of its map's table) from
+    w, the homogeneous state at step k0; return the state after them and
+    its step.
+
+    ``cycle_lift`` is the cycle map's table, and the cycle starts ``c_0 = w,
+    c_1, ..., c_K`` are the states of one :func:`_span` of it that records
+    every state: ``c_k`` is reached from w through the set bits of k. Then
+    each segment runs for all K cycles at once. Its start in cycle k is
+    chained from ``c_k`` through the set bits of the segment lengths
+    before it, and its recorded states are reached from that start
+    through the set bits of their offsets, all queued for one
+    :meth:`_Lift.resolve`; the last segment ends on ``c_(k+1)``. A segment
+    is certified from the norm of its computed start; an uncertified one
+    is a :func:`_span`, so that the first state beyond the limit still
+    raises _Beyond at its exact step, and no cycle after a cycle start
+    beyond the limit is run.
+    """
+    size = int(lengths.sum())
+    cycles, live, beyond = _Run(np.arange(K + 1), w, 1), K, None
+    try:
+        _span(cycles, cycle_lift, w, float(np.abs(w).max()), cycle_lift.depth + 1, 0, K)
+    except _Beyond as stop:
+        live, w = stop.args
+        beyond = _Beyond(k0 + live * size, w)
+    cycle_lift.resolve(cycles)
+    at = k0 + size * np.arange(K + 1)
+    valid = live + (beyond is None)           # c_0 .. c_(valid - 1) are within the limit
+    run.record_all(cycles.states[1:valid], at[1:valid])
+    S, at = cycles.states[:live], at[:live]
+    for j, (index, seg_steps) in enumerate(zip(maps.tolist(), lengths.tolist())):
+        lift = lifts[index]
+        level, end = lift.depth + 1, j < len(maps) - 1
+        last = seg_steps if end else seg_steps - 1
+        norms = np.abs(S).max(axis=1)
+        sure = lift.gain[level] * norms + lift.shift[level] <= 0.5 * DIVERGE_LIMIT
+        first = run.every - at % run.every
+        queue = sure & (first < seg_steps)
+        if queue.any():
+            lift.resolve(run)
+            lift.starts, lift.spans = S[queue], np.column_stack(
+                [at[queue], first[queue], np.full(np.count_nonzero(queue), seg_steps - 1)])
+            lift.resolve(run)
+        if end:
+            ends, E = np.empty_like(S), S[sure]
+            for A in lift.path(seg_steps):
+                E = _affine(A, E)
+            ends[sure] = E
+        for i in np.flatnonzero(~sure).tolist():
+            try:
+                u, _ = _span(run, lift, S[i], float(norms[i]), level, int(at[i]), last, end)
+            except _Beyond as stop:
+                live, beyond = i, stop
+                break
+            if end:
+                ends[i] = u
+        if end:
+            S, at = ends[:live], at[:live] + seg_steps
+            run.record_all(S, at)
+    if beyond is not None:
+        raise beyond
+    return cycles.states[K], k0 + K * size
+
+
 def _propagate(ref_flow, step_maps, maps, lengths, u0, time_of, record_every, metadata):
     """Apply the affine steps ``step_maps[i] = (P, c)`` over the segments
     ``k = 0, 1, ...``, ``lengths[k]`` steps of ``step_maps[maps[k]]`` each;
@@ -361,6 +488,15 @@ def _propagate(ref_flow, step_maps, maps, lengths, u0, time_of, record_every, me
     from an anchor to the next is a :func:`_span` one level above b; the
     first state that is non-finite or beyond DIVERGE_LIMIT ends the run at
     its exact step and is recorded last.
+
+    When the segments repeat one cycle K >= 2 times (:func:`_cycle`) and
+    each segment of the cycle lies within one block, the cycle map is
+    lifted the same way, to the least depth d with 2^d cycles covering K,
+    capped at BLOCK_DOUBLES doubles of powers and of cycle starts; anchors
+    sit every 2^d cycles, and each 2^d cycles from an anchor run in
+    :func:`_cycles`. That is done only when composing and squaring the
+    cycle map takes no more multiply-adds than the products of the cycles'
+    segment ends. A run on one matrix is one segment and runs as above.
     """
     longest = np.zeros(len(step_maps), dtype=int)
     np.maximum.at(longest, maps, lengths)
@@ -369,15 +505,23 @@ def _propagate(ref_flow, step_maps, maps, lengths, u0, time_of, record_every, me
              for i, s in enumerate(longest.tolist()) if s}
     total = int(lengths.sum())
     steps = np.append(np.arange(0, total, record_every), total)
-    u, k = np.append(u0, 1.0), 0
+    u = np.append(u0, 1.0)
     run, bound = _Run(steps, u, record_every), float(np.abs(u).max())
+    head, J, K = _cycle(maps, lengths)
+    cycle = slice(head, head + J)
+    cycle_lift = _cycle_lift(lifts, maps[cycle], lengths[cycle], K, min(
+        cap, (K - 1).bit_length(), run.batch.bit_length() - 1)) if K >= 2 else None
+    stride = 1 << cycle_lift.depth if cycle_lift else 1
+    if cycle_lift is None:
+        head, K = len(maps), 0
     try:
-        for index, seg_steps in zip(maps.tolist(), lengths.tolist()):
-            lift, stride = lifts[index], 1 << lifts[index].depth
-            for start in range(k, k + seg_steps, stride):
-                u, bound = _span(run, lift, u, bound, lift.depth + 1, start,
-                                 min(stride, k + seg_steps - start))
-            k += seg_steps
+        u, bound, k = _segments(run, lifts, maps[:head], lengths[:head], u, bound, 0)
+        for start in range(0, K, stride):        # anchors every 2^d cycles
+            u, k = _cycles(run, lifts, cycle_lift, maps[cycle], lengths[cycle],
+                           min(stride, K - start), u, k)
+            bound = float(np.abs(u).max())
+        tail = slice(head + K * J, None)
+        _segments(run, lifts, maps[tail], lengths[tail], u, bound, k)
     except _Beyond as beyond:
         k, u = beyond.args
         for lift in lifts.values():

@@ -46,9 +46,12 @@ def simulate_switching(problem: NetworkLinearEquation, signal: SwitchingSignal,
     The state is continuous across switches; only the active Laplacian
     changes. Each dwell interval is one segment of the lifting engine, with
     consecutive intervals on the same graph merged, so a one-graph signal
-    runs exactly like :func:`simulate_ct`. Alignment is a precondition,
-    not a sub-stepping feature: step_h must divide period_T and t_end
-    must be a whole number of periods.
+    runs exactly like :func:`simulate_ct`. The segments repeat one cycle
+    of the signal, and the engine runs them by the cycle: it reaches each
+    cycle's start through the cycle map's powers of two and then runs
+    each segment of the cycle for all cycles at once. Alignment is a
+    precondition, not a sub-stepping feature: step_h must divide period_T
+    and t_end must be a whole number of periods.
     """
     steps, dwell = _run_length(step_h, t_end, record_every, signal.period_T)
     distinct = list(dict.fromkeys(signal.graphs))

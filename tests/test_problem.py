@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lsqflow as lf
+from lsqflow import problem as problem_module
 from lsqflow.problem import RANK_RTOL
 
 from _helpers import (build_state_expansion, normal_equations_solution, random_problem,
@@ -40,6 +41,20 @@ class TestNetworkLinearEquation:
         H = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
         prob = lf.NetworkLinearEquation(H, np.ones(3), check_rank=False)
         assert not prob.full_rank
+
+    @pytest.mark.parametrize("H, z", [
+        ([[np.nan, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.0]),
+        ([[np.inf, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.0]),
+        ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, np.inf, 1.0]),
+    ], ids=["nan-row", "inf-row", "inf-observation"])
+    def test_non_finite_rejected_before_the_rank(self, H, z, monkeypatch):
+        def no_rank(*args):
+            raise AssertionError("the rank was computed")
+
+        monkeypatch.setattr(problem_module, "_stacked_rank", no_rank)
+        for check_rank in (True, False):
+            with pytest.raises(ValueError, match="finite"):
+                lf.NetworkLinearEquation(H, z, check_rank=check_rank)
 
     def test_near_dependent_rows_but_full_rank_accepted(self):
         H = np.array([[1.0, 0.0], [1.0, 1e-6], [0.0, 1.0]])

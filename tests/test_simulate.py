@@ -559,6 +559,133 @@ class TestBlockEngine:
         assert np.array_equal(stacked[1::3], _affine(A, W[1::3]))
 
 
+def _count_cycle_runs(monkeypatch) -> list:
+    """Count the calls of the cycle engine of the runs that follow, in a
+    one-item list."""
+    count = [0]
+    cycles = simulate._cycles
+
+    def spy(*args):
+        count[0] += 1
+        return cycles(*args)
+
+    monkeypatch.setattr(simulate, "_cycles", spy)
+    return count
+
+
+class TestCycleEngine:
+    """Runs whose segments repeat one cycle: the cycle starts come from
+    the cycle map's table, and each segment runs for all cycles at once."""
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("slots, dwells", [((0, 1, 0), 386), ((0, 1), 257),
+                                               ((0, 1, 2), 385)],
+                             ids=["g1-g2-g1", "odd-dwell-count", "three-graphs"])
+    def test_cycles_match_step_by_step(self, pent2_problem, switch_pair, monkeypatch,
+                                       slots, dwells, record_every):
+        # dwells of 4 steps: (g1, g2, g1) merges dwells across cycles into
+        # the segments 4 | (4, 8) x 128 | 4, and 257 dwells of (g1, g2) and
+        # 385 of (g1, g2, ring) end on a partial cycle
+        pool = switch_pair + (lf.make_family("ring", 5),)
+        graphs = tuple(pool[s] for s in slots)
+        calls = _count_cycle_runs(monkeypatch)
+        traj = lf.simulate_switching(pent2_problem, lf.SwitchingSignal(0.04, graphs), PENT2_X0,
+                                     np.ones(10), 0.01, 0.04 * dwells, record_every=record_every)
+        assert calls[0] == 1
+        flows = [lf.assemble(pent2_problem, g) for g in pool]
+        steps, states, bad, _ = step_by_step(
+            [(flows[slots[p % len(slots)]].M, 4) for p in range(dwells)], _forcing(flows[0]),
+            np.concatenate([PENT2_X0, np.ones(10)]), 0.01, record_every=record_every)
+        assert bad is None
+        _assert_matches_reference(traj, steps, states, 0.01)
+
+    @pytest.mark.parametrize("every", [7, 30])
+    def test_stride_inside_a_cycle_does_not_change_dynamics(self, pent3_problem, switch_pair,
+                                                            monkeypatch, every):
+        # 128 cycles of 40 steps: which offsets a cycle records depends on
+        # its start when the stride does not divide 40
+        signal = lf.SwitchingSignal(period_T=0.2, graphs=switch_pair)
+        calls = _count_cycle_runs(monkeypatch)
+        dense, sparse = (lf.simulate_switching(pent3_problem, signal, PENT3_X0, np.ones(15),
+                                               0.01, 51.2, record_every=e) for e in (1, every))
+        assert calls[0] == 2
+        rows = np.append(np.arange(0, 5120, every), 5120)
+        assert np.array_equal(dense.t_or_k[rows], sparse.t_or_k)
+        assert np.array_equal(dense.x[rows], sparse.x)
+        assert np.array_equal(dense.v[rows], sparse.v)
+
+    @pytest.mark.parametrize("every", [1, 7])
+    def test_exact_path_gives_the_certified_bytes_on_cycles(self, pent3_problem, switch_pair,
+                                                            monkeypatch, every):
+        signal = lf.SwitchingSignal(period_T=0.2, graphs=switch_pair)
+
+        def run():
+            return lf.simulate_switching(pent3_problem, signal, PENT3_X0, np.ones(15), 0.01,
+                                         51.2, record_every=every)
+
+        spans, calls = _count_queued_spans(monkeypatch), _count_cycle_runs(monkeypatch)
+        certified = run()
+        assert spans[0] > 0 and calls[0] == 1
+        _exact_path_only(monkeypatch)
+        exact = run()
+        assert calls[0] == 2
+        assert np.array_equal(exact.x, certified.x)
+        assert np.array_equal(exact.v, certified.v)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_inside_a_cycle(self, pent2_problem, switch_pair, monkeypatch):
+        # at h = 0.128 the RK4 step of g1 is unstable (spectral radius
+        # 1.044) and that of g2 is not; each 40-step cycle grows about 2x
+        h = 0.128
+        signal = lf.SwitchingSignal(period_T=20 * h, graphs=switch_pair)
+
+        def run():
+            with pytest.raises(lf.DivergedError) as excinfo:
+                lf.simulate_switching(pent2_problem, signal, PENT2_X0, np.ones(10), h,
+                                      400 * 20 * h, record_every=7)
+            return excinfo.value
+
+        spans = _count_queued_spans(monkeypatch)
+        certified = run()
+        assert spans[0] > 0
+        flows = [lf.assemble(pent2_problem, g) for g in switch_pair]
+        steps, _, bad_step, bad = step_by_step(
+            [(flows[p % 2].M, 20) for p in range(400)], _forcing(flows[0]),
+            np.concatenate([PENT2_X0, np.ones(10)]), h, record_every=7)
+        assert bad_step % 40 not in (0, 20)
+        assert np.array_equal(np.round(certified.trajectory.t_or_k / h), steps)
+        assert certified.bad_components == [component_names(5, 2)[i] for i in bad]
+        _exact_path_only(monkeypatch)
+        exact = run()
+        assert exact.t_or_k == certified.t_or_k
+        assert exact.bad_components == certified.bad_components
+        assert np.array_equal(exact.trajectory.x, certified.trajectory.x)
+        assert np.array_equal(exact.trajectory.v, certified.trajectory.v)
+
+    def test_cycles_cost_calls_per_segment_not_per_dwell(self, pent3_problem, switch_pair,
+                                                         monkeypatch):
+        # 4,000 dwells of 20 steps: 2,000 cycles of two segments
+        calls, queued = [0], [0]
+        span, resolve = simulate._span, _Lift.resolve
+
+        def count_span(*args):
+            calls[0] += 1
+            return span(*args)
+
+        def count_resolve(self, run):
+            calls[0] += 1
+            queued[0] += len(self.spans)
+            return resolve(self, run)
+
+        monkeypatch.setattr(simulate, "_span", count_span)
+        monkeypatch.setattr(_Lift, "resolve", count_resolve)
+        traj = lf.simulate_switching(pent3_problem, lf.SwitchingSignal(0.1, switch_pair),
+                                     PENT3_X0, np.ones(15), 0.005, 400.0)
+        assert len(traj.t_or_k) == 8001
+        assert queued[0] >= 2000
+        assert calls[0] <= 4 * (2 + (2000).bit_length())
+
+
 class TestSimulateCt:
     def test_recording_grid(self, chain_flow):
         traj = lf.simulate_ct(chain_flow, np.zeros(8), np.zeros(8), 0.005, 1.0,

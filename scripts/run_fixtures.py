@@ -13,7 +13,9 @@ With ``--against DIR`` it then compares each CSV found both in ``--out``
 and in DIR, the artifacts of another source tree, and prints one line
 per file: whether the row counts and the ``t`` columns match, and the
 largest change of a state component relative to the largest state
-component of its row in DIR.
+component of its row in DIR. It exits with status 1 if a fixture run
+fails, or if a compared CSV differs from DIR's in its row count or in
+its ``t`` column.
 
     python3 scripts/run_fixtures.py --out out
     python3 scripts/run_fixtures.py --out new --against out
@@ -63,18 +65,22 @@ def main() -> int:
     if args.against:
         for name in sorted(os.listdir(args.out)):
             if name.endswith(".csv") and os.path.isfile(os.path.join(args.against, name)):
-                print(compare_csv(os.path.join(args.out, name), os.path.join(args.against, name)))
+                line, same_grid = compare_csv(os.path.join(args.out, name),
+                                              os.path.join(args.against, name))
+                print(line)
+                failures += not same_grid
     return 1 if failures else 0
 
 
-def compare_csv(path: str, reference: str) -> str:
+def compare_csv(path: str, reference: str) -> tuple:
     """One line on a trajectory CSV against the same run's reference CSV:
     row counts, t columns, and the largest state change relative to the
-    largest state component of its reference row."""
+    largest state component of its reference row; and whether the row
+    counts and the t columns match."""
     name = os.path.basename(path)
     new, old = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2) for p in (path, reference))
     if new.shape != old.shape:
-        return f"{name:32s} rows {len(new)} vs {len(old)}: not comparable"
+        return f"{name:32s} rows {len(new)} vs {len(old)}: not comparable", False
     same_t = np.array_equal(new[:, 0], old[:, 0])
     states = slice(1, -2)                       # t first, error and cost last
     scale = np.abs(old[:, states]).max(axis=1)
@@ -82,7 +88,7 @@ def compare_csv(path: str, reference: str) -> str:
     change = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, np.abs(a - b)).max(axis=1)
     relative = np.max(change / np.where(scale > 0, scale, 1.0))
     return (f"{name:32s} rows {len(new)} match, t {'matches' if same_t else 'DIFFERS'}, "
-            f"largest relative state change {relative:.3g}")
+            f"largest relative state change {relative:.3g}"), same_t
 
 
 if __name__ == "__main__":

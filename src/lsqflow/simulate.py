@@ -7,17 +7,18 @@ it for every run: continuous, discrete, damped and switching. The engine
 squares its way to the maps of 2^i steps and reaches each state from its
 anchor through the set bits of its offset, and computes only the
 recorded states, the anchors and the segment ends, unless a norm bound
-cannot rule out divergence. A periodic switching run is stepped by the
-cycle: the cycle map is lifted the same way, and each segment of the
-cycle runs for all cycles at once. Divergence (any
-state component non-finite or beyond 1e9 in magnitude) raises
-:class:`DivergedError` carrying the partial trajectory, so callers can
-still inspect and serialize what happened.
+cannot rule out divergence. A switching run's schedule is built from one
+period of its signal and stepped by that cycle: the cycle map is lifted
+the same way, and each segment of the cycle runs for all cycles at once.
+Divergence (any state component non-finite or beyond 1e9 in magnitude)
+raises :class:`DivergedError` carrying the partial trajectory, so
+callers can still inspect and serialize what happened.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, DivergedError, StepAlignmentError
-from .spectral import AssembledFlow, _costs
+from .spectral import AssembledFlow, _costs, _initial_states
 
 DIVERGE_LIMIT = 1e9
 # Binary-lifting engine: at most BLOCK_DOUBLES doubles of powers per step
@@ -354,13 +355,13 @@ def _span(run, lift, w, norm, level, k0, last, end=True):
     return W[last], float(np.abs(W[last]).max())
 
 
-def _segments(run, lifts, maps, lengths, u, bound, k):
-    """Apply the segments ``maps``, ``lengths`` one after another from u,
-    the homogeneous state at step k with ``||u||_inf <= bound``: each
+def _segments(run, lifts, segments, u, bound, k):
+    """Apply the ``(map, steps)`` pairs ``segments`` one after another from
+    u, the homogeneous state at step k with ``||u||_inf <= bound``: each
     block of 2^b steps of a segment, b the depth of its map's table, is a
     :func:`_span` one level above b. Return the state after them, a bound
     on its norm and its step."""
-    for index, seg_steps in zip(maps.tolist(), lengths.tolist()):
+    for index, seg_steps in segments:
         lift, stride = lifts[index], 1 << lifts[index].depth
         for start in range(k, k + seg_steps, stride):
             u, bound = _span(run, lift, u, bound, lift.depth + 1, start,
@@ -369,37 +370,20 @@ def _segments(run, lifts, maps, lengths, u, bound, k):
     return u, bound, k
 
 
-def _cycle(maps, lengths) -> tuple:
-    """``(head, J, K)``: from segment ``head`` on, the segments repeat
-    their first J K times, J the shortest cycle of the segments between
-    the first and the last (those two may be cut short or merged); K < 2
-    when nothing repeats."""
-    key = lengths * (int(maps.max()) + 1) + maps
-    inner = key[1:-1]
-    if len(inner) < 2:
-        return 0, len(key), 1
-    cycles = (np.flatnonzero(inner[1:] == inner[0]) + 1).tolist() + [len(inner)]
-    J = next(J for J in cycles if np.array_equal(inner[J:], inner[:-J]))
-    head = int(key[0] != key[J])
-    return head, J, (len(key) - int(key[-1] != key[-1 - J]) - head) // J
-
-
-def _cycle_lift(lifts, maps, lengths, K, depth):
+def _cycle_lift(lifts, cycle, K, depth):
     """The :class:`_Lift` of the given depth of the map ``[[T, g], [0, 1]]``
-    of one cycle of segments ``maps``, ``lengths``: the product of the
-    levels that reach each segment's end, in the order the states meet
-    them. None unless each segment lies within one block of its map's
-    table, composing and squaring the cycle map takes no more
-    multiply-adds than the products of K cycles' segment ends, and the
-    cycle map stays within POWER_LIMIT."""
-    size = lifts[int(maps[0])].A.shape[-1]       # n + 1
-    segments = list(zip(maps.tolist(), lengths.tolist()))
-    products = sum(seg_steps.bit_count() for _, seg_steps in segments)
+    of the segments ``cycle``: the product of the levels that reach each
+    segment's end, in the order the states meet them. None unless each
+    segment lies within one block of its map's table, composing and
+    squaring the cycle map takes no more multiply-adds than the products
+    of K cycles' segment ends, and the cycle map stays within POWER_LIMIT."""
+    size = lifts[cycle[0][0]].A.shape[-1]       # n + 1
+    products = sum(seg_steps.bit_count() for _, seg_steps in cycle)
     if (products + depth) * size > K * products or any(
-            seg_steps > 1 << lifts[index].depth for index, seg_steps in segments):
+            seg_steps > 1 << lifts[index].depth for index, seg_steps in cycle):
         return None
     phi = np.eye(size)
-    for index, seg_steps in segments:
+    for index, seg_steps in cycle:
         for A in lifts[index].path(seg_steps):
             phi = A @ phi
             if not np.abs(phi).max() <= POWER_LIMIT:
@@ -407,11 +391,10 @@ def _cycle_lift(lifts, maps, lengths, K, depth):
     return _Lift(phi[:-1, :-1], phi[:-1, -1], depth)
 
 
-def _cycles(run, lifts, cycle_lift, maps, lengths, K, w, k0):
-    """Apply ``K <= 2^cycle_lift.depth`` repeats of the cycle of segments
-    ``maps``, ``lengths`` (each within one block of its map's table) from
-    w, the homogeneous state at step k0; return the state after them and
-    its step.
+def _cycles(run, lifts, cycle_lift, cycle, K, w, k0):
+    """Apply ``K <= 2^cycle_lift.depth`` repeats of the segments ``cycle``
+    (each within one block of its map's table) from w, the homogeneous
+    state at step k0; return the state after them and its step.
 
     ``cycle_lift`` is the cycle map's table, and the cycle starts ``c_0 = w,
     c_1, ..., c_K`` are the states of one :func:`_span` of it that records
@@ -426,7 +409,7 @@ def _cycles(run, lifts, cycle_lift, maps, lengths, K, w, k0):
     raises _Beyond at its exact step, and no cycle after a cycle start
     beyond the limit is run.
     """
-    size = int(lengths.sum())
+    size = sum(seg_steps for _, seg_steps in cycle)
     cycles, live, beyond = _Run(np.arange(K + 1), w, 1), K, None
     try:
         _span(cycles, cycle_lift, w, float(np.abs(w).max()), cycle_lift.depth + 1, 0, K)
@@ -438,9 +421,9 @@ def _cycles(run, lifts, cycle_lift, maps, lengths, K, w, k0):
     valid = live + (beyond is None)           # c_0 .. c_(valid - 1) are within the limit
     run.record_all(cycles.states[1:valid], at[1:valid])
     S, at = cycles.states[:live], at[:live]
-    for j, (index, seg_steps) in enumerate(zip(maps.tolist(), lengths.tolist())):
+    for j, (index, seg_steps) in enumerate(cycle):
         lift = lifts[index]
-        level, end = lift.depth + 1, j < len(maps) - 1
+        level, end = lift.depth + 1, j < len(cycle) - 1
         last = seg_steps if end else seg_steps - 1
         norms = np.abs(S).max(axis=1)
         sure = lift.gain[level] * norms + lift.shift[level] <= 0.5 * DIVERGE_LIMIT
@@ -472,11 +455,11 @@ def _cycles(run, lifts, cycle_lift, maps, lengths, K, w, k0):
     return cycles.states[K], k0 + K * size
 
 
-def _propagate(ref_flow, step_maps, maps, lengths, u0, time_of, record_every, metadata):
+def _propagate(ref_flow, step_maps, schedule, u0, time_of, record_every, metadata):
     """Apply the affine steps ``step_maps[i] = (P, c)`` over the segments
-    ``k = 0, 1, ...``, ``lengths[k]`` steps of ``step_maps[maps[k]]`` each;
-    record every record_every-th state plus the first and last, and stop
-    with a partial trajectory on divergence.
+    ``(i, steps)`` of ``schedule = (head, cycle, K, tail)`` (:func:`_schedule`):
+    head, cycle K times, tail; record every record_every-th state plus the
+    first and last, and stop with a partial trajectory on divergence.
 
     Each step map gets a :class:`_Lift` of the least depth b with 2^b
     steps covering its longest segment, capped at BLOCK_DOUBLES doubles.
@@ -489,39 +472,32 @@ def _propagate(ref_flow, step_maps, maps, lengths, u0, time_of, record_every, me
     first state that is non-finite or beyond DIVERGE_LIMIT ends the run at
     its exact step and is recorded last.
 
-    When the segments repeat one cycle K >= 2 times (:func:`_cycle`) and
-    each segment of the cycle lies within one block, the cycle map is
-    lifted the same way, to the least depth d with 2^d cycles covering K,
-    capped at BLOCK_DOUBLES doubles of powers and of cycle starts; anchors
-    sit every 2^d cycles, and each 2^d cycles from an anchor run in
-    :func:`_cycles`. That is done only when composing and squaring the
-    cycle map takes no more multiply-adds than the products of the cycles'
-    segment ends. A run on one matrix is one segment and runs as above.
+    When K >= 2 and :func:`_cycle_lift` lifts the cycle map, to the least
+    depth d with 2^d cycles covering K, capped at BLOCK_DOUBLES doubles of
+    powers and of cycle starts, each 2^d cycles from an anchor run in
+    :func:`_cycles`; otherwise the cycles run segment by segment, as head
+    and tail do.
     """
-    longest = np.zeros(len(step_maps), dtype=int)
-    np.maximum.at(longest, maps, lengths)
+    head, cycle, K, tail = schedule
+    longest = dict(sorted(head + cycle + tail, key=lambda seg: seg[1]))   # each map's longest
     cap = max(0, BLOCK_DOUBLES // len(u0) ** 2 - 1)
-    lifts = {i: _Lift(*step_maps[i], min(cap, (s - 1).bit_length()))
-             for i, s in enumerate(longest.tolist()) if s}
-    total = int(lengths.sum())
+    lifts = {i: _Lift(*step_maps[i], min(cap, (s - 1).bit_length())) for i, s in longest.items()}
+    total = sum(s for _, s in head + tail) + K * sum(s for _, s in cycle)
     steps = np.append(np.arange(0, total, record_every), total)
     u = np.append(u0, 1.0)
     run, bound = _Run(steps, u, record_every), float(np.abs(u).max())
-    head, J, K = _cycle(maps, lengths)
-    cycle = slice(head, head + J)
-    cycle_lift = _cycle_lift(lifts, maps[cycle], lengths[cycle], K, min(
+    cycle_lift = _cycle_lift(lifts, cycle, K, min(
         cap, (K - 1).bit_length(), run.batch.bit_length() - 1)) if K >= 2 else None
     stride = 1 << cycle_lift.depth if cycle_lift else 1
     if cycle_lift is None:
-        head, K = len(maps), 0
+        head, K = itertools.chain(head, itertools.chain.from_iterable(
+            itertools.repeat(cycle, K))), 0
     try:
-        u, bound, k = _segments(run, lifts, maps[:head], lengths[:head], u, bound, 0)
+        u, bound, k = _segments(run, lifts, head, u, bound, 0)
         for start in range(0, K, stride):        # anchors every 2^d cycles
-            u, k = _cycles(run, lifts, cycle_lift, maps[cycle], lengths[cycle],
-                           min(stride, K - start), u, k)
+            u, k = _cycles(run, lifts, cycle_lift, cycle, min(stride, K - start), u, k)
             bound = float(np.abs(u).max())
-        tail = slice(head + K * J, None)
-        _segments(run, lifts, maps[tail], lengths[tail], u, bound, k)
+        _segments(run, lifts, tail, u, bound, k)
     except _Beyond as beyond:
         k, u = beyond.args
         for lift in lifts.values():
@@ -538,28 +514,35 @@ def _propagate(ref_flow, step_maps, maps, lengths, u0, time_of, record_every, me
     return _finish_trajectory(ref_flow, run.states[:, :-1], steps, time_of, metadata)
 
 
+def _schedule(slots, dwells, dwell) -> tuple:
+    """``(head, cycle, K, tail)``, lists of ``(slot, steps)`` segments that
+    run ``dwells`` dwells of ``dwell`` steps on ``slots[0], slots[1], ...``
+    cyclically, consecutive dwells on one slot merged: head, cycle K times,
+    tail. The cycle (empty if K = 0) is the shortest period P of the slots
+    rotated to start on dwell r, the first that starts a segment, and the
+    tail is its first ``(dwells - r) mod P`` dwells. A run on one slot is
+    one segment."""
+    P = next(p for p in range(1, len(slots) + 1)
+             if len(slots) % p == 0 and slots[p:] == slots[:-p])
+    r = min(dwells, next((i for i in range(P) if slots[i] != slots[i - 1]), dwells))
+    turn = slots[r:P] + slots[:r]
+    K, rest = divmod(dwells - r, P)
+    cycle, tail = ([(slot, dwell * len(list(group))) for slot, group in itertools.groupby(order)]
+                   for order in (turn * (K > 0), turn[:rest]))
+    return [(slots[0], r * dwell)] * (r > 0), cycle, K, tail
+
+
 def _run(flow, Ms, slots, steps, dwell, x0, v0, h, method, record_every, **extra):
     """Run ``steps`` steps of size h of ``u' = M u + b`` from u = (x0, v0),
     holding ``M = Ms[slots[0]]`` for ``dwell`` steps, then
-    ``Ms[slots[1]]``, and so on cyclically; consecutive dwells on the same
-    matrix form one segment of the engine. A run on one matrix is
-    ``Ms = [M], slots = [0], dwell = steps``. ``flow`` gives b, the
-    reference and the metadata, to which ``extra`` is added.
+    ``Ms[slots[1]]``, and so on cyclically; the engine runs the segments
+    of :func:`_schedule`. A run on one matrix is ``Ms = [M], slots = [0],
+    dwell = steps``. ``flow`` gives b, the reference and the metadata, to
+    which ``extra`` is added.
     """
-    nm = flow.state_dim
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    v0 = np.asarray(v0, dtype=float).reshape(-1)
-    if x0.shape != (nm,) or v0.shape != (nm,):
-        raise DimensionMismatchError(
-            f"initial states must have shape ({nm},), got {x0.shape} and {v0.shape}"
-        )
-    if not (np.isfinite(x0).all() and np.isfinite(v0).all()):
-        raise ValueError("initial states must be finite")
-    b = np.concatenate([flow.z_H, np.zeros(nm)])
+    x0, v0 = _initial_states(flow, x0, v0)
+    b = np.concatenate([flow.z_H, np.zeros(flow.state_dim)])
     step_maps = [_step_map(M, b, h, method) for M in Ms]
-    order = np.resize(slots, steps // dwell)      # the slot of each dwell
-    starts = np.flatnonzero(_fresh(order))        # where each segment starts
-    maps, lengths = order[starts], dwell * np.diff(starts, append=len(order))
     meta = {
         "n_nodes": flow.problem.n_nodes,
         "dim": flow.problem.dim,
@@ -569,8 +552,8 @@ def _run(flow, Ms, slots, steps, dwell, x0, v0, h, method, record_every, **extra
         "integrator": method, "step": h, "record_every": record_every, **extra,
     }
     time_of = (lambda k: k) if method == "euler" else (lambda k: k * h)
-    return _propagate(flow, step_maps, maps, lengths, np.concatenate([x0, v0]), time_of,
-                      record_every, meta)
+    return _propagate(flow, step_maps, _schedule(slots, steps // dwell, dwell),
+                      np.concatenate([x0, v0]), time_of, record_every, meta)
 
 
 def simulate_ct(flow: AssembledFlow, x0, v0, step_h: float, t_end: float,

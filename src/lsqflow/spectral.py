@@ -116,6 +116,18 @@ def _costs(problem: NetworkLinearEquation, x) -> np.ndarray:
     return 0.5 * np.einsum("ik,ik->i", r, r)
 
 
+def _initial_states(flow: AssembledFlow, *states) -> list:
+    """The states as flat float arrays; raises DimensionMismatchError unless
+    each has ``flow.state_dim`` entries, ValueError unless all are finite."""
+    states = [np.asarray(u, dtype=float).reshape(-1) for u in states]
+    if any(u.shape != (flow.state_dim,) for u in states):
+        raise DimensionMismatchError(f"initial states must have shape ({flow.state_dim},), "
+                                     f"got {' and '.join(str(u.shape) for u in states)}")
+    if not all(np.isfinite(u).all() for u in states):
+        raise ValueError("initial states must be finite")
+    return states
+
+
 def m_spectrum(flow: AssembledFlow) -> np.ndarray:
     """All 2Nm eigenvalues of M, sorted by (real, imaginary) part."""
     try:
@@ -316,12 +328,14 @@ def equilibrium_dual(flow: AssembledFlow) -> np.ndarray:
 def predict_v_limit(flow: AssembledFlow, v0) -> np.ndarray:
     """(I - W) v* + W v(0): the dual limit from v(0) = v0, with v* from
     :func:`equilibrium_dual` and W from :func:`build_spectral_report`.
+    v0 is checked first, as a simulator checks its initial states.
 
     The limits from all starts form the affine set v* + range(W), so two
     graphs' sets meet iff their limits from one v0 agree. Raises
     :class:`ConditionViolatedError` where the condition fails: the flow
     then has undamped oscillatory modes or the graph is disconnected.
     """
+    v0, = _initial_states(flow, v0)
     report = build_spectral_report(flow)
     if not report.condition.holds:
         raise ConditionViolatedError(
@@ -330,7 +344,7 @@ def predict_v_limit(flow: AssembledFlow, v0) -> np.ndarray:
         )
     v_star = equilibrium_dual(flow)
     W = report.projector_W
-    return (v_star - W @ v_star) + W @ np.asarray(v0, dtype=float)
+    return (v_star - W @ v_star) + W @ v0
 
 
 def build_spectral_report(flow: AssembledFlow) -> SpectralReport:

@@ -44,14 +44,15 @@ def simulate_switching(problem: NetworkLinearEquation, signal: SwitchingSignal,
     """Piecewise RK4 with switch instants aligned to the step grid.
 
     The state is continuous across switches; only the active Laplacian
-    changes. Each dwell interval is one segment of the lifting engine, with
-    consecutive intervals on the same graph merged, so a one-graph signal
-    runs exactly like :func:`simulate_ct`. The segments repeat one cycle
-    of the signal, and the engine runs them by the cycle: it reaches each
-    cycle's start through the cycle map's powers of two and then runs
-    each segment of the cycle for all cycles at once. Alignment is a
-    precondition, not a sub-stepping feature: step_h must divide period_T
-    and t_end must be a whole number of periods.
+    changes. The schedule is built from one period of the signal: its
+    dwell intervals, consecutive ones on the same graph merged, are one
+    cycle of segments of the lifting engine that repeats between a head
+    and a tail, and a one-graph signal is one segment, run exactly like
+    :func:`simulate_ct`. The engine runs the schedule by the cycle: it
+    reaches each cycle's start through the cycle map's powers of two and
+    then runs each segment of the cycle for all cycles at once. Alignment
+    is a precondition, not a sub-stepping feature: step_h must divide
+    period_T and t_end must be a whole number of periods.
     """
     steps, dwell = _run_length(step_h, t_end, record_every, signal.period_T)
     distinct = list(dict.fromkeys(signal.graphs))

@@ -283,6 +283,16 @@ def step_by_step(segments, b, u0, h, method="rk4", record_every=1, limit=1e9):
     return np.array(steps), np.array(states), None, None
 
 
+def dwell_segments(slots, dwells, dwell):
+    """The ``(slot, steps)`` segments of ``dwells`` dwells of ``dwell``
+    steps on ``slots`` taken cyclically, consecutive dwells on one slot
+    merged: the run-length encoding of ``np.resize(slots, dwells)``."""
+    order = np.resize(slots, dwells)
+    starts = np.flatnonzero(np.concatenate([[True], order[1:] != order[:-1]]))
+    lengths = dwell * np.diff(starts, append=dwells)
+    return list(zip(order[starts].tolist(), lengths.tolist()))
+
+
 @dataclass(frozen=True)
 class AugmentedSystem:
     """Square expansion [[H, -I],[0, H^T]] y_bar = [z; 0].

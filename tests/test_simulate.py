@@ -662,6 +662,53 @@ class TestCycleEngine:
         assert np.array_equal(exact.trajectory.x, certified.trajectory.x)
         assert np.array_equal(exact.trajectory.v, certified.trajectory.v)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_inside_a_cycle_before_a_cycle_start_within_the_limit(
+            self, pent2_problem, switch_pair, monkeypatch):
+        # from 4 times (x0, v0), at h = 0.128, the state first leaves the
+        # limit 18 steps into cycle 29, inside its g1 segment, while cycle 30
+        # starts within it: the cycle starts up to 30 are computed, and only
+        # the cut after the divergence keeps the g2 segment from running
+        # cycle 29 on, from a start that was never computed
+        h = 0.128
+        signal = lf.SwitchingSignal(period_T=20 * h, graphs=switch_pair)
+        u0 = 4.0 * np.concatenate([PENT2_X0, np.ones(10)])
+        starts, span = [], simulate._span
+
+        def spy(*args):
+            starts.append(args[5])
+            return span(*args)
+
+        def run():
+            starts.clear()
+            with pytest.raises(lf.DivergedError) as excinfo:
+                lf.simulate_switching(pent2_problem, signal, u0[:10], u0[10:], h,
+                                      400 * 20 * h, record_every=7)
+            return excinfo.value
+
+        monkeypatch.setattr(simulate, "_span", spy)
+        calls = _count_cycle_runs(monkeypatch)
+        certified = run()
+        flows = [lf.assemble(pent2_problem, g) for g in switch_pair]
+        dwells = [(flows[p % 2].M, 20) for p in range(400)]
+        steps, states, bad_step, bad = step_by_step(dwells, _forcing(flows[0]), u0, h,
+                                                    record_every=7)
+        assert bad_step == 29 * 40 + 18
+        _, cycle_starts, _, _ = step_by_step(dwells[:60], _forcing(flows[0]), u0, h,
+                                             record_every=40, limit=math.inf)
+        assert np.abs(cycle_starts[-1]).max() <= DIVERGE_LIMIT
+        assert calls[0] == 1 and max(starts) < bad_step
+        assert certified.t_or_k == bad_step * h
+        assert certified.bad_components == [component_names(5, 2)[i] for i in bad]
+        _assert_matches_reference(certified.trajectory, steps, states, h)
+        _exact_path_only(monkeypatch)
+        exact = run()
+        assert calls[0] == 2 and max(starts) < bad_step
+        assert exact.t_or_k == certified.t_or_k
+        assert exact.bad_components == certified.bad_components
+        assert np.array_equal(exact.trajectory.x, certified.trajectory.x)
+        assert np.array_equal(exact.trajectory.v, certified.trajectory.v)
+
     def test_cycles_cost_calls_per_segment_not_per_dwell(self, pent3_problem, switch_pair,
                                                          monkeypatch):
         # 4,000 dwells of 20 steps: 2,000 cycles of two segments

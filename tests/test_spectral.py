@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import lsqflow as lf
+from lsqflow import spectral
 from lsqflow.spectral import (
     TAU_GAP,
     TAU_IM,
@@ -292,6 +293,19 @@ class TestEquilibriumAndVLimit:
         W = lf.build_spectral_report(chain_flow).projector_W
         assert np.abs((np.eye(8) - W) @ (limit - v_star)).max() < 1e-8
         assert np.abs(W @ (limit - v0)).max() < 1e-8
+
+    def test_limit_rejects_a_v0_of_another_size_before_any_eigen_solve(self, chain_flow,
+                                                                       monkeypatch):
+        def solve(flow):
+            raise AssertionError("M was eigen-solved")
+
+        monkeypatch.setattr(spectral, "m_spectrum", solve)
+        with pytest.raises(lf.DimensionMismatchError):
+            lf.predict_v_limit(chain_flow, np.zeros(3))
+
+    def test_limit_rejects_a_non_finite_v0(self, chain_flow):
+        with pytest.raises(ValueError, match="finite"):
+            lf.predict_v_limit(chain_flow, [np.nan] * 8)
 
 
 class TestSpectralReport:

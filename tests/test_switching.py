@@ -1,14 +1,17 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lsqflow as lf
 from lsqflow import simulate
 
-from _helpers import (FingerprintMismatchError, check_support_fingerprint, load_graph_pair,
-                      oscillation_period, tail_sup_error)
-from conftest import CHAIN_EDGES, fixture_path
+from _helpers import (FingerprintMismatchError, check_support_fingerprint, dwell_segments,
+                      load_graph_pair, oscillation_period, tail_sup_error)
+from conftest import CHAIN_EDGES, PENT2_X0, fixture_path
 
 
 def stub_trajectory(t, error):
@@ -73,9 +76,11 @@ class TestSimulateSwitching:
         g1, g2 = switch_pair
         segments, propagate = [], simulate._propagate
 
-        def spy(ref_flow, step_maps, maps, lengths, *rest):
-            segments.append((len(step_maps), maps.tolist(), lengths.tolist()))
-            return propagate(ref_flow, step_maps, maps, lengths, *rest)
+        def spy(ref_flow, step_maps, schedule, *rest):
+            head, cycle, K, tail = schedule
+            maps, lengths = zip(*(head + cycle * K + tail))
+            segments.append((len(step_maps), list(maps), list(lengths)))
+            return propagate(ref_flow, step_maps, schedule, *rest)
 
         monkeypatch.setattr(simulate, "_propagate", spy)
         sig = lf.SwitchingSignal(period_T=0.5, graphs=(g1, g2, g1))
@@ -113,6 +118,41 @@ class TestSimulateSwitching:
         with pytest.raises(ValueError):
             lf.simulate_switching(pent2_problem, sig, np.zeros(10), np.zeros(10),
                                   -0.01, 2.0)
+
+
+class TestSchedule:
+    """The engine's schedule, built from one period of the signal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=6), st.integers(1, 60),
+           st.integers(1, 4))
+    def test_schedule_is_the_run_length_encoding_of_the_dwells(self, slots, dwells, dwell):
+        head, cycle, K, tail = simulate._schedule(slots, dwells, dwell)
+        assert head + cycle * K + tail == dwell_segments(slots, dwells, dwell)
+        n = len(slots)
+        period = next(p for p in range(1, n + 1)
+                      if all(slots[i] == slots[(i + p) % n] for i in range(n)))
+        assert sum(steps for _, steps in tail) < period * dwell
+        if K:
+            assert sum(steps for _, steps in cycle) == period * dwell
+        if period > 1:       # the head is the part of a segment before the first cycle
+            assert len(head) == (slots[0] == slots[-1])
+            assert sum(steps for _, steps in head) < period * dwell
+        else:
+            assert (head, K, tail) == ([(slots[0], dwells * dwell)], 0, [])
+
+    def test_memory_does_not_grow_with_the_dwell_count(self, pent2_problem, switch_pair):
+        # 10^6 one-step dwells, 1,001 recorded rows
+        signal = lf.SwitchingSignal(period_T=0.01, graphs=switch_pair)
+        tracemalloc.start()
+        try:
+            traj = lf.simulate_switching(pent2_problem, signal, PENT2_X0, np.ones(10), 0.01,
+                                         1e4, record_every=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.t_or_k) == 1001
+        assert peak < 8e6
 
 
 class TestLimitSets:

@@ -6,8 +6,10 @@ default), with seeded generic rows (m = 2), it times:
 
 - ``assemble``: building the flow matrices;
 - ``eigvals``: the dense eigen-solve of M (``m_spectrum``);
-- ``verdict``: the condition verdict from that spectrum, the Laplacian
-  eigen-solve and the rank pass over its eigenspaces included;
+- ``verdict``: ``check_condition``, which decides from the Laplacian
+  alone (its eigen-solve, the rank pass over its eigenspaces and, where
+  the condition fails, the witness search); M and its eigen-solve take
+  no part in this column;
 - ``analyze``: the whole ``build_spectral_report`` (eigen-solve, verdict,
   threshold and projector);
 - ``payload``: the analyze mode's JSON text of that report (its
@@ -52,7 +54,6 @@ import numpy as np
 
 import lsqflow as lf
 from lsqflow.cli import _analyze_payload, _json_text
-from lsqflow.spectral import _nonzero_split, _rank_pass, _verdict
 
 STAGES = ("assemble", "eigvals", "verdict", "analyze", "payload", "support_report",
           "csv_ns_per_cell")
@@ -103,14 +104,7 @@ def sweep(family: str, n: int, repeats: int) -> dict:
     problem = lf.NetworkLinearEquation(rng.standard_normal((n, 2)), rng.standard_normal(n))
     graph = lf.make_family(family, n)
     flow = lf.assemble(problem, graph)
-    eigs = lf.m_spectrum(flow)
     report = lf.build_spectral_report(flow)
-
-    def verdict():
-        spect = lf.spectrum(lf.laplacian(graph))
-        kernel_dim, failing = _rank_pass(problem, spect, spect.eigenspace_groups)
-        _verdict(problem, spect, _nonzero_split(eigs, kernel_dim)[0], failing)
-        return kernel_dim
 
     def support():
         lf.support_report(lf.spectrum(lf.laplacian(graph)))
@@ -118,12 +112,12 @@ def sweep(family: str, n: int, repeats: int) -> dict:
     row = {
         "assemble": best_ms(lambda: lf.assemble(problem, graph), repeats),
         "eigvals": best_ms(lambda: lf.m_spectrum(flow), repeats),
-        "verdict": best_ms(verdict, repeats),
+        "verdict": best_ms(lambda: lf.check_condition(problem, graph), repeats),
         "analyze": best_ms(lambda: lf.build_spectral_report(flow), repeats),
         "payload": best_ms(lambda: _json_text(_analyze_payload(report)), repeats),
         "support_report": best_ms(support, repeats),
     }
-    eps = lf.epsilon_star_from_eigenvalues(eigs, verdict())
+    eps = report.epsilon_star
     row["csv_ns_per_cell"] = csv_ns_per_cell(flow, eps, repeats)
     partner = lf.make_family("path" if family == "ring" else "ring", n)
     row.update(simulation_us(flow, eps, partner, repeats))

@@ -28,7 +28,11 @@ Both modes also print the smallest kernel gap ratio over the analyze
 payloads (of AFTER, when comparing): the (k+1)-th smallest ``|lambda|``
 of M over the largest of the k smallest, k = ``zero_space_dim``. The
 analysis raises when it falls to ``1 / TAU_GAP``; a snapshot prints it on
-stderr, so that stdout stays the snapshot.
+stderr, so that stdout stays the snapshot. Next to it, on stderr in both
+modes, comes the smallest Laplacian separation margin over the snapshot
+graphs, computed by this checkout: a gap between neighbouring eigenspaces
+over the larger spread of the two, or the first nonzero eigenvalue over
+the largest modulus in eigenspace 0. It too raises at ``1 / TAU_GAP``.
 """
 
 import argparse
@@ -117,6 +121,23 @@ def smallest_kernel_gap(entries: dict) -> tuple:
     return min(gaps)
 
 
+def smallest_separation_margin() -> tuple:
+    """(margin, graph) of the snapshot graph whose Laplacian eigenspaces
+    lie least apart."""
+    margins = []
+    for family in FAMILIES:
+        for n in SIZES:
+            spect = lf.spectrum(lf.laplacian(lf.make_family(family, n)))
+            w, groups = spect.eigenvalues, spect.eigenspace_groups
+            first, last = np.array([g[0] for g in groups]), np.array([g[-1] for g in groups])
+            spread = w[last] - w[first]
+            inside = np.append(np.maximum(spread[:-1], spread[1:]), np.abs(w[:last[0] + 1]).max())
+            outside = np.append(w[first[1:]] - w[last[:-1]], w[first[1]])
+            with np.errstate(divide="ignore"):
+                margins.append((float((outside / inside).min()), f"{family}-{n}"))
+    return min(margins)
+
+
 def _witness_of(entry: dict):
     if "condition" in entry:
         return entry["condition"]["witness"], entry["condition"]["witness_support"]
@@ -188,9 +209,13 @@ def main() -> int:
         print(f"W max abs change: holding {result['W_max_abs_change']['holding']:.3e}, "
               f"failing {result['W_max_abs_change']['failing']:.3e}")
         print("smallest kernel gap ratio %.3g (%s)" % smallest_kernel_gap(after))
+        print("smallest Laplacian separation margin %.3g (%s)" % smallest_separation_margin(),
+              file=sys.stderr)
         return 1 if any(result["differences"].values()) else 0
     entries = snapshot()
     print("smallest kernel gap ratio %.3g (%s)" % smallest_kernel_gap(entries), file=sys.stderr)
+    print("smallest Laplacian separation margin %.3g (%s)" % smallest_separation_margin(),
+          file=sys.stderr)
     text = json.dumps(entries, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:

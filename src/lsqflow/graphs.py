@@ -18,16 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    InternalInconsistencyError,
     InvalidNodeError,
     NotCharacterizedError,
     NumericalFailureError,
     TooSmallError,
 )
 
-# Eigenvalues within TAU_EIG_REL * max(1, lambda_max) are grouped as equal;
-# eigenvector entries below TAU_SUPP (after unit normalization) count as zero.
-TAU_EIG_REL = 1e-8
+# Eigenvector entries below TAU_SUPP (after unit normalization) count as
+# zero; for TAU_GAP see :func:`_require_apart`.
 TAU_SUPP = 1e-9
+TAU_GAP = 1e-3
 
 FAMILIES = ("path", "ring", "star", "complete")
 
@@ -151,13 +152,14 @@ class SupportReport:
 def spectrum(L: np.ndarray) -> LaplacianSpectrum:
     """Orthonormal eigen-decomposition of a symmetric matrix.
 
-    Eigenvalues within a relative tolerance of each other are grouped
-    into one eigenspace; downstream consumers must not rely on any
-    particular basis choice inside a group.
+    Neighbouring eigenvalues within eigh's backward error ``n eps
+    ||L||_inf`` form one eigenspace, whose spread must lie apart from its
+    gaps to the next ones; consumers must not rely on any basis choice
+    inside a group.
     """
     L = np.asarray(L, dtype=float)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise ValueError("expected a square matrix")
+    if L.ndim != 2 or L.shape[0] != L.shape[1] or not L.size:
+        raise ValueError("expected a nonempty square matrix")
     if not np.allclose(L, L.T, atol=1e-12 * max(1.0, float(np.abs(L).max(initial=0.0)))):
         raise ValueError("expected a symmetric matrix")
     try:
@@ -170,20 +172,25 @@ def spectrum(L: np.ndarray) -> LaplacianSpectrum:
     if resid > 1e-9 * max(scale, 1e-300):
         raise NumericalFailureError(f"eigenpair residual {resid:.3e} too large")
 
-    tau = TAU_EIG_REL * max(1.0, float(w[-1])) if w.size else 0.0
-    groups = []
-    current = [0]
-    for k in range(1, len(w)):
-        if w[k] - w[current[0]] <= tau:
-            current.append(k)
-        else:
-            groups.append(tuple(current))
-            current = [k]
-    if current:
-        groups.append(tuple(current))
-    w.setflags(write=False)
-    V.setflags(write=False)
-    return LaplacianSpectrum(eigenvalues=w, eigenvectors=V, eigenspace_groups=tuple(groups))
+    step = w[1:] - w[:-1]
+    cuts = np.flatnonzero(step > w.size * np.finfo(float).eps * scale)
+    starts, ends = np.concatenate(([0], cuts + 1)), np.concatenate((cuts + 1, [w.size]))
+    spread = w[ends - 1] - w[starts]
+    _require_apart(np.maximum(spread[:-1], spread[1:]), step[cuts], "eigenspace spread and gap")
+    for arr in (w, V):
+        arr.setflags(write=False)
+    groups = tuple(tuple(range(a, b)) for a, b in zip(starts.tolist(), ends.tolist()))
+    return LaplacianSpectrum(eigenvalues=w, eigenvectors=V, eigenspace_groups=groups)
+
+
+def _require_apart(inside, outside, what: str) -> None:
+    """Raise :class:`InternalInconsistencyError` unless each cluster's size
+    ``inside`` (spread or modulus) is below TAU_GAP times its gap ``outside``."""
+    bad = np.flatnonzero(inside >= TAU_GAP * outside)
+    if bad.size:
+        inside, outside = np.broadcast_arrays(inside, outside)
+        raise InternalInconsistencyError(f"{what} {inside.flat[bad[0]]:.3e} and "
+                                         f"{outside.flat[bad[0]]:.3e} are not apart")
 
 
 def _support_mask(vectors: np.ndarray) -> np.ndarray:

@@ -19,13 +19,13 @@ from .errors import DimensionMismatchError, RankDeficientError
 RANK_RTOL = 1e-12
 
 
-def _stacked_rank(stack: np.ndarray) -> tuple:
+def _stacked_rank(stack: np.ndarray, scale=None) -> tuple:
     """(ranks, unit null vectors for the smallest singular values) of a
-    stack of matrices, in one SVD call, each rank at the relative
-    tolerance ``RANK_RTOL``."""
+    stack of matrices, in one SVD call, each rank at the tolerance
+    ``RANK_RTOL`` relative to ``scale``, by default its largest singular value."""
     rows, cols = stack.shape[1:]
     _, sv, vt = np.linalg.svd(stack, full_matrices=rows < cols)
-    tol = sv[:, :1] * max(rows, cols) * RANK_RTOL
+    tol = (sv[:, :1] if scale is None else scale) * max(rows, cols) * RANK_RTOL
     return np.count_nonzero(sv > tol, axis=1), vt[:, -1]
 
 

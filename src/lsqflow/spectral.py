@@ -8,10 +8,10 @@ is affine: ``u' = M u + b`` for the stacked state ``u = [x; v]`` with
 
 where ``H_tilde`` is the block diagonal of the per-node outer products
 ``h_i h_i^T`` and ``L_kron = L (x) I_m``. Whether every trajectory
-reaches consensus on the least-squares solution is decided entirely by
-the eigenvalues of M: failure is equivalent to a nonzero purely
-imaginary eigenvalue, and the stable part of the spectrum yields the
-exact step-size threshold for the forward-Euler iteration.
+reaches consensus on the least-squares solution is decided by L: M has
+a nonzero purely imaginary eigenvalue ``i r`` iff the rows ``B_i (x) h_i``
+of L's eigenspace at r > 0 lose rank. The stable part of M's spectrum
+yields the exact step-size threshold for the forward-Euler iteration.
 """
 
 from __future__ import annotations
@@ -30,16 +30,12 @@ from .errors import (
     NumericalFailureError,
     RankDeficientError,
 )
-from .graphs import (Graph, LaplacianSpectrum, laplacian, spectrum,
-                     _eigenspace_members, _support_mask, _support_of)
+from .graphs import (Graph, LaplacianSpectrum, laplacian, spectrum, _eigenspace_members,
+                     _require_apart, _support_mask, _support_of)
 from .problem import RANK_RTOL, NetworkLinearEquation, _stacked_rank, solve_least_squares
 
-# |Re(lambda)| <= TAU_IM * |lambda| classifies an eigenvalue as purely
-# imaginary. The kernel of M holds its k smallest eigenvalues in modulus,
-# k from the Laplacian side; the (k+1)-th, like the Laplacian's first
-# nonzero eigenvalue over its zero eigenspace, must exceed them by 1 / TAU_GAP.
+# |Re(lambda)| <= TAU_IM * |lambda| classifies an eigenvalue as purely imaginary.
 TAU_IM = 1e-7
-TAU_GAP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -79,14 +75,17 @@ class SpectralReport:
     epsilon_star: Optional[float]  # None when no eigenvalue has Re != 0
     zero_space_dim: int
     projector_W: Optional[np.ndarray]  # v-block projector; None if condition fails
-    condition: ConditionVerdict    # from the same spectrum
+    condition: ConditionVerdict    # from the Laplacian, cross-checked on M
+
+
+def _same_nodes(problem: NetworkLinearEquation, graph: Graph) -> None:
+    if problem.n_nodes != graph.n_nodes:
+        raise DimensionMismatchError(f"problem has {problem.n_nodes} nodes, "
+                                     f"graph has {graph.n_nodes}")
 
 
 def assemble(problem: NetworkLinearEquation, graph: Graph) -> AssembledFlow:
-    if problem.n_nodes != graph.n_nodes:
-        raise DimensionMismatchError(
-            f"problem has {problem.n_nodes} nodes, graph has {graph.n_nodes}"
-        )
+    _same_nodes(problem, graph)
     n, m = problem.n_nodes, problem.dim
     nm, nodes, rows = n * m, np.arange(n), problem.rows
     H_tilde = np.zeros((nm, nm))
@@ -139,21 +138,14 @@ def m_spectrum(flow: AssembledFlow) -> np.ndarray:
 
 
 def _nonzero_split(eigs, kernel_dim: int) -> tuple:
-    """(purely imaginary, stable) eigenvalues of M outside its kernel.
-
-    The kernel's ``kernel_dim`` eigenvalues are the smallest in modulus.
-    The next one must lie clearly apart: a modulus within a factor
-    ``1 / TAU_GAP`` of the largest kernel value raises
-    :class:`InternalInconsistencyError`.
-    """
+    """(purely imaginary, stable) eigenvalues of M outside its kernel: the
+    ``kernel_dim`` smallest in modulus, which must lie apart from the rest."""
     eigs = np.asarray(eigs, dtype=complex)
     size = np.abs(eigs)
     order = np.argsort(size, kind="stable")
     kernel, rest = order[:kernel_dim], order[kernel_dim:]
-    largest = size[kernel].max(initial=0.0)
-    if rest.size and largest >= TAU_GAP * size[rest[0]]:
-        raise InternalInconsistencyError(f"kernel dimension {kernel_dim}, but |lambda| "
-                                         f"{largest:.3e} and {size[rest[0]]:.3e} are not apart")
+    _require_apart(size[kernel].max(initial=0.0), size[rest[:1]],
+                   f"kernel dimension {kernel_dim}, but |lambda|")
     nonzero = np.delete(eigs, kernel)
     imaginary = np.abs(nonzero.real) <= TAU_IM * np.abs(nonzero)
     return nonzero[imaginary], nonzero[~imaginary]
@@ -164,29 +156,29 @@ def _rank_pass(problem, spect: LaplacianSpectrum, groups) -> tuple:
     ``groups``, one stacked SVD per eigenspace dimension d.
 
     For an eigenvalue r with orthonormal eigenbasis B (n x d), K is the
-    n x (d m) matrix with rows ``B_i (x) h_i``. At r = 0, B spans the
-    indicators of the c components; c counts only where the largest
-    ``|r|`` there is below ``TAU_GAP`` times the next Laplacian eigenvalue,
-    else :class:`InternalInconsistencyError`. A kernel vector of M has v
-    constant per component and x = B C with ``h_i^T x_i = 0``, a null
-    vector vec(C) of K: k = dim ker M = c m + nullity(K). For r > 0, M
-    has the eigenvalue ``i r`` iff K is rank-deficient: ``failing`` maps
-    each such group to its null block (r, X), X = B C (n x m) for K's
-    null vector vec(C), so ``h_i^T x_i = 0`` and ``(X, -i X)`` is an
+    n x (d m) matrix with rows ``B_i (x) h_i``, ranked relative to the
+    largest row norm of H (K itself is rounding noise where B lives on
+    zero rows). At r = 0, B spans the indicators of the c components; c
+    counts only where the largest ``|r|`` there lies apart from the next
+    Laplacian eigenvalue. A kernel vector of M has v constant per
+    component and x = B C with ``h_i^T x_i = 0``, a null vector vec(C)
+    of K: k = dim ker M = c m + nullity(K). For r > 0, M has the
+    eigenvalue ``i r`` iff K is rank-deficient: ``failing`` maps each
+    such group to its null block (r, X), X = B C (n x m) for K's null
+    vector vec(C), so ``h_i^T x_i = 0`` and ``(X, -i X)`` is an
     eigenvector of M at ``i r``.
     """
     m = problem.dim
     zero, w = spect.eigenspace_groups[0], spect.eigenvalues
-    c, largest = len(zero), np.abs(w[:len(zero)]).max()
-    if c < w.size and largest >= TAU_GAP * w[c]:
-        raise InternalInconsistencyError(f"{c} components, but Laplacian eigenvalues "
-                                         f"{largest:.3e} and {w[c]:.3e} are not apart")
+    c, scale = len(zero), np.linalg.norm(problem.rows, axis=1).max()
+    _require_apart(np.abs(w[:c]).max(), w[c:c + 1],
+                   f"{c} components, but Laplacian eigenvalues")
     k, failing = c * m, {}
     for d in {len(g) for g in groups}:
         same = [g for g in groups if len(g) == d]
         bases = np.stack([spect.eigenvectors[:, list(g)] for g in same])
         K = bases[..., None] * problem.rows[:, None, :]  # rows B_i (x) h_i
-        ranks, nulls = _stacked_rank(K.reshape(len(same), -1, d * m))
+        ranks, nulls = _stacked_rank(K.reshape(len(same), -1, d * m), scale)
         for g, B, rank, null in zip(same, bases, ranks, nulls):
             if g == zero:
                 k += d * m - int(rank)
@@ -242,31 +234,23 @@ def _witness(problem, spect: LaplacianSpectrum, groups) -> tuple:
     return None, None
 
 
-def _verdict(problem, spect: LaplacianSpectrum, imaginary, failing) -> ConditionVerdict:
-    """The condition verdict from M's purely imaginary eigenvalues and the
-    failing eigenspaces of :func:`_rank_pass`.
+def _verdict(problem, spect: LaplacianSpectrum, failing) -> ConditionVerdict:
+    """The condition verdict from the failing eigenspaces of :func:`_rank_pass`.
 
-    The condition holds iff M has no nonzero purely imaginary eigenvalue,
-    and the Laplacian-side rank test cross-checks that on every spectrum,
-    raising :class:`InternalInconsistencyError` on disagreement. The
-    member witness search runs only when the condition fails, on the
-    failing eigenspaces; where no member witnesses the failure, the
-    verdict carries the null block of the smallest failing r instead. A
-    graph is disconnected when eigenspace 0, as :func:`_rank_pass` checks
-    it, has more than one dimension. Then no direction mixes across
-    components, so the witness is the first unit vector at eigenvalue 0,
-    backed by node 1's component: the support of the zero-eigenspace
-    projection of the first node's indicator.
+    A connected graph holds iff none fails. Else the member witness
+    search runs on the failing eigenspaces; where no member witnesses the
+    failure, the verdict carries the null block of the smallest failing
+    r. A graph is disconnected when eigenspace 0, as :func:`_rank_pass`
+    checks it, has more than one dimension. Then no direction mixes
+    across components, so the witness is the first unit vector at
+    eigenvalue 0, backed by node 1's component: the support of the
+    zero-eigenspace projection of the first node's indicator.
     """
     zero = spect.eigenvectors[:, list(spect.eigenspace_groups[0])]
     if zero.shape[1] > 1:
         return ConditionVerdict(False, (0.0, np.eye(problem.dim)[0]),
                                 _support_of(zero @ zero[0]))
-    holds = imaginary.size == 0
-    if (not failing) != holds:
-        raise InternalInconsistencyError(f"checkers disagree: laplacian={not failing}, "
-                                         f"m_spectrum={holds}")
-    if holds:
+    if not failing:
         return ConditionVerdict(True, None)
     groups = sorted(failing)  # groups hold ascending eigenvalue indices
     witness, support = _witness(problem, spect, groups)
@@ -279,11 +263,12 @@ def check_condition(problem: NetworkLinearEquation, graph: Graph) -> ConditionVe
     """Decide whether, for every Laplacian eigenvalue r > 0 with
     eigenbasis B, the rows ``B_i (x) h_i`` have full column rank (the
     same as every eigenvector support spanning the unknown space only
-    where the spectrum is simple): the verdict of
-    :func:`build_spectral_report`, decided on the M side and
-    cross-checked by that rank test. A disconnected graph fails.
+    where the spectrum is simple). A disconnected graph fails. Only the
+    Laplacian is solved, not M.
     """
-    return build_spectral_report(assemble(problem, graph)).condition
+    _same_nodes(problem, graph)
+    spect = spectrum(laplacian(graph))
+    return _verdict(problem, spect, _rank_pass(problem, spect, spect.eigenspace_groups)[1])
 
 
 def _step_threshold(stable) -> Optional[float]:
@@ -327,7 +312,8 @@ def equilibrium_dual(flow: AssembledFlow) -> np.ndarray:
 
 def predict_v_limit(flow: AssembledFlow, v0) -> np.ndarray:
     """(I - W) v* + W v(0): the dual limit from v(0) = v0, with v* from
-    :func:`equilibrium_dual` and W from :func:`build_spectral_report`.
+    :func:`equilibrium_dual`, W from :func:`_consensus_projector` and the
+    verdict from :func:`check_condition`.
     v0 is checked first, as a simulator checks its initial states.
 
     The limits from all starts form the affine set v* + range(W), so two
@@ -336,35 +322,41 @@ def predict_v_limit(flow: AssembledFlow, v0) -> np.ndarray:
     then has undamped oscillatory modes or the graph is disconnected.
     """
     v0, = _initial_states(flow, v0)
-    report = build_spectral_report(flow)
-    if not report.condition.holds:
+    if not check_condition(flow.problem, flow.graph).holds:
         raise ConditionViolatedError(
             "spanning condition fails; flow has undamped oscillatory modes or the graph "
             "is disconnected"
         )
     v_star = equilibrium_dual(flow)
-    W = report.projector_W
+    W = _consensus_projector(flow.problem)
     return (v_star - W @ v_star) + W @ v0
 
 
-def build_spectral_report(flow: AssembledFlow) -> SpectralReport:
-    """Eigen-data bundle serialized by the CLI's analyze mode.
+def _consensus_projector(problem: NetworkLinearEquation) -> np.ndarray:
+    """W = (1 1^T / n) (x) I_m: where the condition holds, the kernels of M
+    and M^T are ``{(0, 1 (x) eta)}``, and W is the v-block of the spectral
+    projector onto them."""
+    W = np.kron(np.full((problem.n_nodes,) * 2, 1.0 / problem.n_nodes), np.eye(problem.dim))
+    W.setflags(write=False)
+    return W
 
-    One eigen-solve of M and one rank pass over the Laplacian eigenspaces
-    yield the kernel dimension, the verdict and the step threshold. Where
-    the condition holds, the kernels of M and M^T are ``{(0, 1 (x) eta)}``,
-    so the v-block of the spectral projector onto the kernel is the closed
-    form ``(1 1^T / n) (x) I_m``.
+
+def build_spectral_report(flow: AssembledFlow) -> SpectralReport:
+    """Eigen-data bundle serialized by the CLI's analyze mode: the verdict
+    and kernel dimension from the Laplacian, the eigenvalues and step
+    threshold from one eigen-solve of M. M must have a nonzero purely
+    imaginary eigenvalue iff some eigenspace fails, else
+    :class:`InternalInconsistencyError`. W is :func:`_consensus_projector`
+    where the condition holds.
     """
     eigs = m_spectrum(flow)
     spect = spectrum(flow.L)
     zero_space_dim, failing = _rank_pass(flow.problem, spect, spect.eigenspace_groups)
     imaginary, stable = _nonzero_split(eigs, zero_space_dim)
-    verdict = _verdict(flow.problem, spect, imaginary, failing)
-    W = None
-    if verdict.holds:
-        n = flow.problem.n_nodes
-        W = np.kron(np.full((n, n), 1.0 / n), np.eye(flow.problem.dim))
-        W.setflags(write=False)
+    verdict = _verdict(flow.problem, spect, failing)
+    if (not failing) != (imaginary.size == 0):
+        raise InternalInconsistencyError(f"checkers disagree: laplacian={not failing}, "
+                                         f"m_spectrum={imaginary.size == 0}")
+    W = _consensus_projector(flow.problem) if verdict.holds else None
     return SpectralReport(m_eigenvalues=eigs, epsilon_star=_step_threshold(stable),
                           zero_space_dim=zero_space_dim, projector_W=W, condition=verdict)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import lsqflow as lf
 from lsqflow.graphs import (
-    TAU_EIG_REL,
     _min_support_in_group,
     _pair_members,
     _support_of,
@@ -38,6 +37,17 @@ def component_count(graph):
     for i, j in graph.edges:
         parent[find(i)] = find(j)
     return len({find(k) for k in range(1, graph.n_nodes + 1)})
+
+
+def groups_by_loop(w, tol):
+    """Eigenvalue indices split wherever a neighbour lies more than tol above."""
+    groups = [[0]]
+    for k in range(1, len(w)):
+        if w[k] - w[k - 1] <= tol:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    return tuple(map(tuple, groups))
 
 
 @st.composite
@@ -209,13 +219,30 @@ class TestSpectrum:
         assert np.abs(V.T @ V - np.eye(graph.n_nodes)).max() < 1e-10
         resid = L @ V - V * spect.eigenvalues
         assert np.abs(resid).max() <= 1e-9 * max(1.0, np.abs(L).max())
+        tol = graph.n_nodes * np.finfo(float).eps * np.abs(L).sum(axis=1).max()
+        assert spect.eigenspace_groups == groups_by_loop(spect.eigenvalues, tol)
 
     def test_rejects_asymmetric_input(self):
         with pytest.raises(ValueError):
             lf.spectrum(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_rejects_empty_input(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            lf.spectrum(np.zeros((0, 0)))
+
     def test_grouping_tolerance_is_relative(self):
-        assert TAU_EIG_REL == 1e-8
+        # eigh's backward error n eps ||L||_inf groups 5 and 5 + 1e-14, and
+        # keeps 1e-9 apart from 0 next to lambda_max = 1000
+        q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((5, 5)))
+        spect = lf.spectrum(q @ np.diag([0.0, 1e-9, 5.0, 5.0 + 1e-14, 1e3]) @ q.T)
+        assert spect.eigenspace_groups == ((0,), (1,), (2, 3), (4,))
+        assert abs(spect.eigenvalues[1] - 1e-9) < 1e-11
+
+    def test_groups_not_apart_raise(self):
+        # 1 and 1 + 4e-16 group, but their spread is not apart from the
+        # gap of 1e-13 to the next eigenvalue
+        with pytest.raises(lf.InternalInconsistencyError, match="not apart"):
+            lf.spectrum(np.diag([0.0, 1.0, 1.0 + 4e-16, 1.0 + 1e-13]))
 
 
 class TestSupportReport:

@@ -8,8 +8,8 @@ import pytest
 
 import lsqflow as lf
 from lsqflow import spectral
+from lsqflow.graphs import TAU_GAP
 from lsqflow.spectral import (
-    TAU_GAP,
     TAU_IM,
     _nonzero_split,
     _rank_pass,
@@ -20,6 +20,14 @@ from lsqflow.spectral import (
 from _helpers import (ROW_PATTERNS, component_count, flow_cost, flow_gradient, pattern_rows,
                       random_connected_graph, random_problem, random_simple_spectrum_graph,
                       simple_spectrum_verdict, witness_by_loop)
+
+
+def same_verdict(a, b) -> bool:
+    """Whether two condition verdicts agree bit for bit, arrays included."""
+    def parts(v):
+        pairs = [p for p in (v.witness, v.null_block) if p is not None]
+        return v.holds, v.witness_support, [(p[0], p[1].tobytes()) for p in pairs]
+    return parts(a) == parts(b)
 
 
 class TestAssemble:
@@ -155,14 +163,43 @@ class TestCheckCondition:
         rows = chain_problem.rows[np.array(support) - 1]
         assert np.abs(rows @ eta).max() < 1e-9
 
+    def test_verdict_and_dual_limit_solve_no_m(self, chain_problem, star_graph, chain_flow,
+                                               monkeypatch):
+        # the Laplacian decides: no dense eigen-solve of M, holding or not
+        expected = (lf.check_condition(chain_problem, star_graph),
+                    lf.predict_v_limit(chain_flow, np.ones(8)))
+
+        def no_eigvals(a):
+            raise AssertionError("eigvals called")
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        verdict = lf.check_condition(chain_problem, star_graph)
+        assert verdict.holds is False and same_verdict(verdict, expected[0])
+        assert lf.check_condition(chain_flow.problem, chain_flow.graph).holds
+        assert np.array_equal(lf.predict_v_limit(chain_flow, np.ones(8)), expected[1])
+
+    def test_zero_rows_fail_where_k_vanishes(self):
+        # m = 1, the odd nodes blind: the eigenvector of r = 3 lives on
+        # nodes 3 and 7, so its K is a column of rounding noise (~1e-17);
+        # a rank test relative to K itself counted it as full rank
+        edges = [(1, 2), (1, 4), (1, 5), (2, 4), (2, 5), (2, 10), (3, 7), (3, 9), (4, 6),
+                 (4, 9), (5, 9), (6, 8), (6, 9), (7, 9), (8, 10), (9, 10)]
+        graph = lf.make_graph(10, edges)
+        H = np.array([[0.0], [0.06], [0.0], [0.47], [0.0], [0.92], [0.0], [-0.61], [0.0], [0.27]])
+        problem = lf.NetworkLinearEquation(H, np.ones(10), check_rank=False)
+        verdict = lf.check_condition(problem, graph)
+        assert verdict.holds is False
+        assert abs(verdict.witness[0] - 3.0) < 1e-9 and verdict.witness_support == {3, 7}
+        assert same_verdict(lf.build_spectral_report(lf.assemble(problem, graph)).condition,
+                            verdict)
+
     def test_star_leaf_rows_span_one_dimension(self, chain_problem):
         rows = chain_problem.rows[1:]
         assert np.linalg.matrix_rank(rows) == 1
 
     def test_methods_agree_on_random_instances(self, rng, switch_pair):
         # 100 instances, each a connected graph with distinct Laplacian
-        # eigenvalues; the checker (which raises if its M-side and
-        # Laplacian-side tests disagree) and the per-eigenvector row-span
+        # eigenvalues; the checker, the report (which raises if its M-side
+        # and Laplacian-side tests disagree) and the per-eigenvector row-span
         # oracle must return the same verdict and witness support. Every
         # tenth instance runs on a graph with a two-node eigenvector
         # support and a 3-dimensional unknown, which guarantees the
@@ -180,6 +217,8 @@ class TestCheckCondition:
             verdict = lf.check_condition(prob, graph)
             assert direct.holds == verdict.holds
             assert direct.witness_support == verdict.witness_support
+            assert same_verdict(lf.build_spectral_report(lf.assemble(prob, graph)).condition,
+                                verdict)
             holds_seen += direct.holds
             fails_seen += not direct.holds
         assert holds_seen > 0
@@ -386,6 +425,10 @@ def spectral_components(graph):
     return _rank_pass(problem, spect, spect.eigenspace_groups[:1])[0]
 
 
+# a two-dimensional eigenspace 0 that is not apart from the next eigenvalue
+NOT_APART = np.diag([2e-13, 2e-13, 1e-10, 1.0])
+
+
 def lollipop(clique, tail):
     """K_clique with a path of ``tail`` more nodes hanging off its last node."""
     n = clique + tail
@@ -422,33 +465,31 @@ class TestConnectivity:
             else:
                 assert verdict.witness is None or verdict.witness[0] > 0.0
 
-    @pytest.mark.parametrize("family", [*lf.FAMILIES, "lollipop"])
+    @pytest.mark.parametrize("family", [*lf.FAMILIES, "lollipop", "lollipop-1600"])
     def test_large_graphs_are_connected(self, family):
-        # n = 1000; the narrowest margin is the lollipop's: lambda_2 =
-        # 1.64e-5 against a grouping tolerance of 5.0e-6
-        graph = lollipop(500, 500) if family == "lollipop" else lf.make_family(family, 1000)
+        # n = 1000, and K800 with an 800-node path: its lambda_2 = 6.43e-6
+        # fell inside the old grouping tolerance 1e-8 lambda_max = 8.01e-6
+        sizes = {"lollipop": (500, 500), "lollipop-1600": (800, 800)}
+        graph = lollipop(*sizes[family]) if family in sizes else lf.make_family(family, 1000)
         assert spectral_components(graph) == component_count(graph) == 1
 
     def test_guard_raises_when_eigenspace_zero_is_not_apart(self):
-        # eigenvalues (0, 6e-9, 2e-8, 1): the first two group as
-        # eigenspace 0, and 6e-9 is not below TAU_GAP * 2e-8
-        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
-        spect = lf.spectrum(q @ np.diag([0.0, 6e-9, 2e-8, 1.0]) @ q.T)
+        # eigenvalues (2e-13, 2e-13, 1e-10, 1): the first two group as
+        # eigenspace 0, and 2e-13 is not below TAU_GAP * 1e-10
+        spect = lf.spectrum(NOT_APART)
         assert len(spect.eigenspace_groups[0]) == 2
         problem = lf.NetworkLinearEquation(np.ones((4, 1)), np.zeros(4))
         with pytest.raises(lf.InternalInconsistencyError, match="not apart"):
             _rank_pass(problem, spect, spect.eigenspace_groups)
 
     def test_analyze_and_epsilon_star_raise_without_a_verdict(self, chain_flow, monkeypatch):
-        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
-        bad = q @ np.diag([0.0, 6e-9, 2e-8, 1.0]) @ q.T
-        flow = dataclasses.replace(chain_flow, L=bad)
+        flow = dataclasses.replace(chain_flow, L=NOT_APART)
         with pytest.raises(lf.InternalInconsistencyError):
             lf.build_spectral_report(flow)
         with pytest.raises(lf.InternalInconsistencyError):
             lf.epsilon_star(flow)
         # through the analyze mode, with the Laplacian of every graph replaced
-        monkeypatch.setattr("lsqflow.spectral.laplacian", lambda graph: bad)
+        monkeypatch.setattr("lsqflow.spectral.laplacian", lambda graph: NOT_APART)
         out = io.StringIO()
         config = lf.RunConfig(mode="analyze", problem=chain_flow.problem, graph=chain_flow.graph)
         with pytest.raises(lf.InternalInconsistencyError):

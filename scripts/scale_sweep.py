@@ -28,7 +28,11 @@ default), with seeded generic rows (m = 2), it times:
   from N = 91 on (more than 362 components) depth 0, plain stepping;
 - ``csv_ns_per_cell``: the cost per value, in nanoseconds, of
   ``write_trajectory_csv`` on that ``simulate_ct`` run recorded every
-  CSV_RECORD_EVERY steps: 3000 / 10 + 1 rows of 4N + 3 values.
+  CSV_RECORD_EVERY steps: 3000 / 10 + 1 rows of 4N + 3 values;
+- ``ct_peak_x``: the tracemalloc peak of that recorded run, made once
+  and untimed, over its state block of 3000 / 10 + 1 rows of 4N + 1
+  doubles. The step map and its tables count in the peak, so the ratio
+  grows with N.
 
 The stage figures are the best of ``--repeats`` runs, in milliseconds
 unless named otherwise. The table comes first; the last line of stdout
@@ -45,6 +49,7 @@ import os
 import sys
 import tempfile
 import time
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -56,7 +61,7 @@ import lsqflow as lf
 from lsqflow.cli import _analyze_payload, _json_text
 
 STAGES = ("assemble", "eigvals", "verdict", "analyze", "payload", "support_report",
-          "csv_ns_per_cell")
+          "csv_ns_per_cell", "ct_peak_x")
 SIM_STAGES = ("dt_step_us", "ct_step_us", "sw_step_us")
 SIM_STEPS = 3000
 SW_DWELL = 50
@@ -88,15 +93,23 @@ def simulation_us(flow, eps: float, partner, repeats: int) -> dict:
     return {stage: 1e3 * best_ms(run, repeats) / SIM_STEPS for stage, run in runs.items()}
 
 
-def csv_ns_per_cell(flow, eps: float, repeats: int) -> float:
+def recorded_run(flow, eps: float, repeats: int) -> dict:
+    """``ct_peak_x`` and ``csv_ns_per_cell`` of one recorded simulate_ct run."""
     x0 = np.linspace(-1.0, 1.0, flow.state_dim)
     h = 0.5 * eps
-    traj = lf.simulate_ct(flow, x0, np.zeros(flow.state_dim), h, SIM_STEPS * h,
-                          record_every=CSV_RECORD_EVERY)
-    cells = len(traj.t_or_k) * (3 + 2 * flow.state_dim)
+    tracemalloc.start()
+    try:
+        traj = lf.simulate_ct(flow, x0, np.zeros(flow.state_dim), h, SIM_STEPS * h,
+                              record_every=CSV_RECORD_EVERY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = len(traj.t_or_k)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.csv")
-        return 1e6 * best_ms(lambda: lf.write_trajectory_csv(traj, path), repeats) / cells
+        ms = best_ms(lambda: lf.write_trajectory_csv(traj, path), repeats)
+    return {"ct_peak_x": peak / (8 * rows * (1 + 2 * flow.state_dim)),
+            "csv_ns_per_cell": 1e6 * ms / (rows * (3 + 2 * flow.state_dim))}
 
 
 def sweep(family: str, n: int, repeats: int) -> dict:
@@ -118,7 +131,7 @@ def sweep(family: str, n: int, repeats: int) -> dict:
         "support_report": best_ms(support, repeats),
     }
     eps = report.epsilon_star
-    row["csv_ns_per_cell"] = csv_ns_per_cell(flow, eps, repeats)
+    row.update(recorded_run(flow, eps, repeats))
     partner = lf.make_family("path" if family == "ring" else "ring", n)
     row.update(simulation_us(flow, eps, partner, repeats))
     return row

@@ -160,7 +160,7 @@ def spectrum(L: np.ndarray) -> LaplacianSpectrum:
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1] or not L.size:
         raise ValueError("expected a nonempty square matrix")
-    if not np.allclose(L, L.T, atol=1e-12 * max(1.0, float(np.abs(L).max(initial=0.0)))):
+    if not np.abs(L - L.T).max() <= 1e-12 * max(1.0, float(np.abs(L).max())):
         raise ValueError("expected a symmetric matrix")
     try:
         w, V = np.linalg.eigh(L)

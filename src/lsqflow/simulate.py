@@ -30,8 +30,9 @@ from .spectral import AssembledFlow, _costs, _initial_states
 
 DIVERGE_LIMIT = 1e9
 # Binary-lifting engine: at most BLOCK_DOUBLES doubles of powers per step
-# map's table, about as many per batch of states, at most as many
-# multiply-adds per enumerated span; no table entry beyond POWER_LIMIT.
+# map's table, about as many per batch of states and per block of a
+# trajectory's error and cost, at most as many multiply-adds per
+# enumerated span; no table entry beyond POWER_LIMIT.
 BLOCK_DOUBLES = 1 << 17
 POWER_LIMIT = 1e150
 CSV_CHUNK_CELLS = 8192
@@ -103,12 +104,14 @@ class Trajectory:
     """Recorded run: times, stacked states, squared consensus error, cost.
 
     ``error[k] = ||x_k - 1 (x) y_ref||^2`` with ``y_ref`` stored
-    alongside so the column can be recomputed and cross-checked.
+    alongside so the column can be recomputed and cross-checked. ``x``
+    and ``v`` are views of one block of recorded states and share its
+    memory: writing to one writes to that block.
     """
 
     t_or_k: np.ndarray
-    x: np.ndarray          # (n_samples, N*m)
-    v: np.ndarray          # (n_samples, N*m)
+    x: np.ndarray          # (n_samples, N*m) view
+    v: np.ndarray          # (n_samples, N*m) view
     error: np.ndarray
     cost: np.ndarray
     y_ref: np.ndarray
@@ -178,13 +181,19 @@ def _step_map(M, b, h, method="rk4"):
 
 
 def _finish_trajectory(flow, u, steps, time_of, metadata):
+    # x and v view u; error and cost come from copies of about
+    # BLOCK_DOUBLES doubles of x at a time, so no copy of u is held
     nm = flow.state_dim
-    x = np.ascontiguousarray(u[:, :nm])
-    v = np.ascontiguousarray(u[:, nm:])
-    diff = x - np.tile(flow.y_ref, flow.problem.n_nodes)
-    error = np.einsum("ij,ij->i", diff, diff)
+    x, v = u[:, :nm], u[:, nm:]
+    ref = np.tile(flow.y_ref, flow.problem.n_nodes)
+    error, cost, block = np.empty(len(u)), np.empty(len(u)), max(1, BLOCK_DOUBLES // nm)
+    for lo in range(0, len(u), block):
+        xs = np.ascontiguousarray(x[lo:lo + block])
+        diff = xs - ref
+        error[lo:lo + block] = np.einsum("ij,ij->i", diff, diff)
+        cost[lo:lo + block] = _costs(flow.problem, xs)
     return Trajectory(
-        t_or_k=time_of(steps), x=x, v=v, error=error, cost=_costs(flow.problem, x),
+        t_or_k=time_of(steps), x=x, v=v, error=error, cost=cost,
         y_ref=np.array(flow.y_ref), metadata=metadata,
     )
 
@@ -505,7 +514,8 @@ def _propagate(ref_flow, step_maps, schedule, u0, time_of, record_every, metadat
         rows, when = -(-k // record_every), time_of(k)
         names = component_names(ref_flow.problem.n_nodes, ref_flow.problem.dim)
         bad_names = [names[i] for i in np.flatnonzero(~(np.abs(u[:-1]) <= DIVERGE_LIMIT))]
-        traj = _finish_trajectory(ref_flow, np.vstack([run.states[:rows], u])[:, :-1],
+        run.states[rows] = u
+        traj = _finish_trajectory(ref_flow, run.states[:rows + 1, :-1],
                                   np.append(steps[:rows], k), time_of, metadata)
         raise DivergedError(f"state left the finite range at {when} (components "
                             f"{', '.join(bad_names)})", when, traj, bad_names) from None

@@ -216,7 +216,8 @@ def _witness(problem, spect: LaplacianSpectrum, groups) -> tuple:
     size. On a connected graph (the only kind searched) no eigenvector
     is supported on one node, so a two-node member's support is its pair,
     and the pairs :func:`_deficient_pairs` rules out are not confirmed."""
-    pairs = _deficient_pairs(problem.rows)
+    # support rows are ranked against H's largest row norm, as in _rank_pass
+    pairs, scale = _deficient_pairs(problem.rows), np.linalg.norm(problem.rows, axis=1).max()
     for group in groups:
         for block in _eigenspace_members(spect.eigenvectors[:, list(group)], pairs):
             masks = _support_mask(block)
@@ -225,7 +226,7 @@ def _witness(problem, spect: LaplacianSpectrum, groups) -> tuple:
             for size in np.unique(sizes):
                 picked = np.flatnonzero(sizes == size)
                 nodes = np.nonzero(masks[picked])[1].reshape(picked.size, size)
-                ranks, etas = _stacked_rank(problem.rows[nodes])
+                ranks, etas = _stacked_rank(problem.rows[nodes], scale)
                 deficient = ranks < problem.dim
                 failing.update(zip(picked[deficient], etas[deficient]))
             if failing:

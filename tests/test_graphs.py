@@ -223,8 +223,10 @@ class TestSpectrum:
         assert spect.eigenspace_groups == groups_by_loop(spect.eigenvalues, tol)
 
     def test_rejects_asymmetric_input(self):
-        with pytest.raises(ValueError):
-            lf.spectrum(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        # the second is within 1e-5 relative, which a relative test let through
+        for L in ([[1.0, 2.0], [0.0, 1.0]], [[1.0, 2.0], [2.00001, 1.0]]):
+            with pytest.raises(ValueError, match="symmetric"):
+                lf.spectrum(np.array(L))
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match="nonempty"):

@@ -37,4 +37,4 @@ def test_scan_switching_pairs_finds_the_fixture_pairs():
 def test_scale_sweep_ends_with_json():
     result = run("scale_sweep.py", "--families", "path", "--sizes", "8", "--repeats", "1")
     assert result.returncode == 0, result.stderr
-    assert "verdict" in json.loads(result.stdout.splitlines()[-1])["path-8"]
+    assert {"verdict", "ct_peak_x"} <= json.loads(result.stdout.splitlines()[-1])["path-8"].keys()

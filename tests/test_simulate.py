@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 import lsqflow as lf
 from lsqflow import simulate
+from lsqflow.spectral import _costs
 from lsqflow.simulate import (
     BLOCK_DOUBLES,
     DIVERGE_LIMIT,
@@ -557,6 +559,77 @@ class TestBlockEngine:
         stacked = _affine(A, W)
         assert np.array_equal(stacked, [_affine(A, w) for w in W])
         assert np.array_equal(stacked[1::3], _affine(A, W[1::3]))
+
+
+class TestRecordedBlock:
+    """A trajectory holds the engine's block of recorded states once."""
+
+    def test_recorded_run_peaks_near_its_state_block(self):
+        # path-50, m = 2: 100 x components and 20,001 rows; x and v view
+        # one block of 201 doubles a row, and error and cost are computed
+        # from it in blocks of about BLOCK_DOUBLES doubles
+        rng = np.random.default_rng(50)
+        problem = lf.NetworkLinearEquation(rng.standard_normal((50, 2)), rng.standard_normal(50))
+        flow = lf.assemble(problem, lf.make_family("path", 50))
+        x0 = np.linspace(-1.0, 1.0, flow.state_dim)
+        tracemalloc.start()
+        try:
+            traj = lf.simulate_ct(flow, x0, np.zeros(flow.state_dim), 0.01, 200.0, record_every=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = len(traj.t_or_k) * (2 * flow.state_dim + 1) * 8
+        assert len(traj.t_or_k) == 20001 and peak <= 1.3 * block
+        assert traj.v.base is traj.x.base and traj.x.base.nbytes == block
+
+    @pytest.mark.parametrize("block_doubles", [1, 90, 200])
+    def test_blocked_error_and_cost_match_whole_arrays(self, path15_flow, monkeypatch,
+                                                      block_doubles):
+        # 30 x components: blocks of 1, 3 and 6 of the 101 rows
+        flow, nm = path15_flow, path15_flow.state_dim
+        monkeypatch.setattr(simulate, "BLOCK_DOUBLES", block_doubles)
+        rng = np.random.default_rng(block_doubles)
+        u = rng.standard_normal((101, 2 * nm)) * 10.0 ** rng.integers(-8, 8, (101, 1))
+        traj = simulate._finish_trajectory(flow, u, np.arange(101), lambda k: k, {})
+        x = u[:, :nm].copy()
+        diff = x - np.tile(flow.y_ref, flow.problem.n_nodes)
+        assert np.array_equal(traj.error, np.einsum("ij,ij->i", diff, diff))
+        assert np.array_equal(traj.cost, _costs(flow.problem, x))
+        assert traj.x.base is u and traj.v.base is u
+
+    def test_diverging_run_keeps_its_partial_trajectory(self, chain_flow, tmp_path):
+        def diverge(max_steps, record_every):
+            config = lf.DiscreteConfig(epsilon=0.04, max_steps=max_steps,
+                                       record_every=record_every)
+            with pytest.raises(lf.DivergedError) as excinfo:
+                lf.simulate_dt(chain_flow, CHAIN_X0, np.zeros(8), config)
+            return excinfo.value
+
+        exc = diverge(40000, 10)
+        traj, k = exc.trajectory, exc.t_or_k
+        rows = -(-k // 10)
+        # every row before the last, as a run that stops one step short
+        # records it (both runs reach step k - 1 < 2^15 from step 0)
+        short = lf.simulate_dt(chain_flow, CHAIN_X0, np.zeros(8),
+                               lf.DiscreteConfig(epsilon=0.04, max_steps=k - 1, record_every=10))
+        assert 2 ** 14 < k - 1 < 2 ** 15
+        assert np.array_equal(traj.t_or_k, np.append(short.t_or_k[:rows], k))
+        assert np.array_equal(traj.x[:-1], short.x[:rows])
+        assert np.array_equal(traj.v[:-1], short.v[:rows])
+        # the last row: the state beyond the limit, as a run that records
+        # every state ends
+        every = diverge(k, 1).trajectory
+        assert np.array_equal(traj.x[-1], every.x[-1]) and np.array_equal(traj.v[-1], every.v[-1])
+        assert not np.abs(np.concatenate([traj.x[-1], traj.v[-1]])).max() <= DIVERGE_LIMIT
+        # the CSV of the same rows held as separate arrays, with error and
+        # cost from whole arrays
+        x, v = traj.x.copy(), traj.v.copy()
+        diff = x - np.tile(chain_flow.y_ref, 4)
+        copied = lf.Trajectory(traj.t_or_k, x, v, np.einsum("ij,ij->i", diff, diff),
+                               _costs(chain_flow.problem, x), traj.y_ref, traj.metadata)
+        lf.write_trajectory_csv(traj, tmp_path / "view.csv")
+        lf.write_trajectory_csv(copied, tmp_path / "copy.csv")
+        assert (tmp_path / "view.csv").read_bytes() == (tmp_path / "copy.csv").read_bytes()
 
 
 def _count_cycle_runs(monkeypatch) -> list:

@@ -180,17 +180,21 @@ class TestCheckCondition:
     def test_zero_rows_fail_where_k_vanishes(self):
         # m = 1, the odd nodes blind: the eigenvector of r = 3 lives on
         # nodes 3 and 7, so its K is a column of rounding noise (~1e-17);
-        # a rank test relative to K itself counted it as full rank
+        # a rank test relative to K itself counted it as full rank. Rows
+        # of 1e-20 there fail too: the witness's support rows are ranked
+        # against H's largest row norm, not against their own size
         edges = [(1, 2), (1, 4), (1, 5), (2, 4), (2, 5), (2, 10), (3, 7), (3, 9), (4, 6),
                  (4, 9), (5, 9), (6, 8), (6, 9), (7, 9), (8, 10), (9, 10)]
         graph = lf.make_graph(10, edges)
-        H = np.array([[0.0], [0.06], [0.0], [0.47], [0.0], [0.92], [0.0], [-0.61], [0.0], [0.27]])
-        problem = lf.NetworkLinearEquation(H, np.ones(10), check_rank=False)
-        verdict = lf.check_condition(problem, graph)
-        assert verdict.holds is False
-        assert abs(verdict.witness[0] - 3.0) < 1e-9 and verdict.witness_support == {3, 7}
-        assert same_verdict(lf.build_spectral_report(lf.assemble(problem, graph)).condition,
-                            verdict)
+        for blind in (0.0, 1e-20):
+            H = np.array([[blind], [0.06], [blind], [0.47], [blind], [0.92], [blind], [-0.61],
+                          [blind], [0.27]])
+            problem = lf.NetworkLinearEquation(H, np.ones(10), check_rank=False)
+            verdict = lf.check_condition(problem, graph)
+            assert verdict.holds is False
+            assert abs(verdict.witness[0] - 3.0) < 1e-9 and verdict.witness_support == {3, 7}
+            assert same_verdict(lf.build_spectral_report(lf.assemble(problem, graph)).condition,
+                                verdict)
 
     def test_star_leaf_rows_span_one_dimension(self, chain_problem):
         rows = chain_problem.rows[1:]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -46,11 +45,11 @@ def _json_text(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for payloads of
     string-keyed dicts, lists, scalars and arrays (as their ``tolist()``).
     ``indent`` selects the pure-Python encoder, which is slow on the
-    (n m)^2 floats of ``projector_W``, so finite floats are rendered here
-    with ``float.__repr__``, as that encoder does. A finite 2-D float64
-    array is checked once as a whole and rendered once per distinct row,
-    keyed by its exact bits (so 0.0 and -0.0 stay apart): W has only m
-    distinct rows.
+    (n m)^2 floats of ``projector_W``. So a finite 2-D float64 array is
+    checked once as a whole, and its floats are rendered here with
+    ``float.__repr__``, as that encoder renders them, once per distinct
+    row, keyed by its exact bits (so 0.0 and -0.0 stay apart): W has only
+    m distinct rows.
     """
     inner = indent + "  "
     if isinstance(value, np.ndarray):
@@ -68,8 +67,6 @@ def _json_text(value, indent: str = "") -> str:
         return _bracketed((f"{json.dumps(key)}: {_json_text(value[key], inner)}"
                            for key in sorted(value)), indent, "{}")
     if isinstance(value, (list, tuple)) and value:
-        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
-            return _bracketed(map(float.__repr__, value), indent)
         return _bracketed((_json_text(v, inner) for v in value), indent)
     return json.dumps(value)
 

@@ -20,24 +20,24 @@ from .graphs import FAMILIES, Graph, _graph_spec, _is_int, graph_from_dict
 from .plotting import PlotSpec
 from .problem import NetworkLinearEquation
 # the engine and parse_config bound a run by the same MAX_STEPS and MAX_SAMPLES
-from .simulate import (MAX_SAMPLES, MAX_STEPS, _checked_steps, _run_length,  # noqa: F401
-                       component_names)
+from .simulate import (DEFAULT_MAX_STEPS, DEFAULT_RECORD_EVERY, MAX_SAMPLES,  # noqa: F401
+                       MAX_STEPS, _run_length, component_names)
 from .switching import SwitchingSignal
 
-MODES = (
-    "analyze", "solve-lsq", "simulate-ct", "simulate-dt",
-    "simulate-switching", "epsilon-star", "graph-feasibility",
-)
-
-# Modes that need each input section.
-_NEEDS_PROBLEM = tuple(m for m in MODES if m != "graph-feasibility")
-_NEEDS_GRAPH = ("analyze", "simulate-ct", "simulate-dt", "epsilon-star")
-_NEEDS_X0 = ("simulate-ct", "simulate-dt", "simulate-switching")
+# The keys each mode requires; its order is the CLI's subcommand order.
+_REQUIRED = {
+    "analyze": ("problem", "graph"),
+    "solve-lsq": ("problem",),
+    "simulate-ct": ("problem", "graph", "x0"),
+    "simulate-dt": ("problem", "graph", "epsilon", "x0"),
+    "simulate-switching": ("problem", "switching", "x0"),
+    "epsilon-star": ("problem", "graph"),
+    "graph-feasibility": ("rows",),
+}
+MODES = tuple(_REQUIRED)
 
 DEFAULT_STEP_H = 0.005
 DEFAULT_T_END = 200.0
-DEFAULT_MAX_STEPS = 40000
-DEFAULT_RECORD_EVERY = 10
 
 # graph-feasibility rows: family graphs need three nodes; the largest
 # allowed graph bounds the support search of one row (ring-1000, the
@@ -243,6 +243,7 @@ def _check_work(mode, step_h, t_end, max_steps, record_every, switching, violati
     judge the default put in its place."""
     if mode == "simulate-dt":
         key, used = "max_steps", ("max_steps", "record_every")
+        step_h, t_end, period = 1.0, max_steps, None    # a discrete run is a run of step 1
     elif mode in ("simulate-ct", "simulate-switching"):
         key, used = "t_end", ("step_h", "t_end", "record_every")
         period = (switching.period_T if switching is not None and mode == "simulate-switching"
@@ -252,10 +253,7 @@ def _check_work(mode, step_h, t_end, max_steps, record_every, switching, violati
     if any(path in used for path, _ in violations):
         return
     try:
-        if mode == "simulate-dt":
-            _checked_steps(max_steps, record_every)
-        else:
-            _run_length(step_h, t_end, record_every, period)
+        _run_length(step_h, t_end, record_every, period)
     except ValueError as exc:
         violations.append((getattr(exc, "key", key), str(exc)))
 
@@ -276,6 +274,7 @@ def parse_config(text: str, base_dir: Optional[str] = None,
 
     violations = []
     mode = data.get("mode", default_mode)
+    required = _REQUIRED[mode] if mode in MODES else ()     # mode may be any JSON value
     if mode is None:
         violations.append(("mode", "required"))
     elif mode not in MODES:
@@ -298,7 +297,7 @@ def parse_config(text: str, base_dir: Optional[str] = None,
             violations.append(("problem_path", f"invalid JSON: {exc}"))
     elif "problem" in data:
         problem = _parse_problem(data["problem"], violations)
-    elif mode in _NEEDS_PROBLEM:
+    elif "problem" in required:
         violations.append(("problem", "required"))
 
     n_nodes = problem.n_nodes if problem is not None else None
@@ -309,13 +308,13 @@ def parse_config(text: str, base_dir: Optional[str] = None,
             violations.append(("graph", mismatch))
         else:
             graph = _parse_graph(data["graph"], violations, n_nodes)
-    elif mode in _NEEDS_GRAPH:
+    elif "graph" in required:
         violations.append(("graph", "required"))
 
     switching = None
     if "switching" in data:
         switching = _parse_switching(data["switching"], violations, n_nodes)
-    elif mode == "simulate-switching":
+    elif "switching" in required:
         violations.append(("switching", "required"))
 
     step_h = _positive(data, "step_h", DEFAULT_STEP_H, violations)
@@ -327,7 +326,7 @@ def parse_config(text: str, base_dir: Optional[str] = None,
     epsilon = None
     if "epsilon" in data:
         epsilon = _positive(data, "epsilon", None, violations)
-    elif mode == "simulate-dt":
+    elif "epsilon" in required:
         violations.append(("epsilon", "required"))
     alpha = 0.0
     if "alpha" in data:
@@ -342,7 +341,7 @@ def parse_config(text: str, base_dir: Optional[str] = None,
         x0 = _numeric_vector(data["x0"])
         if x0 is None:
             violations.append(("x0", "must be an array of finite numbers"))
-    elif mode in _NEEDS_X0:
+    elif "x0" in required:
         violations.append(("x0", "required"))
     if "v0" in data:
         v0 = _numeric_vector(data["v0"])
@@ -372,7 +371,7 @@ def parse_config(text: str, base_dir: Optional[str] = None,
                                                      f"{MAX_FEASIBILITY_NODES}"))
                 else:
                     rows.append((item[0], item[1]))
-    elif mode == "graph-feasibility":
+    elif "rows" in required:
         violations.append(("rows", "required"))
 
     plot = _parse_plot(data["plot"], violations, problem) if "plot" in data else None

@@ -109,8 +109,8 @@ class ConfigParseError(LsqflowError):
 class SchemaError(LsqflowError):
     """Configuration JSON violates the run-config schema.
 
-    Collects every violation, not just the first; ``path`` and
-    ``reason`` expose the first one for quick access.
+    ``violations`` holds every violation found, not just the first, as
+    ``(path, reason)`` pairs.
     """
 
     def __init__(self, violations):
@@ -119,14 +119,6 @@ class SchemaError(LsqflowError):
             raise ValueError("SchemaError needs at least one violation")
         lines = "; ".join(f"{p}: {r}" for p, r in self.violations)
         super().__init__(f"invalid config ({lines})")
-
-    @property
-    def path(self) -> str:
-        return self.violations[0][0]
-
-    @property
-    def reason(self) -> str:
-        return self.violations[0][1]
 
 
 class NothingToPlotError(LsqflowError):

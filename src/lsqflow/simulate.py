@@ -40,31 +40,14 @@ CSV_CHUNK_CELLS = 8192
 # recorded samples per trajectory (the initial state included).
 MAX_STEPS = 10**8
 MAX_SAMPLES = 10**6
+# Run defaults of the simulators, DiscreteConfig and parse_config.
+DEFAULT_RECORD_EVERY = 10
+DEFAULT_MAX_STEPS = 40000
 
 
 def _is_count(value) -> bool:
     return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= 1)
-
-
-def _checked_steps(steps, record_every) -> int:
-    """Step count of a run of ``steps`` steps (a ratio such as
-    ``t_end / step_h`` is rounded) that records every ``record_every``-th
-    state. Raises ValueError, before anything runs, unless record_every
-    is a positive integer and the run takes 1 to MAX_STEPS steps and
-    records at most MAX_SAMPLES states.
-    """
-    if not _is_count(record_every):
-        raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
-    if not steps <= MAX_STEPS:           # also catches nan and inf
-        raise ValueError(f"asks for {steps:.4g} integrator steps; the limit is {MAX_STEPS:.0e}")
-    count = int(round(steps))
-    if count < 1:
-        raise ValueError(f"asks for {steps:.4g} integrator steps; a run needs at least one")
-    if 1 + count // record_every > MAX_SAMPLES:
-        raise ValueError(f"asks for {1 + count // record_every:.4g} recorded samples; "
-                         f"the limit is {MAX_SAMPLES:.0e}")
-    return count
 
 
 def _aligned_count(total: float, step: float, names: tuple) -> int:
@@ -81,15 +64,29 @@ def _aligned_count(total: float, step: float, names: tuple) -> int:
 
 def _run_length(step_h, t_end, record_every, period_T=None) -> tuple:
     """``(steps, steps per dwell)`` of a run of step step_h to t_end that
-    records every record_every-th state; a run on one matrix is one dwell.
+    records every record_every-th state; a run on one matrix is one dwell,
+    and a discrete run of n steps is a run of step 1 to n.
+
     Raises ValueError before anything runs unless step_h and t_end are
-    positive and finite and the run passes :func:`_checked_steps`, and
-    StepAlignmentError unless t_end is a whole number of steps, or, with
-    a switching period, of periods, each a whole number of steps.
+    positive and finite, record_every is a positive integer, and the run
+    takes 1 to MAX_STEPS steps (``t_end / step_h`` rounded) and records
+    at most MAX_SAMPLES states. Raises StepAlignmentError unless t_end is
+    a whole number of steps, or, with a switching period, of periods,
+    each a whole number of steps.
     """
     if not (0 < step_h < math.inf and 0 < t_end < math.inf):
         raise ValueError("step_h and t_end must be positive and finite")
-    _checked_steps(t_end / step_h, record_every)
+    if not _is_count(record_every):
+        raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
+    steps = t_end / step_h
+    if not steps <= MAX_STEPS:           # also catches inf
+        raise ValueError(f"asks for {steps:.4g} integrator steps; the limit is {MAX_STEPS:.0e}")
+    count = round(steps)
+    if count < 1:
+        raise ValueError(f"asks for {steps:.4g} integrator steps; a run needs at least one")
+    if 1 + count // record_every > MAX_SAMPLES:
+        raise ValueError(f"asks for {1 + count // record_every:.4g} recorded samples; "
+                         f"the limit is {MAX_SAMPLES:.0e}")
     if period_T is None:
         steps = _aligned_count(t_end, step_h, ("t_end", "step_h"))
         return steps, steps
@@ -129,15 +126,15 @@ class Trajectory:
 @dataclass(frozen=True)
 class DiscreteConfig:
     epsilon: float
-    max_steps: int = 40000
-    record_every: int = 10
+    max_steps: int = DEFAULT_MAX_STEPS
+    record_every: int = DEFAULT_RECORD_EVERY
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
         if not _is_count(self.max_steps):
             raise ValueError(f"max_steps must be a positive integer, got {self.max_steps!r}")
-        _checked_steps(self.max_steps, self.record_every)
+        _run_length(1.0, self.max_steps, self.record_every)
 
 
 def component_names(n_nodes: int, dim: int) -> list:
@@ -567,7 +564,7 @@ def _run(flow, Ms, slots, steps, dwell, x0, v0, h, method, record_every, **extra
 
 
 def simulate_ct(flow: AssembledFlow, x0, v0, step_h: float, t_end: float,
-                record_every: int = 10) -> Trajectory:
+                record_every: int = DEFAULT_RECORD_EVERY) -> Trajectory:
     """Classical fixed-step RK4 integration of the saddle-point flow.
 
     ``t_end`` must be a whole number of steps; otherwise
@@ -590,7 +587,7 @@ def simulate_dt(flow: AssembledFlow, x0, v0, config: DiscreteConfig) -> Trajecto
 
 def simulate_damped(flow: AssembledFlow, alpha: float, x0, v0,
                        step_h: float, t_end: float,
-                       record_every: int = 10) -> Trajectory:
+                       record_every: int = DEFAULT_RECORD_EVERY) -> Trajectory:
     """Comparison flow with additional consensus damping -alpha L x.
 
     With alpha = 0 the extra term vanishes and the run delegates to
@@ -801,9 +798,9 @@ def _csv_work(cells: int) -> np.ndarray:
     return np.empty((3, cells, _CSV_SLOTS // 8), np.uint64)
 
 
-def _format_17g(values: np.ndarray, work=None) -> bytes:
+def _format_17g(values: np.ndarray, work: np.ndarray) -> bytes:
     """Rows of ``values`` as CSV lines, each value exactly ``'%.17g' % v``;
-    ``work`` from :func:`_csv_work`, or a new one."""
+    ``work`` from :func:`_csv_work`, for at least as many values."""
     (scale, half, base, exp_word, least, beyond, binade_first, binade_edge,
      low_word, high_word, lead_word, last_digit, mask, smask, text) = _csv_tables()
     cols = values.shape[1]
@@ -856,8 +853,6 @@ def _format_17g(values: np.ndarray, work=None) -> bytes:
     # 8-slot words: the leading digit, two words of digit groups and the
     # exponent word; a copy shifted one slot right supplies the digits
     # past the decimal point
-    if work is None:
-        work = _csv_work(n)
     frame, shifted, gather = work[:, :n]
     lead_word.take(lead, out=frame[:, 0], mode="clip")
     np.bitwise_or(low_word.take(g0), high_word.take(g1), out=frame[:, 1])

@@ -151,16 +151,21 @@ def _nonzero_split(eigs, kernel_dim: int) -> tuple:
     return nonzero[imaginary], nonzero[~imaginary]
 
 
+def _rank_scale(problem) -> float:
+    """H's largest row norm, the scale K and a member's support rows are
+    ranked against (K itself is rounding noise where B lives on zero rows)."""
+    return np.linalg.norm(problem.rows, axis=1).max()
+
+
 def _rank_pass(problem, spect: LaplacianSpectrum, groups) -> tuple:
     """(k, failing): the Laplacian-side rank test on the eigenspaces in
     ``groups``, one stacked SVD per eigenspace dimension d.
 
     For an eigenvalue r with orthonormal eigenbasis B (n x d), K is the
-    n x (d m) matrix with rows ``B_i (x) h_i``, ranked relative to the
-    largest row norm of H (K itself is rounding noise where B lives on
-    zero rows). At r = 0, B spans the indicators of the c components; c
-    counts only where the largest ``|r|`` there lies apart from the next
-    Laplacian eigenvalue. A kernel vector of M has v constant per
+    n x (d m) matrix with rows ``B_i (x) h_i``, ranked relative to
+    :func:`_rank_scale`. At r = 0, B spans the indicators of the c
+    components; c counts only where the largest ``|r|`` there lies apart
+    from the next Laplacian eigenvalue. A kernel vector of M has v constant per
     component and x = B C with ``h_i^T x_i = 0``, a null vector vec(C)
     of K: k = dim ker M = c m + nullity(K). For r > 0, M has the
     eigenvalue ``i r`` iff K is rank-deficient: ``failing`` maps each
@@ -170,7 +175,7 @@ def _rank_pass(problem, spect: LaplacianSpectrum, groups) -> tuple:
     """
     m = problem.dim
     zero, w = spect.eigenspace_groups[0], spect.eigenvalues
-    c, scale = len(zero), np.linalg.norm(problem.rows, axis=1).max()
+    c, scale = len(zero), _rank_scale(problem)
     _require_apart(np.abs(w[:c]).max(), w[c:c + 1],
                    f"{c} components, but Laplacian eigenvalues")
     k, failing = c * m, {}
@@ -216,8 +221,7 @@ def _witness(problem, spect: LaplacianSpectrum, groups) -> tuple:
     size. On a connected graph (the only kind searched) no eigenvector
     is supported on one node, so a two-node member's support is its pair,
     and the pairs :func:`_deficient_pairs` rules out are not confirmed."""
-    # support rows are ranked against H's largest row norm, as in _rank_pass
-    pairs, scale = _deficient_pairs(problem.rows), np.linalg.norm(problem.rows, axis=1).max()
+    pairs, scale = _deficient_pairs(problem.rows), _rank_scale(problem)
     for group in groups:
         for block in _eigenspace_members(spect.eigenvectors[:, list(group)], pairs):
             masks = _support_mask(block)
@@ -268,7 +272,12 @@ def check_condition(problem: NetworkLinearEquation, graph: Graph) -> ConditionVe
     Laplacian is solved, not M.
     """
     _same_nodes(problem, graph)
-    spect = spectrum(laplacian(graph))
+    return _condition(problem, laplacian(graph))
+
+
+def _condition(problem, L) -> ConditionVerdict:
+    """:func:`check_condition` from the graph's Laplacian L."""
+    spect = spectrum(L)
     return _verdict(problem, spect, _rank_pass(problem, spect, spect.eigenspace_groups)[1])
 
 
@@ -314,7 +323,7 @@ def equilibrium_dual(flow: AssembledFlow) -> np.ndarray:
 def predict_v_limit(flow: AssembledFlow, v0) -> np.ndarray:
     """(I - W) v* + W v(0): the dual limit from v(0) = v0, with v* from
     :func:`equilibrium_dual`, W from :func:`_consensus_projector` and the
-    verdict from :func:`check_condition`.
+    verdict of :func:`check_condition` from the flow's Laplacian.
     v0 is checked first, as a simulator checks its initial states.
 
     The limits from all starts form the affine set v* + range(W), so two
@@ -323,7 +332,7 @@ def predict_v_limit(flow: AssembledFlow, v0) -> np.ndarray:
     then has undamped oscillatory modes or the graph is disconnected.
     """
     v0, = _initial_states(flow, v0)
-    if not check_condition(flow.problem, flow.graph).holds:
+    if not _condition(flow.problem, flow.L).holds:
         raise ConditionViolatedError(
             "spanning condition fails; flow has undamped oscillatory modes or the graph "
             "is disconnected"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatchError
 from .problem import NetworkLinearEquation
-from .simulate import Trajectory, _run, _run_length
+from .simulate import DEFAULT_RECORD_EVERY, Trajectory, _run, _run_length
 from .spectral import assemble
 
 
@@ -40,7 +40,7 @@ class SwitchingSignal:
 
 def simulate_switching(problem: NetworkLinearEquation, signal: SwitchingSignal,
                        x0, v0, step_h: float, t_end: float,
-                       record_every: int = 10) -> Trajectory:
+                       record_every: int = DEFAULT_RECORD_EVERY) -> Trajectory:
     """Piecewise RK4 with switch instants aligned to the step grid.
 
     The state is continuous across switches; only the active Laplacian

@@ -210,6 +210,16 @@ class TestFeasibilityMode:
                 "closed_form": 6} in rows
         assert len(rows) == 26
 
+    def test_row_without_closed_form(self, tmp_path):
+        # path-5 is neither a power of two nor a multiple of three
+        config = lf.parse_config(json.dumps({"mode": "graph-feasibility", "rows": [["path", 5]],
+                                             "out_json": "rows.json"}))
+        out = io.StringIO()
+        assert run(config, out_dir=str(tmp_path), stdout=out, stderr=io.StringIO()) == 0
+        assert out.getvalue().splitlines()[1].split() == ["path", "5", "4", "null"]
+        rows = json.loads((tmp_path / "rows.json").read_text())["rows"]
+        assert rows == [{"family": "path", "n": 5, "min_support": 4, "closed_form": None}]
+
 
 class TestSimulationModes:
     def test_ct_writes_csv_and_svg(self, tmp_path):

@@ -53,6 +53,10 @@ class TestModeHandling:
         assert "mode" in paths
         assert "must be one of" in paths["mode"]
 
+    def test_mode_of_another_json_type(self):
+        # a list cannot key the table of required keys
+        assert violations_of({"mode": ["analyze"]})[0][0] == "mode"
+
     def test_default_mode_fills_missing(self):
         cfg = parse({"problem": CHAIN_PROBLEM}, default_mode="solve-lsq")
         assert cfg.mode == "solve-lsq"
@@ -82,6 +86,18 @@ class TestRequirementsByMode:
     def test_feasibility_needs_rows_not_problem(self):
         paths = paths_of({"mode": "graph-feasibility"})
         assert paths == ["rows"]
+
+    @pytest.mark.parametrize("mode, required", [
+        ("analyze", ["problem", "graph"]),
+        ("solve-lsq", ["problem"]),
+        ("simulate-ct", ["problem", "graph", "x0"]),
+        ("simulate-dt", ["problem", "graph", "epsilon", "x0"]),
+        ("simulate-switching", ["problem", "switching", "x0"]),
+        ("epsilon-star", ["problem", "graph"]),
+        ("graph-feasibility", ["rows"]),
+    ])
+    def test_each_mode_reports_exactly_its_missing_keys(self, mode, required):
+        assert paths_of({"mode": mode}) == required
 
 
 class TestProblemSection:
@@ -427,6 +443,38 @@ class TestRowsSection:
         assert paths_of(data) == ["rows[0]", "rows[1]", "rows[4]", "rows[5]"]
         cfg = parse({"mode": "graph-feasibility", "rows": [["star", 3], ["ring", bound]]})
         assert cfg.rows == [("star", 3), ("ring", bound)]
+
+
+class TestDocumentedSchema:
+    """The documented run-config schema states the rules parse_config applies."""
+
+    @pytest.fixture(scope="class")
+    def schema(self):
+        return json.loads(fixture_path("docs/run_config.schema.json").read_text())
+
+    def test_modes_and_defaults(self, schema):
+        props = schema["properties"]
+        assert tuple(props["mode"]["enum"]) == lf.MODES
+        cfg = parse({"mode": "graph-feasibility", "rows": []})
+        for key in ("step_h", "t_end", "record_every", "max_steps"):
+            assert props[key]["default"] == getattr(cfg, key), key
+
+    def test_row_bounds(self, schema):
+        n = schema["properties"]["rows"]["items"]["items"][1]
+        assert (n["minimum"], n["maximum"]) == (3, lf.config.MAX_FEASIBILITY_NODES)
+
+    def test_graph_node_bounds(self, schema):
+        # a custom graph may have two nodes, a family graph needs three
+        graph = schema["definitions"]["graph"]
+        assert graph["properties"]["n"]["minimum"] == 2
+        assert tuple(graph["if"]["properties"]["type"]["enum"]) == lf.FAMILIES
+        assert graph["then"]["properties"]["n"]["minimum"] == 3
+        problem = {"H": [[1.0], [2.0]], "z": [1.0, 0.0]}
+        cfg = parse({"mode": "analyze", "problem": problem,
+                     "graph": {"type": "custom", "n": 2, "edges": [[1, 2]]}})
+        assert lf.build_spectral_report(lf.assemble(cfg.problem, cfg.graph)).condition.holds
+        assert "graph" in paths_of({"mode": "analyze", "problem": problem,
+                                    "graph": {"type": "path", "n": 2}})
 
 
 class TestPlotAndOutputs:

@@ -228,6 +228,13 @@ class TestSpectrum:
             with pytest.raises(ValueError, match="symmetric"):
                 lf.spectrum(np.array(L))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_input(self, bad):
+        # named as such, before the symmetry test could see inf - inf
+        with pytest.raises(ValueError, match="non-finite"):
+            lf.spectrum(np.array([[bad, 1.0], [1.0, 1.0]]))
+
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match="nonempty"):
             lf.spectrum(np.zeros((0, 0)))

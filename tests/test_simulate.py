@@ -28,13 +28,18 @@ from lsqflow.simulate import (
 
 from _helpers import (FlowState, ct_rhs, error_trajectory, oscillates, random_problem,
                       random_connected_graph, step_by_step)
-from conftest import CHAIN_X0, PENT2_X0, PENT3_X0, STAR_X0
+from conftest import CHAIN_X0, PENT2_H, PENT2_X0, PENT3_X0, STAR_X0
 
 
 def per_value_csv(values) -> bytes:
     """Reference CSV body: every value formatted on its own with '%.17g'."""
     return "".join(",".join("%.17g" % v for v in row) + "\n"
                    for row in np.asarray(values).tolist()).encode()
+
+
+def format_17g(values) -> bytes:
+    """The CSV encoder, with a work space of its own."""
+    return _format_17g(values, simulate._csv_work(values.size))
 
 
 def adversarial_values() -> np.ndarray:
@@ -549,6 +554,29 @@ class TestBlockEngine:
         assert excinfo.value.t_or_k == bad_step == 3834
         _assert_matches_reference(excinfo.value.trajectory, steps, states)
 
+    def test_first_crossing_on_a_split_midpoint(self, path15_flow):
+        # with z = 0 the run is linear in x0, which is scaled so that step
+        # 512 is the first state beyond the limit: the midpoint at which
+        # the uncertified first 1024 steps split, computed by the split
+        flow = lf.assemble(lf.NetworkLinearEquation(path15_flow.problem.rows, np.zeros(15)),
+                           path15_flow.graph)
+        epsilon = 5.0 * lf.epsilon_star(flow)
+        _, states, _, _ = step_by_step([(flow.M, 512)], _forcing(flow),
+                                       np.concatenate([PATH15_X0, np.zeros(30)]), epsilon,
+                                       "euler", limit=math.inf)
+        peaks = np.abs(states).max(axis=1)
+        assert peaks[512] > 1.01 * peaks[:512].max()
+        u0 = np.concatenate([PATH15_X0 * DIVERGE_LIMIT / np.sqrt(peaks[512] * peaks[:512].max()),
+                             np.zeros(30)])
+        config = lf.DiscreteConfig(epsilon=epsilon, max_steps=1024, record_every=10)
+        with pytest.raises(lf.DivergedError) as excinfo:
+            lf.simulate_dt(flow, u0[:30], u0[30:], config)
+        steps, states, bad_step, bad = step_by_step(
+            [(flow.M, 1024)], _forcing(flow), u0, epsilon, "euler", 10)
+        assert excinfo.value.t_or_k == bad_step == 512
+        assert excinfo.value.bad_components == [component_names(15, 2)[i] for i in bad]
+        _assert_matches_reference(excinfo.value.trajectory, steps, states)
+
     @pytest.mark.parametrize("n", [16, 30, 60, 160])
     def test_one_state_and_stacked_products_agree_bitwise(self, n):
         # the engine's one product: a state's bits must not depend on
@@ -781,6 +809,31 @@ class TestCycleEngine:
         assert exact.bad_components == certified.bad_components
         assert np.array_equal(exact.trajectory.x, certified.trajectory.x)
         assert np.array_equal(exact.trajectory.v, certified.trajectory.v)
+
+    @pytest.mark.parametrize("x0", [np.zeros(10), PENT2_X0], ids=["zero-state", "diverging"])
+    def test_cycle_map_past_the_power_limit(self, switch_pair, monkeypatch, x0):
+        # one-step dwells at h = 2^63: each RK4 map's entries are near 1e80,
+        # so the cycle map of the two passes POWER_LIMIT; 100 cycles pass
+        # the cost test, and the cycles run segment by segment instead
+        h, problem = 2.0 ** 63, lf.NetworkLinearEquation(PENT2_H, np.zeros(5))
+        flows = [lf.assemble(problem, g) for g in switch_pair]
+        for flow in flows:
+            assert 1e79 < np.abs(_step_map(flow.M, _forcing(flow), h)[0]).max() < 1e81
+        calls = _count_cycle_runs(monkeypatch)
+        try:
+            traj = lf.simulate_switching(problem, lf.SwitchingSignal(h, switch_pair), x0,
+                                         np.zeros(10), h, 200 * h, record_every=1)
+            when, bad_names = None, None
+        except lf.DivergedError as exc:
+            traj, when, bad_names = exc.trajectory, exc.t_or_k, exc.bad_components
+        assert calls[0] == 0
+        steps, states, bad_step, bad = step_by_step(
+            [(flows[p % 2].M, 1) for p in range(200)], _forcing(flows[0]),
+            np.concatenate([x0, np.zeros(10)]), h)
+        assert (when, bad_step) == ((None, None) if not x0.any() else (h, 1))
+        if bad is not None:
+            assert bad_names == [component_names(5, 2)[i] for i in bad]
+        _assert_matches_reference(traj, steps, states, h)
 
     def test_cycles_cost_calls_per_segment_not_per_dwell(self, pent3_problem, switch_pair,
                                                          monkeypatch):
@@ -1144,7 +1197,7 @@ class TestCsv:
         assert values.size >= 10 ** 6
         for start in range(0, len(values), 1024):
             chunk = values[start:start + 1024]
-            assert _format_17g(chunk) == per_value_csv(chunk)
+            assert format_17g(chunk) == per_value_csv(chunk)
 
     @pytest.mark.parametrize("toward", [0.0, np.inf])
     def test_encoder_finds_the_decade_at_every_power_of_ten(self, toward):
@@ -1159,7 +1212,7 @@ class TestCsv:
         values = np.concatenate([around.reshape(-1), *near]).reshape(-1, 5)
         for start in range(0, len(values), 1024):
             chunk = values[start:start + 1024]
-            assert _format_17g(chunk) == per_value_csv(chunk)
+            assert format_17g(chunk) == per_value_csv(chunk)
 
     def test_encoder_table_ends(self, monkeypatch):
         # 1e-290 and 1e291 are the least doubles >= 10^-290 and the largest
@@ -1173,7 +1226,7 @@ class TestCsv:
         outside = [np.nextafter(least, 0), np.nextafter(largest, np.inf), -1e-291, 1e300,
                    3 * 2.0 ** -24]
         values = np.array([inside + outside])
-        text = _format_17g(values)
+        text = format_17g(values)
         assert text == per_value_csv(values)
         assert seen == outside
         fields = text.decode().split(",")
@@ -1195,7 +1248,7 @@ class TestCsv:
         seen.clear()
         for start in range(0, len(values), 160):
             chunk = values[start:start + 160]
-            assert _format_17g(chunk) == per_value_csv(chunk)
+            assert format_17g(chunk) == per_value_csv(chunk)
         assert all(map(takes_per_value_path, seen))
         assert 0.005 * values.size < len(seen) < 0.02 * values.size
 
@@ -1203,7 +1256,7 @@ class TestCsv:
                       elements=st.floats()))
     @settings(max_examples=300)
     def test_encoder_matches_per_value_format_on_any_doubles(self, values):
-        assert _format_17g(values) == per_value_csv(values)
+        assert format_17g(values) == per_value_csv(values)
 
     def test_reused_work_space_keeps_the_bytes(self):
         # one work space serves every chunk of a file: stale bytes from a

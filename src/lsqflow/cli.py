@@ -286,7 +286,7 @@ def main(argv=None) -> int:
         if args.plot is not None:
             config.plot = _plot_override(args.plot, config.problem)
         return run(config, out_dir=args.out)
-    except (LsqflowError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (LsqflowError, OSError, ValueError) as exc:
         print(json.dumps(error_envelope(exc)), file=sys.stderr)
         return 1
 

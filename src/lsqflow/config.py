@@ -8,9 +8,8 @@ edit-run cycle.
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,7 +20,7 @@ from .plotting import PlotSpec
 from .problem import NetworkLinearEquation
 # the engine and parse_config bound a run by the same MAX_STEPS and MAX_SAMPLES
 from .simulate import (DEFAULT_MAX_STEPS, DEFAULT_RECORD_EVERY, MAX_SAMPLES,  # noqa: F401
-                       MAX_STEPS, _run_length, component_names)
+                       MAX_STEPS, _is_number, _run_length, component_names)
 from .switching import SwitchingSignal
 
 # The keys each mode requires; its order is the CLI's subcommand order.
@@ -35,9 +34,6 @@ _REQUIRED = {
     "graph-feasibility": ("rows",),
 }
 MODES = tuple(_REQUIRED)
-
-DEFAULT_STEP_H = 0.005
-DEFAULT_T_END = 200.0
 
 # graph-feasibility rows: family graphs need three nodes; the largest
 # allowed graph bounds the support search of one row (ring-1000, the
@@ -53,8 +49,8 @@ class RunConfig:
     switching: Optional[SwitchingSignal] = None
     x0: Optional[np.ndarray] = None
     v0: Optional[np.ndarray] = None
-    step_h: float = DEFAULT_STEP_H
-    t_end: float = DEFAULT_T_END
+    step_h: float = 0.005
+    t_end: float = 200.0
     record_every: int = DEFAULT_RECORD_EVERY
     epsilon: Optional[float] = None
     max_steps: int = DEFAULT_MAX_STEPS
@@ -63,17 +59,6 @@ class RunConfig:
     out_csv: Optional[str] = None
     out_json: Optional[str] = None
     plot: Optional[PlotSpec] = None
-
-
-def _is_number(v) -> bool:
-    """A JSON number that is finite as a float; ``json.loads`` also accepts
-    ``NaN``, ``Infinity`` and integers too large for a float."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
 
 
 def _numeric_matrix(v):
@@ -221,39 +206,25 @@ def _parse_plot(section, violations, problem=None):
     )
 
 
-def _positive(data, key, default, violations, integer=False):
-    if key not in data:
-        return default
-    v = data[key]
-    if integer:
-        if not _is_int(v) or v < 1:
-            violations.append((key, "must be a positive integer"))
-            return default
-        return v
-    if not _is_number(v) or v <= 0:
-        violations.append((key, "must be positive"))
-        return default
-    return float(v)
-
-
-def _check_work(mode, step_h, t_end, max_steps, record_every, switching, violations) -> None:
+def _check_work(cfg, violations) -> None:
     """The run's own checks, before it starts: work bounds, and a t_end
     that is a whole number of steps (of periods, for a switching run).
     Skipped when a value they read was rejected, so that they do not
-    judge the default put in its place."""
-    if mode == "simulate-dt":
+    judge the default left in its place."""
+    step_h, t_end, period = cfg.step_h, cfg.t_end, None
+    if cfg.mode == "simulate-dt":
         key, used = "max_steps", ("max_steps", "record_every")
-        step_h, t_end, period = 1.0, max_steps, None    # a discrete run is a run of step 1
-    elif mode in ("simulate-ct", "simulate-switching"):
+        step_h, t_end = 1.0, cfg.max_steps      # a discrete run is a run of step 1
+    elif cfg.mode in ("simulate-ct", "simulate-switching"):
         key, used = "t_end", ("step_h", "t_end", "record_every")
-        period = (switching.period_T if switching is not None and mode == "simulate-switching"
-                  else None)
+        if cfg.switching is not None and cfg.mode == "simulate-switching":
+            period = cfg.switching.period_T
     else:
         return
     if any(path in used for path, _ in violations):
         return
     try:
-        _run_length(step_h, t_end, record_every, period)
+        _run_length(step_h, t_end, cfg.record_every, period)
     except ValueError as exc:
         violations.append((getattr(exc, "key", key), str(exc)))
 
@@ -283,86 +254,80 @@ def parse_config(text: str, base_dir: Optional[str] = None,
         violations.append(("mode", f"config says {data['mode']!r} but the "
                                    f"command requested {default_mode!r}"))
 
-    problem = None
-    if "problem_path" in data:
+    cfg = RunConfig(mode=mode)
+
+    def given(key):
+        """Whether the config holds ``key``; a required key it lacks is a
+        violation, reported here at its place in the list."""
+        if key in data:
+            return True
+        if key in required:
+            violations.append((key, "required"))
+        return False
+
+    def scalar(key, integer=False, zero=False):
+        """Read a run scalar: an integer where ``integer``, else a number,
+        kept as a float; positive, or nonnegative where ``zero``."""
+        if not given(key):
+            return
+        v = data[key]
+        if not (_is_int(v) if integer else _is_number(v)) or v < 0 or v == 0 and not zero:
+            violations.append((key, "must be a positive integer" if integer else
+                                    "must be nonnegative" if zero else "must be positive"))
+        else:
+            setattr(cfg, key, v if integer else float(v))
+
+    if "problem_path" in data:                  # it counts as the problem
         path = data["problem_path"]
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         try:
             with open(path) as fh:
-                problem = _parse_problem(json.load(fh), violations)
+                cfg.problem = _parse_problem(json.load(fh), violations)
         except OSError as exc:
             violations.append(("problem_path", str(exc)))
         except json.JSONDecodeError as exc:
             violations.append(("problem_path", f"invalid JSON: {exc}"))
-    elif "problem" in data:
-        problem = _parse_problem(data["problem"], violations)
-    elif "problem" in required:
-        violations.append(("problem", "required"))
+    elif given("problem"):
+        cfg.problem = _parse_problem(data["problem"], violations)
 
+    problem = cfg.problem
     n_nodes = problem.n_nodes if problem is not None else None
-    graph = None
-    if "graph" in data:
+    if given("graph"):
         mismatch = _node_mismatch(data["graph"], n_nodes)
         if mismatch:
             violations.append(("graph", mismatch))
         else:
-            graph = _parse_graph(data["graph"], violations, n_nodes)
-    elif "graph" in required:
-        violations.append(("graph", "required"))
+            cfg.graph = _parse_graph(data["graph"], violations, n_nodes)
+    if given("switching"):
+        cfg.switching = _parse_switching(data["switching"], violations, n_nodes)
 
-    switching = None
-    if "switching" in data:
-        switching = _parse_switching(data["switching"], violations, n_nodes)
-    elif "switching" in required:
-        violations.append(("switching", "required"))
+    scalar("step_h")
+    scalar("t_end")
+    scalar("record_every", integer=True)
+    scalar("max_steps", integer=True)
+    _check_work(cfg, violations)
+    scalar("epsilon")
+    scalar("alpha", zero=True)
 
-    step_h = _positive(data, "step_h", DEFAULT_STEP_H, violations)
-    t_end = _positive(data, "t_end", DEFAULT_T_END, violations)
-    record_every = _positive(data, "record_every", DEFAULT_RECORD_EVERY,
-                             violations, integer=True)
-    max_steps = _positive(data, "max_steps", DEFAULT_MAX_STEPS, violations, integer=True)
-    _check_work(mode, step_h, t_end, max_steps, record_every, switching, violations)
-    epsilon = None
-    if "epsilon" in data:
-        epsilon = _positive(data, "epsilon", None, violations)
-    elif "epsilon" in required:
-        violations.append(("epsilon", "required"))
-    alpha = 0.0
-    if "alpha" in data:
-        v = data["alpha"]
-        if not _is_number(v) or v < 0:
-            violations.append(("alpha", "must be nonnegative"))
-        else:
-            alpha = float(v)
-
-    x0 = v0 = None
-    if "x0" in data:
-        x0 = _numeric_vector(data["x0"])
-        if x0 is None:
-            violations.append(("x0", "must be an array of finite numbers"))
-    elif "x0" in required:
-        violations.append(("x0", "required"))
-    if "v0" in data:
-        v0 = _numeric_vector(data["v0"])
-        if v0 is None:
-            violations.append(("v0", "must be an array of finite numbers"))
+    for key in ("x0", "v0"):
+        if given(key):
+            vector = _numeric_vector(data[key])
+            if vector is None:
+                violations.append((key, "must be an array of finite numbers"))
+            setattr(cfg, key, vector)
     if problem is not None:
         nm = problem.n_nodes * problem.dim
-        if x0 is not None and x0.shape != (nm,):
-            violations.append(("x0", f"must have length {nm}"))
-        if v0 is not None and v0.shape != (nm,):
-            violations.append(("v0", f"must have length {nm}"))
+        for key, vector in (("x0", cfg.x0), ("v0", cfg.v0)):
+            if vector is not None and vector.shape != (nm,):
+                violations.append((key, f"must have length {nm}"))
 
-    rows = None
-    if "rows" in data:
-        rows = []
-        raw_rows = data["rows"]
-        if not isinstance(raw_rows, list):
+    if given("rows"):
+        if not isinstance(data["rows"], list):
             violations.append(("rows", "must be a list of [family, n] pairs"))
-            rows = None
         else:
-            for k, item in enumerate(raw_rows):
+            cfg.rows = []
+            for k, item in enumerate(data["rows"]):
                 if (not isinstance(item, list) or len(item) != 2
                         or item[0] not in FAMILIES or not _is_int(item[1])):
                     violations.append((f"rows[{k}]", "must be [family, n] with a known family"))
@@ -370,23 +335,17 @@ def parse_config(text: str, base_dir: Optional[str] = None,
                     violations.append((f"rows[{k}]", f"n must be between 3 and "
                                                      f"{MAX_FEASIBILITY_NODES}"))
                 else:
-                    rows.append((item[0], item[1]))
-    elif "rows" in required:
-        violations.append(("rows", "required"))
+                    cfg.rows.append((item[0], item[1]))
 
-    plot = _parse_plot(data["plot"], violations, problem) if "plot" in data else None
+    if given("plot"):
+        cfg.plot = _parse_plot(data["plot"], violations, problem)
 
-    out_csv = data.get("out_csv")
-    out_json = data.get("out_json")
-    for key, val in (("out_csv", out_csv), ("out_json", out_json)):
-        if val is not None and not isinstance(val, str):
+    for key in ("out_csv", "out_json"):
+        path = data.get(key)                    # null counts as absent
+        if path is not None and not isinstance(path, str):
             violations.append((key, "must be a string path"))
+        setattr(cfg, key, path)
 
     if violations:
         raise SchemaError(violations)
-    return RunConfig(
-        mode=mode, problem=problem, graph=graph, switching=switching,
-        x0=x0, v0=v0, step_h=step_h, t_end=t_end, record_every=record_every,
-        epsilon=epsilon, max_steps=max_steps, alpha=alpha, rows=rows,
-        out_csv=out_csv, out_json=out_json, plot=plot,
-    )
+    return cfg

@@ -68,7 +68,7 @@ def _node_index(value, what: str = "node index") -> int:
     :class:`InvalidNodeError` instead of being truncated."""
     if type(value) is int:              # the common case, without the ABC check
         return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_int(value):
         raise InvalidNodeError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
@@ -299,7 +299,8 @@ def support_report(spect: LaplacianSpectrum) -> SupportReport:
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    """An integer (numpy integers too) that is not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _graph_spec(d) -> tuple:

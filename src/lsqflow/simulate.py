@@ -21,11 +21,13 @@ import functools
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatchError, DivergedError, StepAlignmentError
+from .graphs import _is_int
 from .spectral import AssembledFlow, _costs, _initial_states
 
 DIVERGE_LIMIT = 1e9
@@ -45,11 +47,6 @@ DEFAULT_RECORD_EVERY = 10
 DEFAULT_MAX_STEPS = 40000
 
 
-def _is_count(value) -> bool:
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= 1)
-
-
 def _aligned_count(total: float, step: float, names: tuple) -> int:
     """``total / step`` as a whole number; raises StepAlignmentError on the
     numerator ``names[0]`` unless the ratio is a positive integer to
@@ -60,6 +57,17 @@ def _aligned_count(total: float, step: float, names: tuple) -> int:
         raise StepAlignmentError(f"{' / '.join(names)}: {total} is not an integer multiple "
                                  f"of {step}", names[0])
     return count
+
+
+def _is_number(value) -> bool:
+    """A real number, not a bool, that is finite as a float; a JSON config
+    also holds ``NaN``, ``Infinity`` and integers too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _run_length(step_h, t_end, record_every, period_T=None) -> tuple:
@@ -74,9 +82,11 @@ def _run_length(step_h, t_end, record_every, period_T=None) -> tuple:
     a whole number of steps, or, with a switching period, of periods,
     each a whole number of steps.
     """
-    if not (0 < step_h < math.inf and 0 < t_end < math.inf):
+    if _is_int(t_end) and t_end > sys.float_info.max:      # t_end / step_h would overflow
+        raise ValueError(f"asks for more than {MAX_STEPS:.0e} integrator steps, the limit")
+    if not (_is_number(step_h) and _is_number(t_end) and step_h > 0 and t_end > 0):
         raise ValueError("step_h and t_end must be positive and finite")
-    if not _is_count(record_every):
+    if not (_is_int(record_every) and record_every >= 1):
         raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
     steps = t_end / step_h
     if not steps <= MAX_STEPS:           # also catches inf
@@ -130,9 +140,9 @@ class DiscreteConfig:
     record_every: int = DEFAULT_RECORD_EVERY
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
+        if not (_is_number(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be positive and finite")
-        if not _is_count(self.max_steps):
+        if not (_is_int(self.max_steps) and self.max_steps >= 1):
             raise ValueError(f"max_steps must be a positive integer, got {self.max_steps!r}")
         _run_length(1.0, self.max_steps, self.record_every)
 
@@ -593,7 +603,7 @@ def simulate_damped(flow: AssembledFlow, alpha: float, x0, v0,
     With alpha = 0 the extra term vanishes and the run delegates to
     :func:`simulate_ct`, so the trajectories agree bit for bit.
     """
-    if not 0 <= alpha < math.inf:
+    if not (_is_number(alpha) and alpha >= 0):
         raise ValueError("alpha must be nonnegative and finite")
     if alpha == 0.0:
         return simulate_ct(flow, x0, v0, step_h, t_end, record_every)

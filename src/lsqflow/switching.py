@@ -12,12 +12,11 @@ error into a small neighborhood of zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError
 from .problem import NetworkLinearEquation
-from .simulate import DEFAULT_RECORD_EVERY, Trajectory, _run, _run_length
+from .simulate import DEFAULT_RECORD_EVERY, Trajectory, _is_number, _run, _run_length
 from .spectral import assemble
 
 
@@ -29,7 +28,7 @@ class SwitchingSignal:
     graphs: tuple
 
     def __post_init__(self):
-        if not 0 < self.period_T < math.inf:
+        if not (_is_number(self.period_T) and self.period_T > 0):
             raise ValueError("period_T must be positive and finite")
         if len(self.graphs) == 0:
             raise ValueError("signal needs at least one graph")

@@ -13,7 +13,7 @@ from lsqflow import cli as cli_module
 from lsqflow.cli import _json_text, build_parser, error_envelope, run
 
 from _helpers import pattern_rows
-from conftest import fixture_path, load_fixture
+from conftest import fixture_json, fixture_path, load_fixture
 
 
 def invoke(config_name, out_dir):
@@ -349,6 +349,16 @@ class TestCommandLine:
         env = json.loads(res.stderr)
         assert env["error"] == "SchemaError"
         assert any("mode" == p for p, _ in env["details"]["violations"])
+
+    def test_count_beyond_the_float_range_is_schema_error(self, tmp_path):
+        data = {**fixture_json("chain4_dt_step003.json"), "max_steps": "HUGE"}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data).replace('"HUGE"', "1" + "0" * 400))
+        res = cli("simulate-dt", "--config", str(path), "--out", str(tmp_path))
+        assert res.returncode == 1, res.stderr
+        env = json.loads(res.stderr)
+        assert env["error"] == "SchemaError"
+        assert [p for p, _ in env["details"]["violations"]] == ["max_steps"]
 
     def test_missing_config_file(self, tmp_path):
         res = cli("analyze", "--config", str(tmp_path / "ghost.json"))

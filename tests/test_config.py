@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -261,6 +262,8 @@ RUN_LENGTH_CASES = [
     ("dt", {"max_steps": 10**8 + 1, "record_every": 1000}, "max_steps"),
     ("dt", {"max_steps": 10**6, "record_every": 1}, "max_steps"),
     ("dt", {"max_steps": 10**6 - 1, "record_every": 1}, None),
+    # beyond the float range: bounded before t_end / step_h can overflow
+    ("dt", {"max_steps": 10**400}, "max_steps"),
     # t_end off the step grid, or not a whole number of periods
     *((run, {"step_h": 0.3, "t_end": 1.0}, "t_end") for run in ("ct", "damped")),
     ("switching", {"step_h": 0.01, "t_end": 2.5}, "t_end"),
@@ -310,6 +313,42 @@ def test_config_and_library_agree_on_run_length(monkeypatch, run, values, key):
     }
     with pytest.raises(ValueError if key else Started):
         calls[run]()
+
+
+def test_a_count_beyond_the_float_range_names_the_step_limit():
+    limit = f"{lf.simulate.MAX_STEPS:.0e}"
+    with pytest.raises(ValueError, match=re.escape(limit)):
+        lf.DiscreteConfig(0.1, max_steps=10**400)
+    data = {"mode": "simulate-dt", "problem": CHAIN_PROBLEM, "graph": CHAIN_GRAPH,
+            "epsilon": 0.01, "x0": [0] * 8, "max_steps": 10**400}
+    [(key, message)] = violations_of(data)
+    assert key == "max_steps" and limit in message
+
+
+class TestViolationOrder:
+    """One pass over the keys reports violations in the order of the keys."""
+
+    def test_scalar_before_missing_keys(self):
+        data = {"mode": "simulate-dt", "problem": CHAIN_PROBLEM, "graph": CHAIN_GRAPH,
+                "step_h": -1}
+        assert violations_of(data) == [("step_h", "must be positive"),
+                                       ("epsilon", "required"), ("x0", "required")]
+
+    def test_vector_types_before_lengths(self):
+        data = {"mode": "simulate-ct", "problem": CHAIN_PROBLEM, "graph": CHAIN_GRAPH,
+                "x0": [0] * 7, "v0": ["a"]}
+        assert violations_of(data) == [("v0", "must be an array of finite numbers"),
+                                       ("x0", "must have length 8")]
+
+    def test_switching_keys_in_order(self):
+        data = {"mode": "simulate-switching", "problem": CHAIN_PROBLEM,
+                "t_end": -1, "alpha": -1}
+        assert paths_of(data) == ["switching", "t_end", "alpha", "x0"]
+
+    def test_null_outputs_are_absent(self):
+        cfg = parse({"mode": "solve-lsq", "problem": CHAIN_PROBLEM,
+                     "out_csv": None, "out_json": None})
+        assert (cfg.out_csv, cfg.out_json) == (None, None)
 
 
 class TestCrossChecks:
@@ -458,6 +497,9 @@ class TestDocumentedSchema:
         cfg = parse({"mode": "graph-feasibility", "rows": []})
         for key in ("step_h", "t_end", "record_every", "max_steps"):
             assert props[key]["default"] == getattr(cfg, key), key
+
+    def test_step_bound(self, schema):
+        assert schema["properties"]["max_steps"]["maximum"] == lf.simulate.MAX_STEPS
 
     def test_row_bounds(self, schema):
         n = schema["properties"]["rows"]["items"]["items"][1]

@@ -38,3 +38,13 @@ def test_scale_sweep_ends_with_json():
     result = run("scale_sweep.py", "--families", "path", "--sizes", "8", "--repeats", "1")
     assert result.returncode == 0, result.stderr
     assert {"verdict", "ct_peak_x"} <= json.loads(result.stdout.splitlines()[-1])["path-8"].keys()
+
+
+def test_stepsize_sweep_brackets_the_threshold():
+    config = SCRIPTS.parent / "fixtures" / "chain4_dt_step003.json"
+    result = run("stepsize_sweep.py", "--config", str(config), "--max-steps", "2000")
+    assert result.returncode == 0, result.stderr
+    fates = {line.split("(")[1].split(")")[0]: line.split(": ")[1]
+             for line in result.stdout.splitlines() if line.startswith("eps = ")}
+    assert fates["0.5 x threshold"].startswith("converged")
+    assert fates["2 x threshold"].startswith("diverged")

@@ -1077,6 +1077,16 @@ WITH_NAN = np.array([0.0] * 7 + [NAN])
                  id="switch-record_every-2.5"),
     pytest.param(lambda f: lf.DiscreteConfig(epsilon=0.03, max_steps=NAN), id="dt-max_steps-nan"),
     pytest.param(lambda f: lf.DiscreteConfig(epsilon=0.03, max_steps=2.5), id="dt-max_steps-2.5"),
+    # a bool, or an integer beyond the float range, is not a number to a config either
+    pytest.param(lambda f: lf.DiscreteConfig(epsilon=True), id="dt-epsilon-bool"),
+    pytest.param(lambda f: lf.SwitchingSignal(True, (f.graph,)), id="switch-period-bool"),
+    pytest.param(lambda f: lf.simulate_ct(f, FINITE, FINITE, True, 1.0), id="ct-step-bool"),
+    pytest.param(lambda f: lf.simulate_damped(f, True, FINITE, FINITE, 0.005, 1.0),
+                 id="damped-alpha-bool"),
+    pytest.param(lambda f: lf.simulate_ct(f, FINITE, FINITE, 0.005, 10**400),
+                 id="ct-t_end-1e400"),
+    pytest.param(lambda f: lf.DiscreteConfig(epsilon=0.03, max_steps=10**400),
+                 id="dt-max_steps-1e400"),
     # a run that rounds to zero steps
     pytest.param(lambda f: lf.simulate_ct(f, FINITE, FINITE, 0.01, 0.001), id="ct-zero-steps"),
     pytest.param(lambda f: lf.simulate_switching(f.problem, lf.SwitchingSignal(0.1, (f.graph,)),

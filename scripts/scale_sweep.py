@@ -5,7 +5,9 @@ For ring, star, complete and path graphs at N = 48, 100 and 200 (by
 default), with seeded generic rows (m = 2), it times:
 
 - ``assemble``: building the flow matrices;
-- ``eigvals``: the dense eigen-solve of M (``m_spectrum``);
+- ``eigvals``: M's spectrum (``m_spectrum``): the Laplacian eigen-solve,
+  the rank pass over its eigenspaces and the dense eigen-solve of M, or,
+  where eigenspaces fail, of the part of M their null vectors leave;
 - ``verdict``: ``check_condition``, which decides from the Laplacian
   alone (its eigen-solve, the rank pass over its eigenspaces and, where
   the condition fails, the witness search); M and its eigen-solve take

@@ -20,9 +20,14 @@ see the same inputs.
 
 ``--compare`` prints the differences by class: verdicts, witnesses and
 their supports, ``zero_space_dim``, epsilon*, eigenvalue lists, minimum
-supports, errors, and the largest change in the projector W. It exits 1
-when anything but W changed. BLAS runs on one thread, because a threaded
-eigen-solve of M can move eigenvalues in their last digits between runs.
+supports and errors. It then prints how far the numbers moved, each split
+into holding and failing entries: the largest change in the projector W,
+the largest change of a matched eigenvalue over the spectral radius
+(each eigenvalue of BEFORE, in turn, is matched to the nearest one of
+AFTER not yet taken), and the largest relative change of epsilon*. It
+exits 1 when anything but W changed. BLAS runs on one thread, because a
+threaded eigen-solve of M can move eigenvalues in their last digits
+between runs.
 
 Both modes also print the smallest kernel gap ratio over the analyze
 payloads (of AFTER, when comparing): the (k+1)-th smallest ``|lambda|``
@@ -146,11 +151,26 @@ def _witness_of(entry: dict):
             entry.get("witness_support"))
 
 
+def matched_change(before, after) -> float:
+    """The largest change of an eigenvalue, as [re, im] pairs, over the
+    spectral radius of ``before``: each eigenvalue of ``before``, in turn,
+    is matched to the nearest one of ``after`` not yet taken."""
+    a, b = (np.array(e, dtype=float) @ [1.0, 1j] for e in (before, after))
+    taken, change = np.zeros(b.size, dtype=bool), 0.0
+    for z in a:
+        gap = np.where(taken, np.inf, np.abs(b - z))
+        j = int(np.argmin(gap))
+        taken[j], change = True, max(change, gap[j])
+    return change / np.abs(a).max(initial=0.0) if change else 0.0
+
+
 def compare(before: dict, after: dict) -> dict:
     classes = {name: [] for name in ("missing", "error", "verdict", "witness",
                                      "witness_support", "zero_space_dim", "epsilon_star",
                                      "eigenvalues", "support", "W_presence")}
-    w_max = {"holding": 0.0, "failing": 0.0}
+    moved = {name: {"holding": 0.0, "failing": 0.0}
+             for name in ("W_max_abs_change", "eigenvalue_max_rel_change",
+                          "epsilon_star_max_rel_change")}
     for key in sorted(set(before) | set(after)):
         if key not in before or key not in after:
             classes["missing"].append(key)
@@ -176,19 +196,27 @@ def compare(before: dict, after: dict) -> dict:
         if "spectral" not in a:
             continue
         sa, sb = a["spectral"], b["spectral"]
+        change = {}
         for name in ("zero_space_dim", "epsilon_star"):
             if sa[name] != sb[name]:
                 classes[name].append(f"{key}: {sa[name]} -> {sb[name]}")
+        ea, eb = sa["epsilon_star"], sb["epsilon_star"]
+        if ea != eb and None not in (ea, eb):
+            change["epsilon_star_max_rel_change"] = abs(eb - ea) / abs(ea)
         if sa["m_eigenvalues"] != sb["m_eigenvalues"]:
             classes["eigenvalues"].append(key)
+            if len(sa["m_eigenvalues"]) == len(sb["m_eigenvalues"]):
+                change["eigenvalue_max_rel_change"] = matched_change(sa["m_eigenvalues"],
+                                                                     sb["m_eigenvalues"])
         Wa, Wb = sa["projector_W"], sb["projector_W"]
         if (Wa is None) != (Wb is None):
             classes["W_presence"].append(key)
         elif Wa is not None:
-            diff = float(np.abs(np.array(Wa) - np.array(Wb)).max())
-            side = "holding" if holds_b else "failing"
-            w_max[side] = max(w_max[side], diff)
-    return {"entries": len(after), "differences": classes, "W_max_abs_change": w_max}
+            change["W_max_abs_change"] = float(np.abs(np.array(Wa) - np.array(Wb)).max())
+        side = "holding" if holds_b else "failing"
+        for name, value in change.items():
+            moved[name][side] = max(moved[name][side], value)
+    return {"entries": len(after), "differences": classes, **moved}
 
 
 def main() -> int:
@@ -206,8 +234,11 @@ def main() -> int:
             print(f"{name:16s} {len(items)}")
             for item in items[:10]:
                 print(f"    {item}")
-        print(f"W max abs change: holding {result['W_max_abs_change']['holding']:.3e}, "
-              f"failing {result['W_max_abs_change']['failing']:.3e}")
+        for name, label in (("W_max_abs_change", "W max abs change"),
+                            ("eigenvalue_max_rel_change", "eigenvalue max change / radius"),
+                            ("epsilon_star_max_rel_change", "epsilon* max relative change")):
+            print(f"{label}: holding {result[name]['holding']:.3e}, "
+                  f"failing {result[name]['failing']:.3e}")
         print("smallest kernel gap ratio %.3g (%s)" % smallest_kernel_gap(after))
         print("smallest Laplacian separation margin %.3g (%s)" % smallest_separation_margin(),
               file=sys.stderr)

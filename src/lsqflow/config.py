@@ -279,15 +279,16 @@ def parse_config(text: str, base_dir: Optional[str] = None,
 
     if "problem_path" in data:                  # it counts as the problem
         path = data["problem_path"]
-        if base_dir is not None and not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        try:
-            with open(path) as fh:
-                cfg.problem = _parse_problem(json.load(fh), violations)
-        except OSError as exc:
-            violations.append(("problem_path", str(exc)))
-        except json.JSONDecodeError as exc:
-            violations.append(("problem_path", f"invalid JSON: {exc}"))
+        if not isinstance(path, str):           # open(1) would close stdout
+            violations.append(("problem_path", "must be a string path"))
+        else:                                   # joining keeps an absolute path
+            try:
+                with open(os.path.join(base_dir or "", path)) as fh:
+                    cfg.problem = _parse_problem(json.load(fh), violations)
+            except OSError as exc:
+                violations.append(("problem_path", str(exc)))
+            except json.JSONDecodeError as exc:
+                violations.append(("problem_path", f"invalid JSON: {exc}"))
     elif given("problem"):
         cfg.problem = _parse_problem(data["problem"], violations)
 

@@ -20,13 +20,16 @@ RANK_RTOL = 1e-12
 
 
 def _stacked_rank(stack: np.ndarray, scale=None) -> tuple:
-    """(ranks, unit null vectors for the smallest singular values) of a
-    stack of matrices, in one SVD call, each rank at the tolerance
-    ``RANK_RTOL`` relative to ``scale``, by default its largest singular value."""
+    """(ranks, right singular vectors) of a stack of matrices, in one SVD
+    call, each rank at the tolerance ``RANK_RTOL`` relative to ``scale``,
+    by default its largest singular value. Each matrix's vectors are the
+    rows of a square orthogonal matrix, by descending singular value, so
+    the rows past the rank span its null space and the last is the unit
+    null vector of the smallest singular value."""
     rows, cols = stack.shape[1:]
     _, sv, vt = np.linalg.svd(stack, full_matrices=rows < cols)
     tol = (sv[:, :1] if scale is None else scale) * max(rows, cols) * RANK_RTOL
-    return np.count_nonzero(sv > tol, axis=1), vt[:, -1]
+    return np.count_nonzero(sv > tol, axis=1), vt
 
 
 class NetworkLinearEquation:

@@ -10,8 +10,11 @@ where ``H_tilde`` is the block diagonal of the per-node outer products
 ``h_i h_i^T`` and ``L_kron = L (x) I_m``. Whether every trajectory
 reaches consensus on the least-squares solution is decided by L: M has
 a nonzero purely imaginary eigenvalue ``i r`` iff the rows ``B_i (x) h_i``
-of L's eigenspace at r > 0 lose rank. The stable part of M's spectrum
-yields the exact step-size threshold for the forward-Euler iteration.
+of L's eigenspace at r > 0 lose rank. Each of their null vectors is one
+exact pair ``+-i r`` of M, so M's spectrum is dense-solved only on the
+part of the state space those pairs leave; where no eigenspace fails,
+that is all of M. The stable part of M's spectrum yields the exact
+step-size threshold for the forward-Euler iteration.
 """
 
 from __future__ import annotations
@@ -127,10 +130,32 @@ def _initial_states(flow: AssembledFlow, *states) -> list:
     return states
 
 
-def m_spectrum(flow: AssembledFlow) -> np.ndarray:
-    """All 2Nm eigenvalues of M, sorted by (real, imaginary) part."""
+def m_spectrum(flow: AssembledFlow, failing=None) -> np.ndarray:
+    """All 2Nm eigenvalues of M, sorted by (real, imaginary) part.
+
+    ``failing`` is the failing eigenspaces of :func:`_rank_pass`, ranked
+    here when not given. Without one, M is solved whole. Else each null
+    vector x of an eigenspace r > 0 has ``H_tilde x = 0`` and
+    ``L_kron x = r x``, so span{(x, 0), (0, x)} is invariant under M and
+    M^T, where M acts as [[0, -r], [r, 0]]: the pair ``+-i r``, written
+    exactly. The orthogonal complement, spanned by (Z, 0) and (0, Z) for
+    an orthonormal basis Z of the complement of every x, is then
+    M-invariant too, and only M compressed to it is solved.
+    """
+    if failing is None:
+        spect = spectrum(flow.L)
+        failing = _rank_pass(flow.problem, spect, spect.eigenspace_groups)[1]
+    M, known = flow.M, []
+    if failing:
+        r, X = zip(*failing.values())
+        x = np.concatenate(X).reshape(-1, flow.state_dim)
+        up = 1j * np.repeat(r, [len(b) for b in X])
+        known = [up, up.conj()]  # real parts +0.0, where -1j * r gives -0.0
+        Z = np.linalg.qr(x.T, mode="complete")[0][:, len(x):]
+        H, L = Z.T @ flow.H_tilde @ Z, Z.T @ flow.L_kron @ Z
+        M = np.block([[-H, -L], [L, np.zeros_like(L)]])
     try:
-        eigs = np.linalg.eigvals(flow.M)
+        eigs = np.concatenate([np.linalg.eigvals(M), *known])
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"dense eigen-solve failed: {exc}") from exc
     order = np.lexsort((eigs.imag, eigs.real))
@@ -169,8 +194,9 @@ def _rank_pass(problem, spect: LaplacianSpectrum, groups) -> tuple:
     component and x = B C with ``h_i^T x_i = 0``, a null vector vec(C)
     of K: k = dim ker M = c m + nullity(K). For r > 0, M has the
     eigenvalue ``i r`` iff K is rank-deficient: ``failing`` maps each
-    such group to its null block (r, X), X = B C (n x m) for K's null
-    vector vec(C), so ``h_i^T x_i = 0`` and ``(X, -i X)`` is an
+    such group to (r, X), X the orthonormal null blocks B C (one n x m
+    block per null vector vec(C) of K, the last for K's smallest
+    singular value), so ``h_i^T x_i = 0`` and ``(X_j, -i X_j)`` is an
     eigenvector of M at ``i r``.
     """
     m = problem.dim
@@ -183,12 +209,12 @@ def _rank_pass(problem, spect: LaplacianSpectrum, groups) -> tuple:
         same = [g for g in groups if len(g) == d]
         bases = np.stack([spect.eigenvectors[:, list(g)] for g in same])
         K = bases[..., None] * problem.rows[:, None, :]  # rows B_i (x) h_i
-        ranks, nulls = _stacked_rank(K.reshape(len(same), -1, d * m), scale)
-        for g, B, rank, null in zip(same, bases, ranks, nulls):
+        ranks, vts = _stacked_rank(K.reshape(len(same), -1, d * m), scale)
+        for g, B, rank, vt in zip(same, bases, ranks, vts):
             if g == zero:
                 k += d * m - int(rank)
             elif rank < d * m:
-                failing[g] = float(w[g[0]]), B @ null.reshape(d, m)
+                failing[g] = float(w[g[0]]), B @ vt[rank:].reshape(-1, d, m)
     return k, failing
 
 
@@ -230,9 +256,9 @@ def _witness(problem, spect: LaplacianSpectrum, groups) -> tuple:
             for size in np.unique(sizes):
                 picked = np.flatnonzero(sizes == size)
                 nodes = np.nonzero(masks[picked])[1].reshape(picked.size, size)
-                ranks, etas = _stacked_rank(problem.rows[nodes], scale)
+                ranks, vts = _stacked_rank(problem.rows[nodes], scale)
                 deficient = ranks < problem.dim
-                failing.update(zip(picked[deficient], etas[deficient]))
+                failing.update(zip(picked[deficient], vts[deficient, -1]))
             if failing:
                 k = min(failing)
                 return (float(spect.eigenvalues[group[0]]), failing[k]), _support_of(block[k])
@@ -244,12 +270,12 @@ def _verdict(problem, spect: LaplacianSpectrum, failing) -> ConditionVerdict:
 
     A connected graph holds iff none fails. Else the member witness
     search runs on the failing eigenspaces; where no member witnesses the
-    failure, the verdict carries the null block of the smallest failing
-    r. A graph is disconnected when eigenspace 0, as :func:`_rank_pass`
-    checks it, has more than one dimension. Then no direction mixes
-    across components, so the witness is the first unit vector at
-    eigenvalue 0, backed by node 1's component: the support of the
-    zero-eigenspace projection of the first node's indicator.
+    failure, the verdict carries the last null block of the smallest
+    failing r. A graph is disconnected when eigenspace 0, as
+    :func:`_rank_pass` checks it, has more than one dimension. Then no
+    direction mixes across components, so the witness is the first unit
+    vector at eigenvalue 0, backed by node 1's component: the support of
+    the zero-eigenspace projection of the first node's indicator.
     """
     zero = spect.eigenvectors[:, list(spect.eigenspace_groups[0])]
     if zero.shape[1] > 1:
@@ -261,7 +287,8 @@ def _verdict(problem, spect: LaplacianSpectrum, failing) -> ConditionVerdict:
     witness, support = _witness(problem, spect, groups)
     if witness is not None:
         return ConditionVerdict(False, witness, support)
-    return ConditionVerdict(False, None, None, failing[groups[0]])
+    r, X = failing[groups[0]]
+    return ConditionVerdict(False, None, None, (r, X[-1]))
 
 
 def check_condition(problem: NetworkLinearEquation, graph: Graph) -> ConditionVerdict:
@@ -296,11 +323,11 @@ def epsilon_star_from_eigenvalues(eigenvalues, kernel_dim: int) -> float:
 
 
 def epsilon_star(flow: AssembledFlow) -> float:
-    """The step threshold of the flow, its kernel dimension from the
-    zero eigenspace of the Laplacian."""
+    """The step threshold of the flow, its kernel dimension and failing
+    eigenspaces from the rank pass over the Laplacian's eigenspaces."""
     spect = spectrum(flow.L)
-    kernel_dim = _rank_pass(flow.problem, spect, spect.eigenspace_groups[:1])[0]
-    return epsilon_star_from_eigenvalues(m_spectrum(flow), kernel_dim)
+    kernel_dim, failing = _rank_pass(flow.problem, spect, spect.eigenspace_groups)
+    return epsilon_star_from_eigenvalues(m_spectrum(flow, failing), kernel_dim)
 
 
 def equilibrium_dual(flow: AssembledFlow) -> np.ndarray:
@@ -354,14 +381,14 @@ def _consensus_projector(problem: NetworkLinearEquation) -> np.ndarray:
 def build_spectral_report(flow: AssembledFlow) -> SpectralReport:
     """Eigen-data bundle serialized by the CLI's analyze mode: the verdict
     and kernel dimension from the Laplacian, the eigenvalues and step
-    threshold from one eigen-solve of M. M must have a nonzero purely
-    imaginary eigenvalue iff some eigenspace fails, else
+    threshold from :func:`m_spectrum` given that rank pass. M must have a
+    nonzero purely imaginary eigenvalue iff some eigenspace fails, else
     :class:`InternalInconsistencyError`. W is :func:`_consensus_projector`
     where the condition holds.
     """
-    eigs = m_spectrum(flow)
     spect = spectrum(flow.L)
     zero_space_dim, failing = _rank_pass(flow.problem, spect, spect.eigenspace_groups)
+    eigs = m_spectrum(flow, failing)
     imaginary, stable = _nonzero_split(eigs, zero_space_dim)
     verdict = _verdict(flow.problem, spect, failing)
     if (not failing) != (imaginary.size == 0):

@@ -11,6 +11,7 @@ import pytest
 import lsqflow as lf
 from lsqflow import cli as cli_module
 from lsqflow.cli import _json_text, build_parser, error_envelope, run
+from lsqflow.spectral import _rank_pass
 
 from _helpers import pattern_rows
 from conftest import fixture_json, fixture_path, load_fixture
@@ -116,7 +117,8 @@ class TestJsonText:
 
 
 class TestOneEigenSolve:
-    """Each analysis runs one dense eigen-solve of M on one assembled flow."""
+    """Each analysis runs one dense eigen-solve on one assembled flow: of M,
+    or of the part of M a failing flow's null vectors leave."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -144,6 +146,22 @@ class TestOneEigenSolve:
         code, _, _ = invoke(name, tmp_path)
         assert code == 0
         assert counts == {"eigvals": 1, "assemble": 1}
+
+    def test_failing_flow_solves_what_its_null_vectors_leave(self, counts, monkeypatch):
+        # star-24 fails at r = 1: each of the nu null vectors there is the
+        # known pair +-i r of M, so the one solve has 2nm - 2 nu rows
+        n, m = 24, 2
+        problem = lf.NetworkLinearEquation(pattern_rows("generic", n), np.ones(n))
+        graph = lf.make_family("star", n)
+        spect = lf.spectrum(lf.laplacian(graph))
+        failing = _rank_pass(problem, spect, spect.eigenspace_groups)[1]
+        nu = sum(len(X) for _, X in failing.values())
+        shapes, counted = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or counted(a))
+        config = lf.RunConfig(mode="analyze", problem=problem, graph=graph)
+        assert run(config, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+        assert counts == {"eigvals": 1, "assemble": 1}
+        assert nu > 0 and shapes == [(2 * n * m - 2 * nu,) * 2]
 
 
 class TestSvdWorkGuard:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 
 import numpy as np
@@ -138,6 +139,20 @@ class TestProblemSection:
         viol = dict(violations_of({"mode": "solve-lsq", "problem_path": "prob.json"},
                                   base_dir=str(tmp_path)))
         assert "invalid JSON" in viol["problem_path"]
+
+    @pytest.mark.parametrize("path", [None, 2.5, [], {}, 1, True], ids=repr)
+    def test_problem_path_must_be_a_string(self, path, tmp_path):
+        data = {"mode": "solve-lsq", "problem_path": path}
+        for base_dir in (None, str(tmp_path)):
+            assert violations_of(data, base_dir=base_dir) == [
+                ("problem_path", "must be a string path")]
+
+    def test_integer_problem_path_leaves_stdout_open(self, capfd):
+        # open(1) would read file descriptor 1 and close it on the way out
+        violations_of({"mode": "solve-lsq", "problem_path": 1})
+        os.fstat(1)
+        print("still open")
+        assert capfd.readouterr().out == "still open\n"
 
 
 class TestNumericFields:

@@ -48,3 +48,39 @@ def test_stepsize_sweep_brackets_the_threshold():
              for line in result.stdout.splitlines() if line.startswith("eps = ")}
     assert fates["0.5 x threshold"].startswith("converged")
     assert fates["2 x threshold"].startswith("diverged")
+
+
+def snapshot_entry(holds, eigenvalues, epsilon_star):
+    """A hand-made analyze entry of verdict_snapshot.py for a two-node,
+    m = 1 flow."""
+    return {"condition": {"holds": holds, "method": "both", "witness": None,
+                          "witness_support": None},
+            "spectral": {"m_eigenvalues": eigenvalues, "epsilon_star": epsilon_star,
+                         "zero_space_dim": 1,
+                         "projector_W": [[0.5, 0.5], [0.5, 0.5]] if holds else None}}
+
+
+def test_verdict_snapshot_compare_reports_how_far_numbers_moved(tmp_path):
+    # the failing entry's rows reorder where a real part of 1e-16 became 0:
+    # matched, its eigenvalues moved by 4e-12 over a radius of 4
+    holding = snapshot_entry(True, [[-2.0, 0.0], [-1.0, 0.0], [-0.5, 0.0], [0.0, 0.0]], 0.5)
+    before = {"a/generic/analyze": holding,
+              "b/generic/analyze": snapshot_entry(
+                  False, [[-4.0, 0.0], [0.0, 0.0], [1e-16, -1.0], [1e-16, 1.0]], 0.5)}
+    after = {"a/generic/analyze": holding,
+             "b/generic/analyze": snapshot_entry(
+                 False, [[-4.0 + 4e-12, 0.0], [0.0, -1.0], [0.0, 0.0], [0.0, 1.0]], 0.5000001)}
+    paths = []
+    for name, entries in (("before", before), ("after", after)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(entries))
+    result = run("verdict_snapshot.py", "--compare", *map(str, paths))
+    assert result.returncode == 1, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "2 entries"
+    counts = dict(line.split() for line in lines if line[:1].isalpha() and len(line.split()) == 2)
+    assert counts.pop("eigenvalues") == counts.pop("epsilon_star") == "1"
+    assert set(counts.values()) == {"0"}
+    assert "W max abs change: holding 0.000e+00, failing 0.000e+00" in lines
+    assert "eigenvalue max change / radius: holding 0.000e+00, failing 1.000e-12" in lines
+    assert "epsilon* max relative change: holding 0.000e+00, failing 2.000e-07" in lines

@@ -30,6 +30,16 @@ def same_verdict(a, b) -> bool:
     return parts(a) == parts(b)
 
 
+def matched_gap(a, b) -> float:
+    """The largest distance when each value of a, in turn, takes the
+    nearest value of b not yet taken: how far two spectra lie apart."""
+    b, gap = list(b), 0.0
+    for z in a:
+        j = int(np.argmin(np.abs(np.asarray(b) - z)))
+        gap = max(gap, abs(b.pop(j) - z))
+    return gap
+
+
 class TestAssemble:
     def test_block_structure(self, chain_problem, chain_graph, chain_flow):
         n, m = 4, 2
@@ -133,6 +143,43 @@ class TestMSpectrum:
             eigs = lf.m_spectrum(flow)
             scale = np.abs(eigs).max()
             assert eigs.real.max() <= 1e-9 * scale
+
+    def test_holding_flows_are_solved_whole(self, chain_flow):
+        # no eigenspace fails: the spectrum is the one solve of all of M,
+        # bit for bit
+        flows = [chain_flow]
+        for family in ("path", "ring"):
+            for n in (8, 24):
+                problem = lf.NetworkLinearEquation(pattern_rows("generic", n), np.ones(n))
+                flows.append(lf.assemble(problem, lf.make_family(family, n)))
+        for flow in flows:
+            assert lf.check_condition(flow.problem, flow.graph).holds
+            eigs = np.linalg.eigvals(flow.M)
+            whole = eigs[np.lexsort((eigs.imag, eigs.real))]
+            assert lf.m_spectrum(flow).tobytes() == whole.tobytes()
+
+    def test_failing_flows_deflate_one_pair_per_null_vector(self):
+        # each null vector of a failing eigenspace r is the exact pair +-i r;
+        # with the solve of the part of M they leave, the spectrum is M's
+        seen = 0
+        for family in ("star", "complete", "ring"):
+            for n in range(4, 17):
+                graph = lf.make_family(family, n)
+                spect = lf.spectrum(lf.laplacian(graph))
+                for pattern in ("blind3", "blind2"):
+                    problem = lf.NetworkLinearEquation(pattern_rows(pattern, n), np.ones(n))
+                    failing = _rank_pass(problem, spect, spect.eigenspace_groups)[1]
+                    if not failing:
+                        continue
+                    seen += 1
+                    flow = lf.assemble(problem, graph)
+                    eigs = lf.m_spectrum(flow)
+                    whole = np.linalg.eigvals(flow.M)
+                    assert matched_gap(whole, eigs) <= 1e-12 * np.abs(whole).max()
+                    for r, X in failing.values():
+                        for mode in (1j * r, -1j * r):
+                            assert np.count_nonzero(eigs == mode) == len(X)
+        assert seen >= 50
 
     def test_kernel_dimension_is_problem_dim(self, chain_flow):
         # the Laplacian-side count, M's numerical rank and the gap in the

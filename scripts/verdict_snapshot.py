@@ -29,15 +29,12 @@ exits 1 when anything but W changed. BLAS runs on one thread, because a
 threaded eigen-solve of M can move eigenvalues in their last digits
 between runs.
 
-Both modes also print the smallest kernel gap ratio over the analyze
-payloads (of AFTER, when comparing): the (k+1)-th smallest ``|lambda|``
-of M over the largest of the k smallest, k = ``zero_space_dim``. The
-analysis raises when it falls to ``1 / TAU_GAP``; a snapshot prints it on
-stderr, so that stdout stays the snapshot. Next to it, on stderr in both
-modes, comes the smallest Laplacian separation margin over the snapshot
-graphs, computed by this checkout: a gap between neighbouring eigenspaces
-over the larger spread of the two, or the first nonzero eigenvalue over
-the largest modulus in eigenspace 0. It too raises at ``1 / TAU_GAP``.
+Both modes also print, on stderr so that stdout stays the snapshot,
+the smallest Laplacian separation margin over the snapshot graphs,
+computed by this checkout: a gap between neighbouring eigenspaces over
+the larger spread of the two, or the first nonzero eigenvalue over the
+largest modulus in eigenspace 0. The analysis raises when it falls to
+``1 / TAU_GAP``.
 """
 
 import argparse
@@ -111,19 +108,6 @@ def snapshot() -> dict:
                 entries[f"{key}/analyze"] = analyze_record(problem, graph)
                 entries[f"{key}/both"] = verdict_record(problem, graph)
     return entries
-
-
-def smallest_kernel_gap(entries: dict) -> tuple:
-    """(ratio, key) of the analyze payload whose kernel gap ratio is smallest."""
-    gaps = []
-    for key, entry in entries.items():
-        if "spectral" in entry:
-            size = np.sort(np.hypot(*np.array(entry["spectral"]["m_eigenvalues"]).T))
-            k = entry["spectral"]["zero_space_dim"]
-            if k < size.size:
-                kernel = size[:k].max(initial=0.0)
-                gaps.append((size[k] / kernel if kernel else np.inf, key))
-    return min(gaps)
 
 
 def smallest_separation_margin() -> tuple:
@@ -239,12 +223,10 @@ def main() -> int:
                             ("epsilon_star_max_rel_change", "epsilon* max relative change")):
             print(f"{label}: holding {result[name]['holding']:.3e}, "
                   f"failing {result[name]['failing']:.3e}")
-        print("smallest kernel gap ratio %.3g (%s)" % smallest_kernel_gap(after))
         print("smallest Laplacian separation margin %.3g (%s)" % smallest_separation_margin(),
               file=sys.stderr)
         return 1 if any(result["differences"].values()) else 0
     entries = snapshot()
-    print("smallest kernel gap ratio %.3g (%s)" % smallest_kernel_gap(entries), file=sys.stderr)
     print("smallest Laplacian separation margin %.3g (%s)" % smallest_separation_margin(),
           file=sys.stderr)
     text = json.dumps(entries, sort_keys=True)

@@ -45,7 +45,6 @@ from .spectral import (
     build_spectral_report,
     check_condition,
     epsilon_star,
-    epsilon_star_from_eigenvalues,
     equilibrium_dual,
     m_spectrum,
     predict_v_limit,

@@ -171,20 +171,27 @@ def component_series(traj: Trajectory, name: str) -> np.ndarray:
     return (traj.x, traj.v)[block][:, col]
 
 
+def _plus_eye(X):
+    """``I + X`` in place, bit for bit: 0.0 + -0.0 is +0.0, so X adds 0.0 first."""
+    X += 0.0
+    X.flat[::len(X) + 1] += 1.0
+    return X
+
+
 def _step_map(M, b, h, method="rk4"):
     """One fixed step of u' = M u + b as the exact affine map u -> P u + c.
 
     For RK4, ``P = sum_{k<=4} A^k/k!`` and ``c = h (I + A/2 + A^2/6 + A^3/24) b``
-    with ``A = h M``; for Euler, ``P = I + h M`` and ``c = h b``.
+    with ``A = h M``; for Euler, ``P = I + h M`` and ``c = h b``. Each
+    Horner step rebuilds ``A / k`` from M and adds I in place, so that an
+    RK4 map holds three n x n matrices at once.
     """
-    eye = np.eye(len(b))
     if method == "euler":
-        return eye + h * M, h * b
-    A = h * M
-    T = eye + A / 4.0
-    T = eye + (A / 3.0) @ T
-    T = eye + (A / 2.0) @ T
-    return eye + A @ T, h * (T @ b)
+        return _plus_eye(h * M), h * b
+    T = _plus_eye(h * M / 4.0)
+    for k in (3.0, 2.0):
+        T = _plus_eye(h * M / k @ T)
+    return _plus_eye(h * M @ T), h * (T @ b)
 
 
 def _finish_trajectory(flow, u, steps, time_of, metadata):

@@ -10,11 +10,13 @@ where ``H_tilde`` is the block diagonal of the per-node outer products
 ``h_i h_i^T`` and ``L_kron = L (x) I_m``. Whether every trajectory
 reaches consensus on the least-squares solution is decided by L: M has
 a nonzero purely imaginary eigenvalue ``i r`` iff the rows ``B_i (x) h_i``
-of L's eigenspace at r > 0 lose rank. Each of their null vectors is one
-exact pair ``+-i r`` of M, so M's spectrum is dense-solved only on the
-part of the state space those pairs leave; where no eigenspace fails,
-that is all of M. The stable part of M's spectrum yields the exact
-step-size threshold for the forward-Euler iteration.
+of L's eigenspace at r > 0 lose rank. One rank pass over L's
+eigenspaces gives M's spectrum in three exact parts: its kernel (the
+consensus duals and the null vectors at r = 0), one pair ``+-i r`` per
+null vector at r > 0, and the damped block, the rest of M written in
+the eigenspaces' SVD bases, which is the one dense eigen-solve. The
+damped block's decaying eigenvalues yield the exact step-size threshold
+for the forward-Euler iteration.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .graphs import (Graph, LaplacianSpectrum, laplacian, spectrum, _eigenspace_
                      _require_apart, _support_mask, _support_of)
 from .problem import RANK_RTOL, NetworkLinearEquation, _stacked_rank, solve_least_squares
 
-# |Re(lambda)| <= TAU_IM * |lambda| classifies an eigenvalue as purely imaginary.
+# epsilon*'s floor: a decaying mode with |Re| <= TAU_IM |lambda| does not bound the step.
 TAU_IM = 1e-7
 
 
@@ -78,7 +80,7 @@ class SpectralReport:
     epsilon_star: Optional[float]  # None when no eigenvalue has Re != 0
     zero_space_dim: int
     projector_W: Optional[np.ndarray]  # v-block projector; None if condition fails
-    condition: ConditionVerdict    # from the Laplacian, cross-checked on M
+    condition: ConditionVerdict    # from the Laplacian
 
 
 def _same_nodes(problem: NetworkLinearEquation, graph: Graph) -> None:
@@ -130,50 +132,56 @@ def _initial_states(flow: AssembledFlow, *states) -> list:
     return states
 
 
-def m_spectrum(flow: AssembledFlow, failing=None) -> np.ndarray:
-    """All 2Nm eigenvalues of M, sorted by (real, imaginary) part.
+def _damped_block(kept) -> np.ndarray:
+    """A = [[-G^T G, -R], [R^T, 0]]: M in the basis ``B vt`` of each
+    Laplacian eigenspace (r, B), the rows of the rank pass's SVD of K,
+    less its kernel (the v-columns at r = 0 and K_0's null vectors) and
+    its exact pairs (each null vector x of K_r, r > 0, has ``H_tilde x =
+    0`` and ``L_kron x = r x``, so M acts on (x, 0) and (0, x) as [[0,
+    -r], [r, 0]]). The x-columns are the kept ``Z_j = B vt[:rank]``; G's
+    column j holds ``h_i^T Z_j[i]``, K's product with that row of vt, so
+    ``G^T G = Z^T H_tilde Z``; R couples each x-column of r > 0 to its
+    own v-column by r."""
+    G, r = [], []
+    for w, K, vts, ranks in kept:
+        cols = np.arange(vts.shape[1]) < ranks[:, None]
+        G.append(np.matmul(K, vts.transpose(0, 2, 1)).transpose(1, 0, 2)[:, cols])
+        r.append(np.broadcast_to(w[:, None], cols.shape)[cols])
+    G, r = np.concatenate(G, axis=1), np.concatenate(r)
+    z, x = r.size, np.flatnonzero(r)  # r is exactly 0.0 on eigenspace 0 alone
+    v = z + np.arange(x.size)
+    A = np.zeros((v.size + z,) * 2)
+    np.negative(np.matmul(G.T, G, out=A[:z, :z]), out=A[:z, :z])
+    A[x, v], A[v, x] = -r[x], r[x]
+    return A
 
-    ``failing`` is the failing eigenspaces of :func:`_rank_pass`, ranked
-    here when not given. Without one, M is solved whole. Else each null
-    vector x of an eigenspace r > 0 has ``H_tilde x = 0`` and
-    ``L_kron x = r x``, so span{(x, 0), (0, x)} is invariant under M and
-    M^T, where M acts as [[0, -r], [r, 0]]: the pair ``+-i r``, written
-    exactly. The orthogonal complement, spanned by (Z, 0) and (0, Z) for
-    an orthonormal basis Z of the complement of every x, is then
-    M-invariant too, and only M compressed to it is solved.
-    """
-    if failing is None:
-        spect = spectrum(flow.L)
-        failing = _rank_pass(flow.problem, spect, spect.eigenspace_groups)[1]
-    M, known = flow.M, []
-    if failing:
-        r, X = zip(*failing.values())
-        x = np.concatenate(X).reshape(-1, flow.state_dim)
-        up = 1j * np.repeat(r, [len(b) for b in X])
-        known = [up, up.conj()]  # real parts +0.0, where -1j * r gives -0.0
-        Z = np.linalg.qr(x.T, mode="complete")[0][:, len(x):]
-        H, L = Z.T @ flow.H_tilde @ Z, Z.T @ flow.L_kron @ Z
-        M = np.block([[-H, -L], [L, np.zeros_like(L)]])
+
+def _m_parts(flow: AssembledFlow) -> tuple:
+    """(spect, k, failing, eigenvalues, stable): the rank pass, M's sorted
+    eigenvalues, and the damped block's with ``Re < -TAU_IM |lambda|``,
+    which bound the Euler step. Raises :class:`InternalInconsistencyError`
+    if one of the damped block grows, which no valid input can do."""
+    spect = spectrum(flow.L)
+    k, failing, kept = _rank_pass(flow.problem, spect, spect.eigenspace_groups)
     try:
-        eigs = np.concatenate([np.linalg.eigvals(M), *known])
+        damped = np.linalg.eigvals(_damped_block(kept))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"dense eigen-solve failed: {exc}") from exc
+    floor = TAU_IM * np.abs(damped)
+    if np.any(damped.real > floor):
+        raise InternalInconsistencyError(f"the damped block is growing: {damped.max():.3e}")
+    up = [1j * np.repeat(r, len(X)) for r, X in failing.values()]
+    # real parts +0.0, where -1j * r gives -0.0
+    eigs = np.concatenate([np.zeros(k, dtype=complex), *up, *(u.conj() for u in up), damped])
     order = np.lexsort((eigs.imag, eigs.real))
-    return eigs[order]
+    return spect, k, failing, eigs[order], damped[damped.real < -floor]
 
 
-def _nonzero_split(eigs, kernel_dim: int) -> tuple:
-    """(purely imaginary, stable) eigenvalues of M outside its kernel: the
-    ``kernel_dim`` smallest in modulus, which must lie apart from the rest."""
-    eigs = np.asarray(eigs, dtype=complex)
-    size = np.abs(eigs)
-    order = np.argsort(size, kind="stable")
-    kernel, rest = order[:kernel_dim], order[kernel_dim:]
-    _require_apart(size[kernel].max(initial=0.0), size[rest[:1]],
-                   f"kernel dimension {kernel_dim}, but |lambda|")
-    nonzero = np.delete(eigs, kernel)
-    imaginary = np.abs(nonzero.real) <= TAU_IM * np.abs(nonzero)
-    return nonzero[imaginary], nonzero[~imaginary]
+def m_spectrum(flow: AssembledFlow) -> np.ndarray:
+    """All 2Nm eigenvalues of M, sorted by (real, imaginary) part: k exact
+    zeros, one exact pair ``+-i r`` per null vector of a failing
+    eigenspace, and the eigenvalues of :func:`_damped_block`."""
+    return _m_parts(flow)[3]
 
 
 def _rank_scale(problem) -> float:
@@ -183,7 +191,7 @@ def _rank_scale(problem) -> float:
 
 
 def _rank_pass(problem, spect: LaplacianSpectrum, groups) -> tuple:
-    """(k, failing): the Laplacian-side rank test on the eigenspaces in
+    """(k, failing, kept): the Laplacian-side rank test on the eigenspaces in
     ``groups``, one stacked SVD per eigenspace dimension d.
 
     For an eigenvalue r with orthonormal eigenbasis B (n x d), K is the
@@ -197,25 +205,28 @@ def _rank_pass(problem, spect: LaplacianSpectrum, groups) -> tuple:
     such group to (r, X), X the orthonormal null blocks B C (one n x m
     block per null vector vec(C) of K, the last for K's smallest
     singular value), so ``h_i^T x_i = 0`` and ``(X_j, -i X_j)`` is an
-    eigenvector of M at ``i r``.
+    eigenvector of M at ``i r``. ``kept`` holds, per eigenspace dimension
+    d, the stacks (r, K, vt, rank) of its eigenspaces, r exactly 0.0 at
+    eigenspace 0, for :func:`_damped_block`.
     """
     m = problem.dim
     zero, w = spect.eigenspace_groups[0], spect.eigenvalues
     c, scale = len(zero), _rank_scale(problem)
     _require_apart(np.abs(w[:c]).max(), w[c:c + 1],
                    f"{c} components, but Laplacian eigenvalues")
-    k, failing = c * m, {}
+    k, failing, kept = c * m, {}, []
     for d in {len(g) for g in groups}:
         same = [g for g in groups if len(g) == d]
         bases = np.stack([spect.eigenvectors[:, list(g)] for g in same])
-        K = bases[..., None] * problem.rows[:, None, :]  # rows B_i (x) h_i
-        ranks, vts = _stacked_rank(K.reshape(len(same), -1, d * m), scale)
+        K = (bases[..., None] * problem.rows[:, None, :]).reshape(len(same), -1, d * m)
+        ranks, vts = _stacked_rank(K, scale)  # K's rows are B_i (x) h_i
+        kept.append((np.array([0.0 if g == zero else w[g[0]] for g in same]), K, vts, ranks))
         for g, B, rank, vt in zip(same, bases, ranks, vts):
             if g == zero:
                 k += d * m - int(rank)
             elif rank < d * m:
                 failing[g] = float(w[g[0]]), B @ vt[rank:].reshape(-1, d, m)
-    return k, failing
+    return k, failing, kept
 
 
 def _deficient_pairs(rows: np.ndarray):
@@ -313,21 +324,13 @@ def _step_threshold(stable) -> Optional[float]:
     return float(np.min(-2.0 * stable.real / np.abs(stable) ** 2)) if stable.size else None
 
 
-def epsilon_star_from_eigenvalues(eigenvalues, kernel_dim: int) -> float:
-    """The step threshold of the eigenvalues outside the kernel of M with
-    Re != 0; the kernel holds the ``kernel_dim`` smallest in modulus."""
-    eps = _step_threshold(_nonzero_split(eigenvalues, kernel_dim)[1])
+def epsilon_star(flow: AssembledFlow) -> float:
+    """The Euler step threshold of the flow: :func:`_step_threshold` of
+    the damped block's eigenvalues outside ``TAU_IM``'s floor."""
+    eps = _step_threshold(_m_parts(flow)[4])
     if eps is None:
         raise NoStableModesError("no eigenvalue with nonzero real part")
     return eps
-
-
-def epsilon_star(flow: AssembledFlow) -> float:
-    """The step threshold of the flow, its kernel dimension and failing
-    eigenspaces from the rank pass over the Laplacian's eigenspaces."""
-    spect = spectrum(flow.L)
-    kernel_dim, failing = _rank_pass(flow.problem, spect, spect.eigenspace_groups)
-    return epsilon_star_from_eigenvalues(m_spectrum(flow, failing), kernel_dim)
 
 
 def equilibrium_dual(flow: AssembledFlow) -> np.ndarray:
@@ -379,21 +382,11 @@ def _consensus_projector(problem: NetworkLinearEquation) -> np.ndarray:
 
 
 def build_spectral_report(flow: AssembledFlow) -> SpectralReport:
-    """Eigen-data bundle serialized by the CLI's analyze mode: the verdict
-    and kernel dimension from the Laplacian, the eigenvalues and step
-    threshold from :func:`m_spectrum` given that rank pass. M must have a
-    nonzero purely imaginary eigenvalue iff some eigenspace fails, else
-    :class:`InternalInconsistencyError`. W is :func:`_consensus_projector`
-    where the condition holds.
-    """
-    spect = spectrum(flow.L)
-    zero_space_dim, failing = _rank_pass(flow.problem, spect, spect.eigenspace_groups)
-    eigs = m_spectrum(flow, failing)
-    imaginary, stable = _nonzero_split(eigs, zero_space_dim)
+    """Eigen-data bundle serialized by the CLI's analyze mode: the verdict,
+    kernel dimension, eigenvalues and step threshold from one rank pass and
+    one dense eigen-solve; W is :func:`_consensus_projector` where it holds."""
+    spect, zero_space_dim, failing, eigs, stable = _m_parts(flow)
     verdict = _verdict(flow.problem, spect, failing)
-    if (not failing) != (imaginary.size == 0):
-        raise InternalInconsistencyError(f"checkers disagree: laplacian={not failing}, "
-                                         f"m_spectrum={imaginary.size == 0}")
     W = _consensus_projector(flow.problem) if verdict.holds else None
     return SpectralReport(m_eigenvalues=eigs, epsilon_star=_step_threshold(stable),
                           zero_space_dim=zero_space_dim, projector_W=W, condition=verdict)

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 import lsqflow as lf
-from lsqflow.graphs import _eigenspace_members, _node_index, _support_of
+from lsqflow.graphs import _eigenspace_members, _node_index, _require_apart, _support_of
 from lsqflow.problem import RANK_RTOL
 from lsqflow.simulate import component_series
-from lsqflow.spectral import _costs
+from lsqflow.spectral import TAU_IM, _costs
 
 ROW_PATTERNS = ("generic", "pair", "blind3", "blind2")
 
@@ -107,6 +107,22 @@ def simple_spectrum_verdict(problem, graph):
         if np.count_nonzero(sv > sv[0] * max(rows.shape) * RANK_RTOL) < problem.dim:
             return lf.ConditionVerdict(False, (float(r), vt[-1]), support)
     return lf.ConditionVerdict(True, None)
+
+
+def nonzero_split(eigs, kernel_dim: int) -> tuple:
+    """Reference classifier on a whole spectrum of M: (purely imaginary,
+    stable) eigenvalues outside its kernel. The kernel is the
+    ``kernel_dim`` smallest in modulus, which must lie apart from the
+    rest; ``|Re| <= TAU_IM |lambda|`` is purely imaginary."""
+    eigs = np.asarray(eigs, dtype=complex)
+    size = np.abs(eigs)
+    order = np.argsort(size, kind="stable")
+    kernel, rest = order[:kernel_dim], order[kernel_dim:]
+    _require_apart(size[kernel].max(initial=0.0), size[rest[:1]],
+                   f"kernel dimension {kernel_dim}, but |lambda|")
+    nonzero = np.delete(eigs, kernel)
+    imaginary = np.abs(nonzero.real) <= TAU_IM * np.abs(nonzero)
+    return nonzero[imaginary], nonzero[~imaginary]
 
 
 def residual_component(problem, y_star, i):

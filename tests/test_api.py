@@ -16,7 +16,7 @@ PUBLIC = [
     "graph_from_dict", "laplacian", "make_family", "make_graph", "spectrum", "support_report",
     # spectral
     "AssembledFlow", "ConditionVerdict", "SpectralReport", "assemble", "build_spectral_report",
-    "check_condition", "epsilon_star", "epsilon_star_from_eigenvalues", "equilibrium_dual",
+    "check_condition", "epsilon_star", "equilibrium_dual",
     "m_spectrum", "predict_v_limit",
     # simulate and switching
     "DiscreteConfig", "Trajectory", "component_names", "component_series", "simulate_ct",

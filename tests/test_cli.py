@@ -149,7 +149,8 @@ class TestOneEigenSolve:
 
     def test_failing_flow_solves_what_its_null_vectors_leave(self, counts, monkeypatch):
         # star-24 fails at r = 1: each of the nu null vectors there is the
-        # known pair +-i r of M, so the one solve has 2nm - 2 nu rows
+        # known pair +-i r of M and the kernel's k = m zeros are exact, so
+        # the one solve, of the damped block, has 2nm - k - 2 nu rows
         n, m = 24, 2
         problem = lf.NetworkLinearEquation(pattern_rows("generic", n), np.ones(n))
         graph = lf.make_family("star", n)
@@ -161,7 +162,7 @@ class TestOneEigenSolve:
         config = lf.RunConfig(mode="analyze", problem=problem, graph=graph)
         assert run(config, stdout=io.StringIO(), stderr=io.StringIO()) == 0
         assert counts == {"eigvals": 1, "assemble": 1}
-        assert nu > 0 and shapes == [(2 * n * m - 2 * nu,) * 2]
+        assert nu > 0 and shapes == [(2 * n * m - m - 2 * nu,) * 2]
 
 
 class TestSvdWorkGuard:

@@ -9,17 +9,11 @@ import pytest
 import lsqflow as lf
 from lsqflow import spectral
 from lsqflow.graphs import TAU_GAP
-from lsqflow.spectral import (
-    TAU_IM,
-    _nonzero_split,
-    _rank_pass,
-    _witness,
-    epsilon_star_from_eigenvalues,
-)
+from lsqflow.spectral import TAU_IM, _rank_pass, _step_threshold, _witness
 
-from _helpers import (ROW_PATTERNS, component_count, flow_cost, flow_gradient, pattern_rows,
-                      random_connected_graph, random_problem, random_simple_spectrum_graph,
-                      simple_spectrum_verdict, witness_by_loop)
+from _helpers import (ROW_PATTERNS, component_count, flow_cost, flow_gradient, nonzero_split,
+                      pattern_rows, random_connected_graph, random_problem,
+                      random_simple_spectrum_graph, simple_spectrum_verdict, witness_by_loop)
 
 
 def same_verdict(a, b) -> bool:
@@ -144,19 +138,24 @@ class TestMSpectrum:
             scale = np.abs(eigs).max()
             assert eigs.real.max() <= 1e-9 * scale
 
-    def test_holding_flows_are_solved_whole(self, chain_flow):
-        # no eigenspace fails: the spectrum is the one solve of all of M,
-        # bit for bit
+    def test_holding_flows_split_into_exact_kernel_and_damped_block(self, chain_flow):
+        # no eigenspace fails: k exact zeros, no exact pair, and the damped
+        # block's eigenvalues are the rest of M's
         flows = [chain_flow]
         for family in ("path", "ring"):
-            for n in (8, 24):
-                problem = lf.NetworkLinearEquation(pattern_rows("generic", n), np.ones(n))
-                flows.append(lf.assemble(problem, lf.make_family(family, n)))
+            for n in (8, 9, 24):
+                for pattern in ROW_PATTERNS:
+                    problem = lf.NetworkLinearEquation(pattern_rows(pattern, n), np.ones(n))
+                    if lf.check_condition(problem, lf.make_family(family, n)).holds:
+                        flows.append(lf.assemble(problem, lf.make_family(family, n)))
+        assert {flow.problem.dim for flow in flows} == {2, 3} and len(flows) >= 12
         for flow in flows:
-            assert lf.check_condition(flow.problem, flow.graph).holds
-            eigs = np.linalg.eigvals(flow.M)
-            whole = eigs[np.lexsort((eigs.imag, eigs.real))]
-            assert lf.m_spectrum(flow).tobytes() == whole.tobytes()
+            k = flow.problem.dim
+            eigs = lf.m_spectrum(flow)
+            assert np.count_nonzero(eigs == 0) == k
+            assert not np.any((eigs.real == 0) & (eigs.imag != 0))
+            whole = np.linalg.eigvals(flow.M)
+            assert matched_gap(whole, eigs) <= 1e-12 * np.abs(whole).max()
 
     def test_failing_flows_deflate_one_pair_per_null_vector(self):
         # each null vector of a failing eigenspace r is the exact pair +-i r;
@@ -176,6 +175,8 @@ class TestMSpectrum:
                     eigs = lf.m_spectrum(flow)
                     whole = np.linalg.eigvals(flow.M)
                     assert matched_gap(whole, eigs) <= 1e-12 * np.abs(whole).max()
+                    k = _rank_pass(problem, spect, spect.eigenspace_groups)[0]
+                    assert np.count_nonzero(eigs == 0) == k == problem.dim
                     for r, X in failing.values():
                         for mode in (1j * r, -1j * r):
                             assert np.count_nonzero(eigs == mode) == len(X)
@@ -185,7 +186,7 @@ class TestMSpectrum:
         # the Laplacian-side count, M's numerical rank and the gap in the
         # spectrum all give a kernel of dimension 2
         spect = lf.spectrum(chain_flow.L)
-        assert _rank_pass(chain_flow.problem, spect, spect.eigenspace_groups) == (2, {})
+        assert _rank_pass(chain_flow.problem, spect, spect.eigenspace_groups)[:2] == (2, {})
         assert chain_flow.M.shape[0] - np.linalg.matrix_rank(chain_flow.M) == 2
         size = np.sort(np.abs(lf.m_spectrum(chain_flow)))
         assert size[1] < TAU_GAP * size[2]
@@ -249,9 +250,8 @@ class TestCheckCondition:
 
     def test_methods_agree_on_random_instances(self, rng, switch_pair):
         # 100 instances, each a connected graph with distinct Laplacian
-        # eigenvalues; the checker, the report (which raises if its M-side
-        # and Laplacian-side tests disagree) and the per-eigenvector row-span
-        # oracle must return the same verdict and witness support. Every
+        # eigenvalues; the checker, the report and the per-eigenvector
+        # row-span oracle must return the same verdict and witness support. Every
         # tenth instance runs on a graph with a two-node eigenvector
         # support and a 3-dimensional unknown, which guarantees the
         # failing verdict is exercised too.
@@ -289,30 +289,30 @@ class TestCheckCondition:
 
 class TestEpsilonStar:
     def test_real_eigenvalue_oracle(self):
-        assert abs(epsilon_star_from_eigenvalues([-1.0 + 0j], 0) - 2.0) < 1e-15
+        assert abs(_step_threshold(np.array([-1.0 + 0j])) - 2.0) < 1e-15
         # -2 Re / |l|^2 for l = -a +/- bi
         lam = complex(-0.5, 2.0)
         expected = -2.0 * lam.real / abs(lam) ** 2
-        assert abs(epsilon_star_from_eigenvalues([lam, lam.conjugate()], 0) - expected) < 1e-15
+        assert abs(_step_threshold(np.array([lam, lam.conjugate()])) - expected) < 1e-15
+        assert _step_threshold(np.array([], dtype=complex)) is None
 
-    def test_zero_eigenvalues_excluded(self):
-        assert abs(epsilon_star_from_eigenvalues([0.0, -1.0 + 0j], 1) - 2.0) < 1e-15
+    def test_zero_eigenvalues_excluded(self, chain_flow):
+        # the kernel's exact zeros take no part: epsilon* is the threshold
+        # of every other eigenvalue of the holding chain
+        eigs = lf.m_spectrum(chain_flow)
+        assert lf.epsilon_star(chain_flow) == _step_threshold(eigs[eigs != 0])
 
     def test_pure_imaginary_only_raises(self):
+        # zero rows: every mode is in the kernel or an exact pair +-i r
+        problem = lf.NetworkLinearEquation(np.zeros((4, 2)), np.ones(4), check_rank=False)
+        flow = lf.assemble(problem, lf.make_family("path", 4))
         with pytest.raises(lf.NoStableModesError):
-            epsilon_star_from_eigenvalues([1j, -1j, 0.0], 1)
-
-    def test_kernel_without_gap_raises(self):
-        # the kernel's two values and the next one differ by a factor 100
-        eigs = [0.0, 1e-17 + 0j, -1e-15 + 0j, -1.0 + 0j]
-        with pytest.raises(lf.InternalInconsistencyError):
-            _nonzero_split(eigs, 2)
-        with pytest.raises(lf.InternalInconsistencyError):
-            epsilon_star_from_eigenvalues(eigs, 2)
-        # a kernel larger than its count: two exact zeros for k = 1
-        with pytest.raises(lf.InternalInconsistencyError):
-            _nonzero_split([0.0, 0.0, -1.0 + 0j], 1)
-        assert abs(epsilon_star_from_eigenvalues(eigs, 3) - 2.0) < 1e-15
+            lf.epsilon_star(flow)
+        report = lf.build_spectral_report(flow)
+        # k = c m + nullity(K_0) = 2 + 2; each r > 0 gives two pairs
+        assert report.epsilon_star is None and report.zero_space_dim == 4
+        eigs = report.m_eigenvalues
+        assert np.all(eigs.real == 0) and np.count_nonzero(eigs == 0) == 4
 
     def test_chain_value(self, chain_flow):
         assert abs(lf.epsilon_star(chain_flow) - 0.0362) < 5e-4
@@ -320,9 +320,7 @@ class TestEpsilonStar:
     def test_threshold_is_sharp_on_spectrum(self, chain_flow):
         # at eps*, the binding stable eigenvalue is mapped onto the unit
         # circle and no stable eigenvalue leaves it
-        eigs = lf.m_spectrum(chain_flow)
-        outside = np.argsort(np.abs(eigs))[2:]  # the kernel has dimension 2
-        stable = eigs[outside][np.abs(eigs[outside].real) > TAU_IM * np.abs(eigs[outside])]
+        stable = nonzero_split(lf.m_spectrum(chain_flow), 2)[1]
         assert stable.size == 14
         eps = lf.epsilon_star(chain_flow)
         mapped = np.abs(1.0 + eps * stable)
@@ -411,7 +409,7 @@ class TestSpectralReport:
         assert report.projector_W is None
         assert report.zero_space_dim == 2
         assert report.epsilon_star is not None
-        assert _nonzero_split(report.m_eigenvalues, report.zero_space_dim)[0].size > 0
+        assert nonzero_split(report.m_eigenvalues, report.zero_space_dim)[0].size > 0
 
     def test_report_carries_the_both_verdict(self, chain_problem, star_graph, star_flow):
         verdict = lf.build_spectral_report(star_flow).condition
@@ -419,6 +417,58 @@ class TestSpectralReport:
         assert verdict.holds is direct.holds is False
         assert verdict.witness_support == direct.witness_support
         assert np.array_equal(verdict.witness[1], direct.witness[1])
+
+    def test_a_growing_damped_mode_is_an_internal_error(self, chain_flow, monkeypatch):
+        # no valid input gives the damped block an eigenvalue with
+        # Re > TAU_IM |lambda|; one that does is reported as a bug
+        for grows in (1e-3, 2e-7):
+            monkeypatch.setattr(spectral, "_damped_block",
+                                lambda kept, a=grows: np.array([[a, -1.0], [1.0, a]]))
+            for call in (lf.m_spectrum, lf.epsilon_star, lf.build_spectral_report):
+                with pytest.raises(lf.InternalInconsistencyError, match="growing"):
+                    call(chain_flow)
+        # inside the floor it neither raises nor bounds the step
+        monkeypatch.setattr(spectral, "_damped_block",
+                            lambda kept: np.array([[5e-8, -1.0], [1.0, 5e-8]]))
+        with pytest.raises(lf.NoStableModesError):
+            lf.epsilon_star(chain_flow)
+
+
+class TestWeaklyDampedMode:
+    # The condition holds (sigma_min of K at the weak mode's eigenspace is
+    # far above RANK_RTOL), yet M's weakest mode -1.24e-8 +- 4.30i has
+    # |Re| / |lambda| = 2.9e-9, under TAU_IM. Classifying M's whole
+    # spectrum by TAU_IM called it undamped, and analyze raised "checkers
+    # disagree"; the rank pass places it in the damped block, where it
+    # lies under epsilon*'s floor.
+    H = [[1.36185344, 0.42163321, 0.70976266], [1.7541889, -1.70548457, -0.6134323],
+         [-0.41374259, -0.10427959, -0.67065809], [1.02695236, -0.65781814, -0.6904797],
+         [0.41949851, -0.7804475, -1.08938672], [-1.34546987, -0.17953885, 0.96729848]]
+    EDGES = [[1, 4], [2, 3], [2, 4], [2, 6], [4, 6], [5, 6]]
+    EPS = 0.0028199676515447115  # the whole-spectrum epsilon* and the benchmark oracle's
+
+    @pytest.fixture
+    def problem(self):
+        return lf.NetworkLinearEquation(self.H, np.ones(6))
+
+    def test_analyze_holds(self, problem):
+        graph = lf.make_graph(6, self.EDGES)
+        out, err = io.StringIO(), io.StringIO()
+        config = lf.RunConfig(mode="analyze", problem=problem, graph=graph)
+        assert lf.run(config, stdout=out, stderr=err) == 0, err.getvalue()
+        payload = json.loads(out.getvalue())
+        assert payload["condition"]["holds"] is True
+        assert payload["spectral"]["zero_space_dim"] == 3
+        assert abs(payload["spectral"]["epsilon_star"] - self.EPS) <= 1e-9 * self.EPS
+
+    def test_weak_mode_lies_under_the_floor(self, problem):
+        flow = lf.assemble(problem, lf.make_graph(6, self.EDGES))
+        eigs = lf.m_spectrum(flow)
+        weak = eigs[(eigs != 0) & (np.abs(eigs.real) <= TAU_IM * np.abs(eigs))]
+        assert weak.size == 4 and np.all(weak.real < 0) and np.all(weak.imag != 0)
+        weakest = weak[np.argmin(np.abs(weak.real) / np.abs(weak))]
+        assert abs(abs(weakest.imag) - 4.30) < 5e-3 and abs(weakest.real) < 2e-8
+        assert abs(lf.epsilon_star(flow) - self.EPS) <= 1e-9 * self.EPS
 
 
 class TestDisconnectedGraph:
@@ -656,8 +706,8 @@ class TestLaplacianChecker:
                     problem = lf.NetworkLinearEquation(pattern_rows(pattern, n), np.ones(n))
                     M = lf.assemble(problem, graph).M
                     kernel_dim = M.shape[0] - np.linalg.matrix_rank(M)
-                    holds = _nonzero_split(np.linalg.eigvals(M), kernel_dim)[0].size == 0
-                    k, failing = _rank_pass(problem, spect, spect.eigenspace_groups)
+                    holds = nonzero_split(np.linalg.eigvals(M), kernel_dim)[0].size == 0
+                    k, failing, _ = _rank_pass(problem, spect, spect.eigenspace_groups)
                     assert k == kernel_dim, (family, n, pattern)
                     assert (not failing) == holds, (family, n, pattern)
                     assert lf.check_condition(problem, graph).holds == holds
@@ -696,16 +746,18 @@ class TestClosedFormKernel:
         report = lf.build_spectral_report(flow)
         assert report.zero_space_dim == (2 + 1) + (2 + 2)
         assert report.zero_space_dim == flow.M.shape[0] - np.linalg.matrix_rank(flow.M)
+        # those 7 zeros are exact, and the rest is M's spectrum
+        eigs, whole = report.m_eigenvalues, np.linalg.eigvals(flow.M)
+        assert np.count_nonzero(eigs == 0) == 7
+        assert matched_gap(whole, eigs) <= 1e-12 * np.abs(whole).max()
         assert report.projector_W is None
 
     def test_projector_checked_against_spectrum(self, chain_flow):
-        # W comes only from a spectrum whose kernel count of smallest
-        # eigenvalues lies apart from the rest; one more or one fewer raises
+        # the kernel's k = 2 zeros are exact, and the reference classifier
+        # finds them apart from the 14 other eigenvalues
         eigs = lf.m_spectrum(chain_flow)
-        assert sum(map(len, _nonzero_split(eigs, 2))) == 14
-        for wrong in (1, 3):
-            with pytest.raises(lf.InternalInconsistencyError):
-                _nonzero_split(eigs, wrong)
+        assert np.count_nonzero(eigs == 0) == 2
+        assert sum(map(len, nonzero_split(eigs, 2))) == 14
         W = lf.build_spectral_report(chain_flow).projector_W
         assert np.array_equal(W, np.kron(np.full((4, 4), 0.25), np.eye(2)))
 
@@ -719,7 +771,7 @@ class TestClosedFormKernel:
         problem = lf.NetworkLinearEquation(rng.standard_normal((n, 2)), rng.standard_normal(n))
         report = lf.build_spectral_report(lf.assemble(problem, lf.make_family("path", n)))
         assert report.zero_space_dim == 2
-        imaginary, stable = _nonzero_split(report.m_eigenvalues, 2)
+        imaginary, stable = nonzero_split(report.m_eigenvalues, 2)
         assert imaginary.size == 0 and stable.size == 4 * n - 2
         slow = stable[np.argsort(np.abs(stable))[:2]]
         assert np.allclose(np.abs(slow), slowest, rtol=1e-2)

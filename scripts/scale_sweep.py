@@ -4,10 +4,13 @@ BLAS on one thread.
 For ring, star, complete and path graphs at N = 48, 100 and 200 (by
 default), with seeded generic rows (m = 2), it times:
 
-- ``assemble``: building the flow matrices;
+- ``assemble``: what a simulator pays to set up a flow: ``assemble``
+  and the first read of its system matrix M, which the analysis never
+  builds;
+- ``dual``: ``equilibrium_dual``, the n x n Laplacian solve for v*;
 - ``eigvals``: M's spectrum (``m_spectrum``): the Laplacian eigen-solve,
-  the rank pass over its eigenspaces and the dense eigen-solve of M, or,
-  where eigenspaces fail, of the part of M their null vectors leave;
+  the rank pass over its eigenspaces and the dense eigen-solve of the
+  damped block, the part of M that the rank pass does not give;
 - ``verdict``: ``check_condition``, which decides from the Laplacian
   alone (its eigen-solve, the rank pass over its eigenspaces and, where
   the condition fails, the witness search); M and its eigen-solve take
@@ -62,7 +65,7 @@ import numpy as np
 import lsqflow as lf
 from lsqflow.cli import _analyze_payload, _json_text
 
-STAGES = ("assemble", "eigvals", "verdict", "analyze", "payload", "support_report",
+STAGES = ("assemble", "dual", "eigvals", "verdict", "analyze", "payload", "support_report",
           "csv_ns_per_cell", "ct_peak_x")
 SIM_STAGES = ("dt_step_us", "ct_step_us", "sw_step_us")
 SIM_STEPS = 3000
@@ -125,7 +128,8 @@ def sweep(family: str, n: int, repeats: int) -> dict:
         lf.support_report(lf.spectrum(lf.laplacian(graph)))
 
     row = {
-        "assemble": best_ms(lambda: lf.assemble(problem, graph), repeats),
+        "assemble": best_ms(lambda: lf.assemble(problem, graph).M, repeats),
+        "dual": best_ms(lambda: lf.equilibrium_dual(flow), repeats),
         "eigvals": best_ms(lambda: lf.m_spectrum(flow), repeats),
         "verdict": best_ms(lambda: lf.check_condition(problem, graph), repeats),
         "analyze": best_ms(lambda: lf.build_spectral_report(flow), repeats),

@@ -616,7 +616,7 @@ def simulate_damped(flow: AssembledFlow, alpha: float, x0, v0,
         return simulate_ct(flow, x0, v0, step_h, t_end, record_every)
     nm = flow.state_dim
     M = flow.M.copy()
-    M[:nm, :nm] -= alpha * flow.L_kron
+    M[:nm, :nm] -= alpha * flow.M[nm:, :nm]  # L_kron
     return _run(flow, [M], [0], *_run_length(step_h, t_end, record_every), x0, v0,
                 step_h, "rk4", record_every, t_end=t_end, alpha=alpha)
 

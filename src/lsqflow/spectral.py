@@ -22,6 +22,7 @@ for the forward-Euler iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -45,25 +46,36 @@ TAU_IM = 1e-7
 
 @dataclass(frozen=True)
 class AssembledFlow:
-    """Matrices of the affine flow plus back-references to its inputs.
-
-    ``y_ref`` is the consensus reference used for error trajectories:
-    the least-squares solution for a full-rank problem, the origin for
-    diagnostic problems built with ``check_rank=False``.
-    """
+    """The flow's inputs, Laplacian L and forcing z_H. The analysis reads only the
+    rows and L; M, which only a simulator reads, is built on first use. ``y_ref``,
+    the consensus reference of error trajectories, is the least-squares solution
+    for a full-rank problem, the origin for diagnostic ``check_rank=False`` ones."""
 
     problem: NetworkLinearEquation
     graph: Graph
-    H_tilde: np.ndarray
     z_H: np.ndarray
     L: np.ndarray                  # graph Laplacian
-    L_kron: np.ndarray
-    M: np.ndarray
     y_ref: np.ndarray
 
     @property
     def state_dim(self) -> int:
         return self.problem.n_nodes * self.problem.dim
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        """[[-H_tilde, -L_kron], [L_kron, 0]], read-only, built on first read."""
+        n, m, rows = self.problem.n_nodes, self.problem.dim, self.problem.rows
+        nm, nodes = n * m, np.arange(n)
+        H_tilde = np.zeros((nm, nm))
+        H_tilde.reshape(n, m, n, m)[nodes, :, nodes] = rows[:, :, None] * rows[:, None, :]
+        L_kron = np.kron(self.L, np.eye(m))
+        # the quadrants in place, each value and signed zero as np.block would copy it
+        M = np.zeros((2 * nm, 2 * nm))
+        np.negative(H_tilde, out=M[:nm, :nm])
+        np.negative(L_kron, out=M[:nm, nm:])
+        M[nm:, :nm] = L_kron
+        M.setflags(write=False)
+        return M
 
 
 @dataclass(frozen=True)
@@ -91,25 +103,12 @@ def _same_nodes(problem: NetworkLinearEquation, graph: Graph) -> None:
 
 def assemble(problem: NetworkLinearEquation, graph: Graph) -> AssembledFlow:
     _same_nodes(problem, graph)
-    n, m = problem.n_nodes, problem.dim
-    nm, nodes, rows = n * m, np.arange(n), problem.rows
-    H_tilde = np.zeros((nm, nm))
-    H_tilde.reshape(n, m, n, m)[nodes, :, nodes] = rows[:, :, None] * rows[:, None, :]
-    z_H = (problem.obs[:, None] * rows).reshape(-1)
+    z_H = (problem.obs[:, None] * problem.rows).reshape(-1)
     L = laplacian(graph)
-    L_kron = np.kron(L, np.eye(m))
-    # the quadrants in place, each value and signed zero as np.block would copy it
-    M = np.zeros((2 * nm, 2 * nm))
-    np.negative(H_tilde, out=M[:nm, :nm])
-    np.negative(L_kron, out=M[:nm, nm:])
-    M[nm:, :nm] = L_kron
-    y_ref = solve_least_squares(problem).y_star if problem.full_rank else np.zeros(m)
-    for a in (H_tilde, z_H, L, L_kron, M, y_ref):
+    y_ref = solve_least_squares(problem).y_star if problem.full_rank else np.zeros(problem.dim)
+    for a in (z_H, L, y_ref):
         a.setflags(write=False)
-    return AssembledFlow(
-        problem=problem, graph=graph,
-        H_tilde=H_tilde, z_H=z_H, L=L, L_kron=L_kron, M=M, y_ref=y_ref,
-    )
+    return AssembledFlow(problem=problem, graph=graph, z_H=z_H, L=L, y_ref=y_ref)
 
 
 def _costs(problem: NetworkLinearEquation, x) -> np.ndarray:
@@ -156,20 +155,22 @@ def _damped_block(kept) -> np.ndarray:
     return A
 
 
-def _m_parts(flow: AssembledFlow) -> tuple:
-    """(spect, k, failing, eigenvalues, stable): the rank pass, M's sorted
-    eigenvalues, and the damped block's with ``Re < -TAU_IM |lambda|``,
-    which bound the Euler step. Raises :class:`InternalInconsistencyError`
-    if one of the damped block grows, which no valid input can do."""
-    spect = spectrum(flow.L)
-    k, failing, kept = _rank_pass(flow.problem, spect, spect.eigenspace_groups)
+def _m_parts(problem: NetworkLinearEquation, L: np.ndarray) -> tuple:
+    """(spect, k, failing, eigenvalues, stable): the rank pass on L, M's sorted
+    eigenvalues, and the damped block's with ``Re < -TAU_IM |lambda|``, which
+    bound the Euler step. Raises :class:`InternalInconsistencyError`, naming the
+    one of largest Re/|lambda|, if one of them grows: no valid input can."""
+    spect = spectrum(L)
+    k, failing, kept = _rank_pass(problem, spect, spect.eigenspace_groups)
     try:
         damped = np.linalg.eigvals(_damped_block(kept))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"dense eigen-solve failed: {exc}") from exc
     floor = TAU_IM * np.abs(damped)
     if np.any(damped.real > floor):
-        raise InternalInconsistencyError(f"the damped block is growing: {damped.max():.3e}")
+        worst = max(damped[damped.real > floor], key=lambda e: e.real / abs(e))
+        raise InternalInconsistencyError(f"the damped block is growing: {worst:.3e}, "
+                                         f"Re/|lambda| = {worst.real / abs(worst):.3e}")
     up = [1j * np.repeat(r, len(X)) for r, X in failing.values()]
     # real parts +0.0, where -1j * r gives -0.0
     eigs = np.concatenate([np.zeros(k, dtype=complex), *up, *(u.conj() for u in up), damped])
@@ -181,7 +182,7 @@ def m_spectrum(flow: AssembledFlow) -> np.ndarray:
     """All 2Nm eigenvalues of M, sorted by (real, imaginary) part: k exact
     zeros, one exact pair ``+-i r`` per null vector of a failing
     eigenspace, and the eigenvalues of :func:`_damped_block`."""
-    return _m_parts(flow)[3]
+    return _m_parts(flow.problem, flow.L)[3]
 
 
 def _rank_scale(problem) -> float:
@@ -327,27 +328,24 @@ def _step_threshold(stable) -> Optional[float]:
 def epsilon_star(flow: AssembledFlow) -> float:
     """The Euler step threshold of the flow: :func:`_step_threshold` of
     the damped block's eigenvalues outside ``TAU_IM``'s floor."""
-    eps = _step_threshold(_m_parts(flow)[4])
+    eps = _step_threshold(_m_parts(flow.problem, flow.L)[4])
     if eps is None:
         raise NoStableModesError("no eigenvalue with nonzero real part")
     return eps
 
 
 def equilibrium_dual(flow: AssembledFlow) -> np.ndarray:
-    """Minimum-norm v* with L_kron v* = z_H - H_tilde (1 (x) y*)."""
-    if not flow.problem.full_rank:
-        raise RankDeficientError(
-            "equilibrium needs a full-rank problem", flow.problem.numerical_rank
-        )
-    x_star = np.tile(flow.y_ref, flow.problem.n_nodes)
-    rhs = flow.z_H - flow.H_tilde @ x_star
-    v_star, _, _, _ = np.linalg.lstsq(flow.L_kron, rhs, rcond=RANK_RTOL)
-    gap = np.linalg.norm(flow.L_kron @ v_star - rhs)
-    if gap > 1e-8 * (1.0 + np.linalg.norm(rhs)):
-        raise EquilibriumInfeasibleError(
-            f"stationarity system inconsistent (residual {gap:.3e})"
-        )
-    return v_star
+    """Minimum-norm v* with L_kron v* = z_H - H_tilde (1 (x) y*): the rows
+    of V with ``L V = R``, ``R_i = h_i (z_i - h_i^T y*)``, as L_kron = L (x) I_m."""
+    problem = flow.problem
+    if not problem.full_rank:
+        raise RankDeficientError("equilibrium needs a full-rank problem", problem.numerical_rank)
+    R = problem.rows * (problem.obs - problem.rows @ flow.y_ref)[:, None]
+    V, _, _, _ = np.linalg.lstsq(flow.L, R, rcond=RANK_RTOL)
+    gap = np.linalg.norm(flow.L @ V - R)
+    if gap > 1e-8 * (1.0 + np.linalg.norm(R)):
+        raise EquilibriumInfeasibleError(f"stationarity system inconsistent (residual {gap:.3e})")
+    return V.reshape(-1)
 
 
 def predict_v_limit(flow: AssembledFlow, v0) -> np.ndarray:
@@ -385,7 +383,7 @@ def build_spectral_report(flow: AssembledFlow) -> SpectralReport:
     """Eigen-data bundle serialized by the CLI's analyze mode: the verdict,
     kernel dimension, eigenvalues and step threshold from one rank pass and
     one dense eigen-solve; W is :func:`_consensus_projector` where it holds."""
-    spect, zero_space_dim, failing, eigs, stable = _m_parts(flow)
+    spect, zero_space_dim, failing, eigs, stable = _m_parts(flow.problem, flow.L)
     verdict = _verdict(flow.problem, spect, failing)
     W = _consensus_projector(flow.problem) if verdict.holds else None
     return SpectralReport(m_eigenvalues=eigs, epsilon_star=_step_threshold(stable),

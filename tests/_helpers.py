@@ -204,11 +204,25 @@ class FlowState:
     v: np.ndarray
 
 
+def flow_blocks(problem, L):
+    """Reference blocks ``(H_tilde, L_kron)`` of M, built per node by loop:
+    H_tilde holds ``h_i h_i^T`` in its i-th diagonal block, L_kron holds
+    ``L_ij I_m`` in its block (i, j)."""
+    n, m = problem.n_nodes, problem.dim
+    H_tilde, L_kron = np.zeros((n * m, n * m)), np.zeros((n * m, n * m))
+    for i in range(n):
+        H_tilde[i * m:(i + 1) * m, i * m:(i + 1) * m] = np.outer(problem.rows[i], problem.rows[i])
+        for j in range(n):
+            L_kron[i * m:(i + 1) * m, j * m:(j + 1) * m] = L[i, j] * np.eye(m)
+    return H_tilde, L_kron
+
+
 def ct_rhs(flow, state):
     """Reference right-hand side ``(dx, dv)`` of the saddle-point flow at
-    one state, from the blocks of the flow rather than from M."""
-    dx = -flow.L_kron @ state.v - (flow.H_tilde @ state.x - flow.z_H)
-    dv = flow.L_kron @ state.x
+    one state, from :func:`flow_blocks` rather than from M."""
+    H_tilde, L_kron = flow_blocks(flow.problem, flow.L)
+    dx = -L_kron @ state.v - (H_tilde @ state.x - flow.z_H)
+    dv = L_kron @ state.x
     return dx, dv
 
 
@@ -345,7 +359,7 @@ def flow_cost(flow, x):
 
 
 def flow_gradient(flow, x):
-    return flow.H_tilde @ np.asarray(x, dtype=float) - flow.z_H
+    return flow_blocks(flow.problem, flow.L)[0] @ np.asarray(x, dtype=float) - flow.z_H
 
 
 def oscillates(traj, component, *, ratio=0.5):

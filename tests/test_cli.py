@@ -165,6 +165,25 @@ class TestOneEigenSolve:
         assert nu > 0 and shapes == [(2 * n * m - m - 2 * nu,) * 2]
 
 
+class TestAnalysisBuildsNoM:
+    """The analysis modes read the rows and the Laplacian; only a simulator
+    builds the system matrix M."""
+
+    @pytest.mark.parametrize("name", ["chain4_analyze.json", "star4_analyze.json",
+                                      "chain4_epsilon.json"])
+    def test_analysis_modes_exit_0_without_M(self, name, tmp_path, monkeypatch):
+        def build(flow):
+            raise AssertionError("M was built")
+
+        monkeypatch.setattr(lf.spectral.AssembledFlow, "M", property(build))
+        config = load_fixture(name)
+        flow = lf.assemble(config.problem, config.graph)
+        with pytest.raises(AssertionError, match="M was built"):  # a simulator reads M
+            lf.simulate_ct(flow, np.zeros(8), np.zeros(8), 0.01, 0.01)
+        code, _, err = invoke(name, tmp_path)
+        assert code == 0, err
+
+
 class TestSvdWorkGuard:
     """The verdict on a repeated spectrum takes O(n) SVD calls, none on M."""
 

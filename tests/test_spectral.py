@@ -9,10 +9,11 @@ import pytest
 import lsqflow as lf
 from lsqflow import spectral
 from lsqflow.graphs import TAU_GAP
+from lsqflow.problem import RANK_RTOL
 from lsqflow.spectral import TAU_IM, _rank_pass, _step_threshold, _witness
 
-from _helpers import (ROW_PATTERNS, component_count, flow_cost, flow_gradient, nonzero_split,
-                      pattern_rows, random_connected_graph, random_problem,
+from _helpers import (ROW_PATTERNS, component_count, flow_blocks, flow_cost, flow_gradient,
+                      nonzero_split, pattern_rows, random_connected_graph, random_problem,
                       random_simple_spectrum_graph, simple_spectrum_verdict, witness_by_loop)
 
 
@@ -37,23 +38,25 @@ def matched_gap(a, b) -> float:
 class TestAssemble:
     def test_block_structure(self, chain_problem, chain_graph, chain_flow):
         n, m = 4, 2
-        assert chain_flow.M.shape == (2 * n * m, 2 * n * m)
-        assert chain_flow.state_dim == n * m
+        nm = n * m
+        assert chain_flow.M.shape == (2 * nm, 2 * nm)
+        assert chain_flow.state_dim == nm
         for i in range(n):
             h = chain_problem.rows[i]
-            block = chain_flow.H_tilde[i * m:(i + 1) * m, i * m:(i + 1) * m]
-            assert np.array_equal(block, np.outer(h, h))
+            block = chain_flow.M[i * m:(i + 1) * m, i * m:(i + 1) * m]
+            assert np.array_equal(block, -np.outer(h, h))
         expected_zH = np.concatenate(
             [chain_problem.obs[i] * chain_problem.rows[i] for i in range(n)])
         assert np.array_equal(chain_flow.z_H, expected_zH)
         L = lf.laplacian(chain_graph)
         assert np.array_equal(chain_flow.L, L)
-        assert np.array_equal(chain_flow.L_kron, np.kron(L, np.eye(m)))
-        nm = n * m
-        assert np.array_equal(chain_flow.M[:nm, :nm], -chain_flow.H_tilde)
-        assert np.array_equal(chain_flow.M[:nm, nm:], -chain_flow.L_kron)
-        assert np.array_equal(chain_flow.M[nm:, :nm], chain_flow.L_kron)
+        H_tilde, L_kron = flow_blocks(chain_problem, L)
+        assert np.array_equal(L_kron, np.kron(L, np.eye(m)))
+        assert np.array_equal(chain_flow.M[:nm, :nm], -H_tilde)
+        assert np.array_equal(chain_flow.M[:nm, nm:], -L_kron)
+        assert np.array_equal(chain_flow.M[nm:, :nm], L_kron)
         assert np.array_equal(chain_flow.M[nm:, nm:], np.zeros((nm, nm)))
+        assert not any(hasattr(chain_flow, name) for name in ("H_tilde", "L_kron"))
 
     def test_reference_is_lsq_solution(self, chain_flow, chain_problem):
         sol = lf.solve_least_squares(chain_problem)
@@ -67,9 +70,23 @@ class TestAssemble:
         with pytest.raises(ValueError):
             chain_flow.M[0, 0] = 1.0
 
+    def test_M_is_built_on_first_read_and_kept(self, chain_problem, chain_graph):
+        flow = lf.assemble(chain_problem, chain_graph)
+        assert "M" not in vars(flow)
+        assert flow.M is flow.M
+
+    def test_replaced_laplacian_gives_its_own_M(self, chain_problem, chain_flow, star_graph):
+        assert chain_flow.M is not None  # built before the copy
+        L = lf.laplacian(star_graph)
+        L.setflags(write=False)
+        flow = dataclasses.replace(chain_flow, L=L)
+        assert np.array_equal(flow.M[8:, :8], flow_blocks(chain_problem, L)[1])
+        assert np.array_equal(flow.M, lf.assemble(chain_problem, star_graph).M)
+
     def test_matrices_keep_every_bit_of_the_block_construction(self):
         # M is built in place; each value and each signed zero must be the
-        # one np.block copies from -H_tilde, -L_kron, L_kron and zeros
+        # one np.block copies from -H_tilde, -L_kron, L_kron and zeros, as
+        # the per-node loop of flow_blocks builds them
         rng = np.random.default_rng(5)
         for family in ("path", "star", "complete"):
             for n, m in ((4, 1), (7, 2), (9, 3)):
@@ -79,13 +96,11 @@ class TestAssemble:
                 problem = lf.NetworkLinearEquation(H, rng.standard_normal(n))
                 graph = lf.make_family(family, n)
                 flow = lf.assemble(problem, graph)
-                H_tilde = np.zeros((n * m, n * m))
-                for i in range(n):
-                    H_tilde[i * m:(i + 1) * m, i * m:(i + 1) * m] = np.outer(H[i], H[i])
-                L_kron = np.kron(lf.laplacian(graph), np.eye(m))
+                H_tilde, L_kron = flow_blocks(problem, lf.laplacian(graph))
+                assert np.array_equal(L_kron.view(np.uint64),
+                                      np.kron(lf.laplacian(graph), np.eye(m)).view(np.uint64))
                 M = np.block([[-H_tilde, -L_kron], [L_kron, np.zeros((n * m, n * m))]])
-                for got, want in ((flow.H_tilde, H_tilde), (flow.L_kron, L_kron), (flow.M, M)):
-                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                assert np.array_equal(flow.M.view(np.uint64), M.view(np.uint64))
 
 
 class TestCostAndGradient:
@@ -363,11 +378,42 @@ class TestZeroSpaceProjector:
 
 
 class TestEquilibriumAndVLimit:
-    def test_stationarity_system_residual(self, chain_flow):
+    def test_stationarity_system_residual(self, chain_problem, chain_flow):
         v_star = lf.equilibrium_dual(chain_flow)
         x_star = np.tile(chain_flow.y_ref, 4)
-        rhs = chain_flow.z_H - chain_flow.H_tilde @ x_star
-        assert np.linalg.norm(chain_flow.L_kron @ v_star - rhs) < 1e-10
+        H_tilde, L_kron = flow_blocks(chain_problem, chain_flow.L)
+        rhs = chain_flow.z_H - H_tilde @ x_star
+        assert np.linalg.norm(L_kron @ v_star - rhs) < 1e-10
+
+    @pytest.mark.parametrize("family, n, m", [("chain4", 4, 2), ("path", 100, 2),
+                                              ("ring", 48, 3)])
+    def test_matches_the_lstsq_on_the_kronecker_system(self, chain_flow, family, n, m):
+        # the n x n solve with m right-hand sides against the min-norm
+        # lstsq on the nm x nm system L (x) I_m
+        flow = chain_flow
+        if family != "chain4":
+            rng = np.random.default_rng(n)
+            problem = lf.NetworkLinearEquation(rng.standard_normal((n, m)), rng.standard_normal(n))
+            flow = lf.assemble(problem, lf.make_family(family, n))
+        H_tilde, L_kron = flow_blocks(flow.problem, flow.L)
+        rhs = flow.z_H - H_tilde @ np.tile(flow.y_ref, n)
+        want = np.linalg.lstsq(np.kron(flow.L, np.eye(m)), rhs, rcond=RANK_RTOL)[0]
+        got = lf.equilibrium_dual(flow)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_split_graph_has_no_equilibrium(self):
+        # two paths of three nodes: L V = R needs R's columns to sum to
+        # zero on each path, and generic rows give them no reason to
+        graph = lf.Graph(n_nodes=6, edges=frozenset({(1, 2), (2, 3), (4, 5), (5, 6)}))
+        rng = np.random.default_rng(0)
+        problem = lf.NetworkLinearEquation(rng.standard_normal((6, 2)), rng.standard_normal(6))
+        flow = lf.assemble(problem, graph)
+        H_tilde, L_kron = flow_blocks(problem, flow.L)
+        rhs = flow.z_H - H_tilde @ np.tile(flow.y_ref, 6)
+        gap = np.linalg.norm(L_kron @ np.linalg.lstsq(L_kron, rhs, rcond=RANK_RTOL)[0] - rhs)
+        assert f"{gap:.3e}" == "2.248e-01"  # the nm x nm system's gap, as the error names it
+        with pytest.raises(lf.EquilibriumInfeasibleError, match=f"residual {gap:.3e}"):
+            lf.equilibrium_dual(flow)
 
     def test_minimum_norm_solution_has_no_consensus_component(self, chain_flow):
         v_star = lf.equilibrium_dual(chain_flow)
@@ -432,6 +478,28 @@ class TestSpectralReport:
                             lambda kept: np.array([[5e-8, -1.0], [1.0, 5e-8]]))
         with pytest.raises(lf.NoStableModesError):
             lf.epsilon_star(chain_flow)
+
+    def test_the_growing_error_names_the_mode_past_the_floor(self, chain_flow, monkeypatch):
+        # the first mode has the larger real part but lies inside its floor
+        # TAU_IM |lambda| = 1e-4; only the second, at Re/|lambda| = 1e-6, grows
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: np.array([1e-5 + 1000j, 1e-9 + 1e-3j]))
+        with pytest.raises(lf.InternalInconsistencyError) as info:
+            lf.m_spectrum(chain_flow)
+        message = str(info.value)
+        assert "1.000e-09+1.000e-03j" in message and "1.000e-06" in message
+        assert "1.000e+03j" not in message
+
+    def test_the_analysis_builds_no_M(self, chain_problem, chain_graph, star_graph):
+        for graph in (chain_graph, star_graph):
+            flow = lf.assemble(chain_problem, graph)
+            lf.check_condition(flow.problem, flow.graph)
+            lf.m_spectrum(flow)
+            lf.epsilon_star(flow)
+            lf.build_spectral_report(flow)
+            if graph is chain_graph:
+                lf.predict_v_limit(flow, np.zeros(flow.state_dim))
+            assert "M" not in vars(flow)
 
 
 class TestWeaklyDampedMode:
